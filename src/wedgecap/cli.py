@@ -61,8 +61,6 @@ def _add_common(p):
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker parallelism cap (current engine is sequential)")
     p.add_argument("--tol", type=float, default=1e-8)
 
 

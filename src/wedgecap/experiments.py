@@ -26,7 +26,7 @@ from .errors import AnomalyError, ConfigurationError, DomainError
 from .exponents import capacity_index_s, critical_exponents
 from .geometry import DiscreteMeasure, dirac
 from .kernels import (DEFAULT_QUAD, KernelParams, M_nu_s, QuadratureSpec,
-                      h_sigma_j, params_from_report)
+                      _F_outside_m1, h_sigma_j, params_from_report)
 
 DEFAULT_SEED = 42
 
@@ -299,36 +299,6 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
 
 # --------------------------------------------------------------------------
 # truncation remainder scaling
-
-
-def _F_outside_m1(tau_arr, mu, params, R, quad):
-    """Slice integral restricted to |y| > R (the truncation deficit), m = 1."""
-    nu, q = params.nu, params.q
-    nuq = nu * q
-    zmax = mu.support_radius()
-    na = mu.n_atoms
-    amp = na ** (q - 1.0) * float(np.sum(mu.weights ** q))
-    Y = R + max(10.0, 10.0 * float(np.max(tau_arr)))
-    from .kernels import _kernel_sum_m1
-
-    def f_side(sign):
-        def f(y):
-            return _kernel_sum_m1(tau_arr, sign * y, mu, nu) ** q
-        return f
-
-    while True:
-        tot = np.zeros(tau_arr.size)
-        err = np.zeros(tau_arr.size)
-        edges = merge_edges(R, Y, geometric_edges(R, Y, 8))
-        for sign in (+1.0, -1.0):
-            v, e = integrate_rows(f_side(sign), edges, rtol=quad.rtol,
-                                  max_panels=quad.max_panels)
-            tot += v
-            err += e
-        tail = 2.0 * amp * (Y - zmax) ** (1.0 - nuq) / (nuq - 1.0)
-        if tail <= 0.3 * quad.rtol * float(np.min(tot)) or Y > 1e8:
-            return tot, err + tail
-        Y *= 2.0
 
 
 def remainder_experiment(nu, sigma, m, j, q, mu=None, R_grid=(2.0, 4.0, 8.0, 16.0),

@@ -197,12 +197,66 @@ def poisson_upper_bound(mu, x, report):
 
 
 def _kernel_sum_m1(tau, y, mu, nu):
-    """(n_tau, n_y) table of the inner kernel sum, m = 1."""
+    """(n_tau, n_y) table of the inner kernel sum, m = 1.
+
+    Each atom's term w (tau^2 + (y-z)^2)^{-nu/2} is formed in one scratch
+    buffer and added in place, so the table costs two full-size arrays
+    whatever the number of atoms.
+    """
     t2 = (tau ** 2)[:, None]
     acc = np.zeros((tau.size, y.size))
+    term = np.empty_like(acc)
     for z, w in zip(mu.positions[:, 0], mu.weights):
-        acc += w * (t2 + (y[None, :] - z) ** 2) ** (-0.5 * nu)
+        np.add(t2, (y - z) ** 2, out=term)
+        np.power(term, -0.5 * nu, out=term)
+        term *= w
+        acc += term
     return acc
+
+
+def _slice_integrand_m1(tau_arr, mu, params):
+    """y -> k(tau, y)^q for every tau row, raised in place."""
+    def f(y):
+        out = _kernel_sum_m1(tau_arr, y, mu, params.nu)
+        return np.power(out, params.q, out=out)
+    return f
+
+
+def _folded_integrand_m1(tau_arr, mu, params):
+    """y -> k(tau, y)^q + k(tau, -y)^q: both half-lines on one y > 0 grid."""
+    f = _slice_integrand_m1(tau_arr, mu, params)
+
+    def g(y):
+        out = f(np.concatenate([y, -y]))
+        return out[:, :y.size] + out[:, y.size:]
+    return g
+
+
+def _widen_m1(tau_arr, mu, params, quad, vals, errs, Y):
+    """Extend a slice integral known on |y| < Y to the whole line.
+
+    While the rigorous power tail bound beyond Y is not negligible against
+    the smallest row, only the new shell Y < |y| < 2Y is integrated (both
+    signs folded into one call) and added to the running per-row totals.
+    The bound at the final Y lands in the error.
+    """
+    nuq = params.nu * params.q
+    zmax = mu.support_radius()
+    amp = mu.n_atoms ** (params.q - 1.0) * float(np.sum(mu.weights ** params.q))
+    shell = _folded_integrand_m1(tau_arr, mu, params)
+
+    def tail_bound(Y):
+        return 2.0 * amp * (Y - zmax) ** (1.0 - nuq) / (nuq - 1.0)
+
+    for _ in range(29):   # Y grows at most 2^29-fold
+        tail = tail_bound(Y)
+        if tail <= 0.3 * quad.rtol * float(np.min(np.abs(vals))) or tail < 1e-300:
+            break
+        v, e = integrate_rows(shell, np.linspace(Y, 2.0 * Y, 9), rtol=quad.rtol,
+                              max_panels=quad.max_panels)
+        vals, errs = vals + v, errs + e
+        Y *= 2.0
+    return vals, errs + tail_bound(Y)
 
 
 def _c_ball(nuq, m):
@@ -262,35 +316,27 @@ def F_nu_m(tau, mu, params, quad=None, truncated=True):
 
 
 def _F_m1(tau_arr, mu, params, quad, truncated):
-    nu, q = params.nu, params.q
-    nuq = nu * q
     tau_floor = float(np.min(tau_arr))
-    zmax = mu.support_radius()
-
-    def run(lo, hi):
-        base = np.linspace(lo, hi, 9)
-        atom = _atom_edges_m1(mu, lo, hi, tau_floor, quad.split_factor)
-        edges = merge_edges(lo, hi, base, atom)
-
-        def f(y):
-            return _kernel_sum_m1(tau_arr, y, mu, nu) ** q
-
-        return integrate_rows(f, edges, rtol=quad.rtol, max_panels=quad.max_panels)
-
+    # the ball |y| < R, or for the full line a core around the atoms that
+    # _widen_m1 extends shell by shell
+    Y = params.R if truncated else (mu.support_radius()
+                                    + max(10.0, 4.0 * float(np.max(tau_arr))))
+    atom = _atom_edges_m1(mu, -Y, Y, tau_floor, quad.split_factor)
+    edges = merge_edges(-Y, Y, np.linspace(-Y, Y, 9), atom)
+    vals, errs = integrate_rows(_slice_integrand_m1(tau_arr, mu, params), edges,
+                                rtol=quad.rtol, max_panels=quad.max_panels)
     if truncated:
-        return run(-params.R, params.R)
+        return vals, errs
+    return _widen_m1(tau_arr, mu, params, quad, vals, errs, Y)
 
-    # full line with a rigorous power tail bound
-    na = mu.n_atoms
-    amp = na ** (q - 1.0) * float(np.sum(mu.weights ** q))
-    Y = zmax + max(10.0, 4.0 * float(np.max(tau_arr)))
-    for _ in range(30):
-        vals, errs = run(-Y, Y)
-        tail = 2.0 * amp * (Y - zmax) ** (1.0 - nuq) / (nuq - 1.0)
-        if tail <= 0.3 * quad.rtol * float(np.min(np.abs(vals))) or tail < 1e-300:
-            return vals, errs + tail
-        Y *= 2.0
-    return vals, errs + tail   # pragma: no cover
+
+def _F_outside_m1(tau_arr, mu, params, R, quad):
+    """Slice integral restricted to |y| > R (the truncation deficit), m = 1."""
+    Y = R + max(10.0, 10.0 * float(np.max(tau_arr)))
+    vals, errs = integrate_rows(_folded_integrand_m1(tau_arr, mu, params),
+                                merge_edges(R, Y, geometric_edges(R, Y, 8)),
+                                rtol=quad.rtol, max_panels=quad.max_panels)
+    return _widen_m1(tau_arr, mu, params, quad, vals, errs, Y)
 
 
 def _F_m2(tau_arr, mu, params, quad, truncated):
@@ -418,9 +464,11 @@ def _tau_aggregate(mu, params, quad, weight, weight_pow, hi, eps,
 
     value, err = run(lo, Y)
     if infinite:
+        # widen by integrating only the new range (Y, 2Y) each time
         while tail_bound(Y) > 0.3 * quad.rtol * abs(value) and Y < 1e8:
+            v, e = run(Y, 2.0 * Y)
+            value, err = value + v, err + e
             Y *= 2.0
-            value, err = run(lo, Y)
         err += tail_bound(Y)
 
     if eps <= 0.0:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import wedgecap.kernels as kernels
 from wedgecap.errors import DivergenceError, DomainError, SingularityError
 from wedgecap.exponents import critical_exponents
 from wedgecap.geometry import DiscreteMeasure, dirac
@@ -149,6 +151,57 @@ class TestF:
         v, _ = F_nu_m(1.0, dirac(2), p, truncated=False)
         ref = 2.0 * math.pi * quad(lambda r: r * (1.0 + r * r) ** -3.0, 0, np.inf)[0]
         assert abs(v - ref) < 1e-4 * ref
+
+
+def test_kernel_table_matches_atom_loop():
+    # the in-place table must equal the plain per-atom expression bit for bit
+    mu = DiscreteMeasure(1, [((0.3,), 1.0), ((-0.45,), 0.7), ((2.0,), 0.25)])
+    tau = np.geomspace(1e-3, 20.0, 37)
+    y = np.linspace(-30.0, 30.0, 401)
+    for nu in (2.0, 3.3):
+        ref = np.zeros((tau.size, y.size))
+        for z, w in zip(mu.positions[:, 0], mu.weights):
+            ref += w * ((tau ** 2)[:, None] + (y[None, :] - z) ** 2) ** (-0.5 * nu)
+        assert np.array_equal(kernels._kernel_sum_m1(tau, y, mu, nu), ref)
+
+
+def test_full_line_widening_evaluates_each_node_once(monkeypatch):
+    seen = []
+    table = kernels._kernel_sum_m1
+
+    def recording(tau, y, mu, nu):
+        seen.append(np.array(y))
+        return table(tau, y, mu, nu)
+
+    calls = []
+    rows = kernels.integrate_rows
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rows(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_kernel_sum_m1", recording)
+    monkeypatch.setattr(kernels, "integrate_rows", counting)
+    tau = np.geomspace(1e-3, 20.0, 12)
+    F_nu_m(tau, dirac(1), KernelParams(nu=2.0, m=1, q=1.8), truncated=False)
+    assert len(calls) >= 3   # the core solve and at least two widenings
+    nodes = np.concatenate(seen)
+    assert np.unique(nodes).size == nodes.size
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=st.floats(1.05, 4.0), q=st.floats(1.05, 3.0),
+       tau=st.floats(1e-3, 20.0), log_rtol=st.floats(-8.0, -3.0))
+def test_full_line_dirac_within_reported_error(nu, q, tau, log_rtol):
+    # F(tau) of a unit atom = tau^{1-nu q} sqrt(pi) G((nu q-1)/2) / G(nu q/2)
+    nuq = nu * q
+    exact = (tau ** (1.0 - nuq) * math.sqrt(math.pi)
+             * math.gamma(0.5 * (nuq - 1.0)) / math.gamma(0.5 * nuq))
+    v, e = F_nu_m(tau, dirac(1), KernelParams(nu=nu, m=1, q=q),
+                  quad=QuadratureSpec(rtol=10.0 ** log_rtol), truncated=False)
+    # at nu q near 1 the power tail bound is nearly exact, so the error
+    # bar meets the true error up to the rounding of both sides
+    assert abs(v - exact) <= e + 1e-13 * exact
 
 
 class TestAggregates:
