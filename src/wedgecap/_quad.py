@@ -5,9 +5,12 @@ estimation; the panels carrying the bulk of the error are split in half
 until the global relative tolerance is met.  The subdivision order is a
 pure function of the integrand values, so results are bit-reproducible.
 
-All integrands are vectorized.  ``integrate_rows`` evaluates a whole
-family of integrands (rows) sharing one panel decomposition in a single
-call, which is what makes the kernel functionals cheap at desk scale.
+All integrands are vectorized.  One refinement engine serves two entry
+points: ``integrate_rows`` evaluates a whole family of integrands (rows)
+sharing one panel decomposition in a single call, which is what makes
+the kernel functionals cheap at desk scale, and ``integrate_partials``
+sums the final panels of one row above each of several cuts, so a
+ladder of nested tails costs a single solve.
 """
 
 from functools import lru_cache
@@ -74,25 +77,15 @@ def _row_sums(f, a, b, order):
     return hi, lo
 
 
-def integrate_rows(f, edges, rtol=1e-8, max_panels=4096, order=16):
-    """Integrate every row of a vectorized integrand family over one interval.
+def _refine(f, edges, rtol, max_panels, order):
+    """The refinement engine behind :func:`integrate_rows` and
+    :func:`integrate_partials`.
 
-    Parameters
-    ----------
-    f : callable
-        ``f(nodes)`` with ``nodes`` a 1-D array returns an array of shape
-        ``(nrows, len(nodes))`` (or 1-D for a single row).
-    edges : array_like
-        Initial panel edges; singular or peaked locations should appear here.
-    rtol : float
-        Target relative error for every row.
-    max_panels : int
-        Refinement budget.  Exceeding it raises :class:`AccuracyError`
-        carrying the best values and error estimates.
-
-    Returns
-    -------
-    (values, errors) : ndarray, ndarray of shape (nrows,)
+    Splits the panels carrying half of the worst relative error until
+    every row meets ``rtol``, keeping the panels sorted so the
+    floating-point reduction order is fixed.  Returns the final panels'
+    left edges, their full-rule sums of shape ``(nrows, npanels)``, and
+    the per-row values and error estimates.
     """
     edges = np.asarray(edges, float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -105,7 +98,7 @@ def integrate_rows(f, edges, rtol=1e-8, max_panels=4096, order=16):
         errs = np.abs(hi - lo).sum(axis=1)
         scale = np.maximum(np.abs(vals), _TINY)
         if np.all(errs <= rtol * scale):
-            return vals, errs
+            return a, hi, vals, errs
         if a.size >= max_panels:
             raise AccuracyError(
                 "quadrature stalled at %d panels (worst relative error %.3g, target %.3g)"
@@ -127,10 +120,33 @@ def integrate_rows(f, edges, rtol=1e-8, max_panels=4096, order=16):
         b = np.concatenate([b[~sel], nb])
         hi = np.concatenate([hi[:, ~sel], nhi], axis=1)
         lo = np.concatenate([lo[:, ~sel], nlo], axis=1)
-        # keep panels sorted so the floating-point reduction order is fixed
         perm = np.argsort(a, kind="stable")
         a, b = a[perm], b[perm]
         hi, lo = hi[:, perm], lo[:, perm]
+
+
+def integrate_rows(f, edges, rtol=1e-8, max_panels=4096, order=16):
+    """Integrate every row of a vectorized integrand family over one interval.
+
+    Parameters
+    ----------
+    f : callable
+        ``f(nodes)`` with ``nodes`` a 1-D array returns an array of shape
+        ``(nrows, len(nodes))`` (or 1-D for a single row).
+    edges : array_like
+        Initial panel edges; singular or peaked locations should appear here.
+    rtol : float
+        Target relative error for every row.
+    max_panels : int
+        Refinement budget.  Exceeding it raises :class:`AccuracyError`
+        carrying the best values and error estimates.
+
+    Returns
+    -------
+    (values, errors) : ndarray, ndarray of shape (nrows,)
+    """
+    _, _, vals, errs = _refine(f, edges, rtol, max_panels, order)
+    return vals, errs
 
 
 def integrate(f, edges, rtol=1e-8, max_panels=4096, order=16):
@@ -148,46 +164,18 @@ def integrate_partials(f, edges, cuts, rtol=1e-8, max_panels=4096, order=16):
 
     Every cut must appear among the initial edges, so panels never
     straddle a cut and the partial sums are exact panel aggregates of
-    the single refined decomposition.  Returns (values, error) with one
-    value per cut (same order as ``cuts``) and the global error estimate.
+    the single refined decomposition.  ``f`` returns one row.  Returns
+    (values, error) with one value per cut (same order as ``cuts``) and
+    the global error estimate.
     """
     edges = np.asarray(edges, float)
     cuts = np.asarray(cuts, float)
     for c in cuts:
         if not np.any(np.isclose(edges, c, rtol=0.0, atol=1e-15 * max(abs(c), 1.0))):
             raise ValueError("every cut must be an initial panel edge")
-    a = edges[:-1].copy()
-    b = edges[1:].copy()
-    hi, lo = _row_sums(f, a, b, order)
-    while True:
-        total = hi.sum()
-        err = float(np.abs(hi - lo).sum())
-        if err <= rtol * max(abs(total), _TINY) or a.size >= max_panels:
-            if err > rtol * max(abs(total), _TINY):
-                raise AccuracyError("partial-sum quadrature stalled at %d panels"
-                                    % a.size, value=total, error=err)
-            vals = np.array([hi[0, a >= c - 1e-15 * max(abs(c), 1.0)].sum()
-                             for c in cuts])
-            return vals, err
-        pe = np.abs(hi - lo)[0]
-        order_idx = np.argsort(pe, kind="stable")[::-1]
-        csum = np.cumsum(pe[order_idx])
-        ncut = int(np.searchsorted(csum, 0.5 * csum[-1])) + 1
-        ncut = min(ncut, max(1, max_panels - a.size))
-        sel = np.zeros(a.size, bool)
-        sel[order_idx[:ncut]] = True
-        am, bm = a[sel], b[sel]
-        mid = 0.5 * (am + bm)
-        na = np.concatenate([am, mid])
-        nb = np.concatenate([mid, bm])
-        nhi, nlo = _row_sums(f, na, nb, order)
-        a = np.concatenate([a[~sel], na])
-        b = np.concatenate([b[~sel], nb])
-        hi = np.concatenate([hi[:, ~sel], nhi], axis=1)
-        lo = np.concatenate([lo[:, ~sel], nlo], axis=1)
-        perm = np.argsort(a, kind="stable")
-        a, b = a[perm], b[perm]
-        hi, lo = hi[:, perm], lo[:, perm]
+    a, hi, _, errs = _refine(f, edges, rtol, max_panels, order)
+    vals = np.array([hi[0, a >= c - 1e-15 * max(abs(c), 1.0)].sum() for c in cuts])
+    return vals, float(errs[0])
 
 
 def fit_loglog(x, y):

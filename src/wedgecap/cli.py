@@ -35,8 +35,7 @@ from .errors import (AccuracyError, AnomalyError, BracketError,
 from .exponents import critical_exponents
 from .geometry import (WedgeSpec, dumps, measure_from_dict, polyhedron_from_dict,
                        set_from_dict, validate_wedge)
-from .kernels import (KernelParams, M_nu_s, QuadratureSpec, F_nu_m, reduced_I,
-                      params_from_report)
+from .kernels import KernelParams, M_nu_s, F_nu_m, reduced_I
 from .spectral import gamma_first_eigenvalue
 from . import experiments as _exp
 
@@ -191,24 +190,6 @@ def _emit(args, payload, csv_rows=None):
     return 0
 
 
-def _csv_from_reports(reports):
-    import csv
-    import io
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_exp.CSV_HEADER)
-    for rep in reports:
-        pstr = json.dumps(rep.params, sort_keys=True, separators=(",", ":"))
-        for key in sorted(rep.metrics):
-            w.writerow((rep.name, pstr, key, repr(rep.metrics[key])))
-        for row in rep.rows:
-            rp = json.dumps(row.get("params", {}), sort_keys=True,
-                            separators=(",", ":"))
-            w.writerow((rep.name, rp, row["metric"], repr(row["value"])))
-    return buf.getvalue()
-
-
 def _cmd_exponents(args):
     gamma = _resolve_gamma(args)
     rep = critical_exponents(args.N, args.k, gamma)
@@ -296,17 +277,9 @@ def _cmd_capacity(args):
                                                           args.p, ell)})
     csv_text = None
     if args.format == "csv":
-        import csv
-        import io
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(_exp.CSV_HEADER)
-        for row in rows:
-            w.writerow(("capacity", json.dumps(row["params"], sort_keys=True,
-                                               separators=(",", ":")),
-                        row["metric"], repr(row["value"])))
-        csv_text = buf.getvalue()
+        csv_text = _exp.reports_csv([_exp.ExperimentReport(
+            name="capacity", params={}, metrics={}, tolerances={}, passed=True,
+            runtime=0.0, rows=rows)])
     return _emit(args, {"pieces": results}, csv_rows=csv_text)
 
 
@@ -329,7 +302,7 @@ def _cmd_verify(args):
     else:
         _, rep = _exp.heat_lifting(R=args.R if args.R else 4.0, q=args.q)
     return _emit(args, rep.to_dict(),
-                 csv_rows=_csv_from_reports([rep]) if args.format == "csv" else None)
+                 csv_rows=_exp.reports_csv([rep]) if args.format == "csv" else None)
 
 
 _DISPATCH = {"exponents": _cmd_exponents, "classify": _cmd_classify,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from ._quad import fit_loglog, gauss_legendre, geometric_edges, integrate_rows, merge_edges
+from ._quad import fit_loglog, geometric_edges, integrate_rows, merge_edges
 from .besov import besov_neg_proxy, besov_pos_norm
 from .errors import AnomalyError, ConfigurationError, DomainError
 from .exponents import capacity_index_s, critical_exponents
@@ -69,22 +69,30 @@ class ExperimentReport:
 CSV_HEADER = ("experiment", "params", "metric", "value")
 
 
-def write_reports_csv(reports, path):
-    """One row per (experiment, parameter tuple, metric); LF endings, UTF-8."""
+def reports_csv(reports):
+    """CSV text with one row per (experiment, parameter tuple, metric); LF endings."""
     import csv
+    import io
     import json
 
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_HEADER)
+    for rep in reports:
+        pstr = json.dumps(rep.params, sort_keys=True, separators=(",", ":"))
+        for key in sorted(rep.metrics):
+            w.writerow((rep.name, pstr, key, repr(rep.metrics[key])))
+        for row in rep.rows:
+            rp = json.dumps(row.get("params", {}), sort_keys=True,
+                            separators=(",", ":"))
+            w.writerow((rep.name, rp, row["metric"], repr(row["value"])))
+    return buf.getvalue()
+
+
+def write_reports_csv(reports, path):
+    """Write :func:`reports_csv` of the reports to ``path`` as UTF-8."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        for rep in reports:
-            pstr = json.dumps(rep.params, sort_keys=True, separators=(",", ":"))
-            for key in sorted(rep.metrics):
-                w.writerow((rep.name, pstr, key, repr(rep.metrics[key])))
-            for row in rep.rows:
-                rp = json.dumps(row.get("params", {}), sort_keys=True,
-                                separators=(",", ":"))
-                w.writerow((rep.name, rp, row["metric"], repr(row["value"])))
+        fh.write(reports_csv(reports))
 
 
 def measure_family(m, R, n_measures=20, seed=DEFAULT_SEED,

@@ -26,7 +26,7 @@ because all kernels only see |x''-z|.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -542,18 +542,3 @@ def set_from_dict(d):
             raise GeometryError("set piece kind %r not one of point|ball|grid" % kind)
     return CompactSetDescription(pieces=tuple(pieces))
 
-
-def loads_wedge(text, **kw):
-    return wedge_from_dict(json.loads(text), **kw)
-
-
-def loads_measure(text):
-    return measure_from_dict(json.loads(text))
-
-
-def loads_polyhedron(text):
-    return polyhedron_from_dict(json.loads(text))
-
-
-def loads_set(text):
-    return set_from_dict(json.loads(text))

@@ -32,8 +32,8 @@ from scipy.special import gamma as _gamma_fn
 
 from ._quad import (gauss_legendre, geometric_edges, integrate_partials,
                     integrate_rows, merge_edges)
-from .errors import (ConfigurationError, DivergenceError, DomainError,
-                     SingularityError)
+from .errors import (AccuracyError, ConfigurationError, DivergenceError,
+                     DomainError, SingularityError)
 from .exponents import bookkeeping_identity_gap
 
 C_A = 1.0
@@ -232,31 +232,48 @@ def _folded_integrand_m1(tau_arr, mu, params):
     return g
 
 
+def _widen(shell, tail_bound, vals, errs, Y, rtol):
+    """Extend integrals known up to Y to infinity, one shell at a time.
+
+    While the rigorous tail bound beyond Y is not negligible against the
+    smallest value, ``shell(Y, 2Y)`` -- per-row (values, errors) of the
+    integrand on that shell only -- is added to the running totals and Y
+    doubles.  The bound at the final Y lands in the error; a bound still
+    above ``0.3 rtol`` after 29 doublings raises :class:`AccuracyError`
+    carrying the totals.
+    """
+    for doublings in range(30):   # Y grows at most 2^29-fold
+        tail = tail_bound(Y)
+        if tail <= 0.3 * rtol * float(np.min(np.abs(vals))) or tail < 1e-300:
+            return vals, errs + tail
+        if doublings < 29:
+            v, e = shell(Y, 2.0 * Y)
+            vals, errs = vals + v, errs + e
+            Y *= 2.0
+    raise AccuracyError("tail bound %.3g beyond %.3g still above 0.3 rtol "
+                        "(rtol %.3g) after 29 doublings" % (tail, Y, rtol),
+                        value=vals, error=errs + tail)
+
+
 def _widen_m1(tau_arr, mu, params, quad, vals, errs, Y):
     """Extend a slice integral known on |y| < Y to the whole line.
 
-    While the rigorous power tail bound beyond Y is not negligible against
-    the smallest row, only the new shell Y < |y| < 2Y is integrated (both
-    signs folded into one call) and added to the running per-row totals.
-    The bound at the final Y lands in the error.
+    Each shell Y < |y| < 2Y is integrated with both signs folded into one
+    call; the tail beyond Y is bounded by the power decay of the kernel.
     """
     nuq = params.nu * params.q
     zmax = mu.support_radius()
     amp = mu.n_atoms ** (params.q - 1.0) * float(np.sum(mu.weights ** params.q))
-    shell = _folded_integrand_m1(tau_arr, mu, params)
+    folded = _folded_integrand_m1(tau_arr, mu, params)
+
+    def shell(lo, hi):
+        return integrate_rows(folded, np.linspace(lo, hi, 9), rtol=quad.rtol,
+                              max_panels=quad.max_panels)
 
     def tail_bound(Y):
         return 2.0 * amp * (Y - zmax) ** (1.0 - nuq) / (nuq - 1.0)
 
-    for _ in range(29):   # Y grows at most 2^29-fold
-        tail = tail_bound(Y)
-        if tail <= 0.3 * quad.rtol * float(np.min(np.abs(vals))) or tail < 1e-300:
-            break
-        v, e = integrate_rows(shell, np.linspace(Y, 2.0 * Y, 9), rtol=quad.rtol,
-                              max_panels=quad.max_panels)
-        vals, errs = vals + v, errs + e
-        Y *= 2.0
-    return vals, errs + tail_bound(Y)
+    return _widen(shell, tail_bound, vals, errs, Y, quad.rtol)
 
 
 def _c_ball(nuq, m):
@@ -404,14 +421,31 @@ def _small_tau_exponent(params, weight_pow):
     return params.m - params.nu * params.q + weight_pow
 
 
+def _tau_integrand(mu, params, quad, weight, truncated):
+    """tau -> F(tau) * weight(tau) as one quadrature row."""
+    def f(tau):
+        fv, _ = F_nu_m(tau, mu, params, quad=quad, truncated=truncated)
+        return (np.atleast_1d(fv) * weight(np.asarray(tau, float)))[None, :]
+    return f
+
+
+def _tau_shell(f, quad):
+    """(lo, hi) -> integrate_rows of a tau-integrand on graded panels of (lo, hi)."""
+    def shell(lo, hi):
+        edges = merge_edges(lo, hi, geometric_edges(lo, hi, per_decade=6),
+                            np.linspace(lo, hi, 9))
+        return integrate_rows(f, edges, rtol=quad.rtol, max_panels=quad.max_panels)
+    return shell
+
+
 def _tau_aggregate(mu, params, quad, weight, weight_pow, hi, eps,
                    truncated, tail_bound=None, y0=None):
     """integral_(lo,hi) F(tau) * weight(tau) dtau with divergence guards.
 
     weight_pow is the small-tau power of the weight.  For hi = inf the
     caller supplies ``tail_bound(Y)``, a rigorous bound on the neglected
-    integral beyond Y; the range is widened until the bound is
-    negligible and the residue lands in the error estimate.
+    integral beyond Y; the range is widened shell by shell until the
+    bound is negligible and the residue lands in the error estimate.
     """
     if mu.n_atoms == 0:
         return 0.0, 0.0
@@ -438,16 +472,7 @@ def _tau_aggregate(mu, params, quad, weight, weight_pow, hi, eps,
     if not (lo < Y):
         raise ConfigurationError("empty integration range (eps >= upper limit)")
 
-    def f(tau):
-        fv, _ = F_nu_m(tau, mu, params, quad=quad, truncated=truncated)
-        return (np.atleast_1d(fv) * weight(np.asarray(tau, float)))[None, :]
-
-    def run(lo_, hi_):
-        edges = merge_edges(lo_, hi_, geometric_edges(lo_, hi_, per_decade=6),
-                            np.linspace(lo_, hi_, 9))
-        v, e = integrate_rows(f, edges, rtol=quad.rtol,
-                              max_panels=quad.max_panels)
-        return float(v[0]), float(e[0])
+    shell = _tau_shell(_tau_integrand(mu, params, quad, weight, truncated), quad)
 
     if eps <= 0.0:
         # atoms decouple as tau -> 0, so the below-floor piece has the
@@ -462,14 +487,10 @@ def _tau_aggregate(mu, params, quad, weight, weight_pow, hi, eps,
             gap = min(1.0, Y)
         lo = min(lo, 1e-3 * gap, 1e-6 * Y)
 
-    value, err = run(lo, Y)
+    value, err = shell(lo, Y)
     if infinite:
-        # widen by integrating only the new range (Y, 2Y) each time
-        while tail_bound(Y) > 0.3 * quad.rtol * abs(value) and Y < 1e8:
-            v, e = run(Y, 2.0 * Y)
-            value, err = value + v, err + e
-            Y *= 2.0
-        err += tail_bound(Y)
+        value, err = _widen(shell, tail_bound, value, err, Y, quad.rtol)
+    value, err = float(value[0]), float(err[0])
 
     if eps <= 0.0:
         a_dec = float(np.sum(mu.weights ** q)) * _c_ball(params.nu * q, params.m)
@@ -561,8 +582,10 @@ def reduced_I_ladder(mu, params, cutoffs, quad=None):
 
     The cutoffs become mandatory panel edges of a single adaptive
     decomposition over (min cutoff, Y); each ladder value is the exact
-    aggregate of the refined panels above its cutoff.  Returns
-    (values, error) with values in the order of ``cutoffs``.
+    aggregate of the refined panels above its cutoff.  Beyond Y the
+    range is widened shell by shell and each shell is added to every
+    rung.  Returns (values, error) with values in the order of
+    ``cutoffs``.
     """
     quad = quad or DEFAULT_QUAD
     if params.sigma is None or params.j is None:
@@ -581,19 +604,14 @@ def reduced_I_ladder(mu, params, cutoffs, quad=None):
     Y = 20.0 if params.j == 1 else max(40.0, 4.0 * abs(wpow)
                                        + 8.0 * mu.support_radius())
 
-    def f(tau):
-        fv, _ = F_nu_m(tau, mu, params, quad=quad, truncated=False)
-        return (np.atleast_1d(fv) * w(np.asarray(tau, float)))[None, :]
-
-    while True:
-        edges = merge_edges(lo, Y, geometric_edges(lo, Y, per_decade=6),
-                            np.linspace(lo, Y, 9), cutoffs)
-        vals, err = integrate_partials(f, edges, cutoffs, rtol=quad.rtol,
-                                       max_panels=quad.max_panels)
-        tb = tail_bound(Y)
-        if tb <= 0.3 * quad.rtol * float(np.min(np.abs(vals))) or Y > 1e8:
-            return vals, err + tb + 0.3 * quad.rtol * float(np.max(np.abs(vals)))
-        Y *= 2.0
+    f = _tau_integrand(mu, params, quad, w, truncated=False)
+    edges = merge_edges(lo, Y, geometric_edges(lo, Y, per_decade=6),
+                        np.linspace(lo, Y, 9), cutoffs)
+    vals, err = integrate_partials(f, edges, cutoffs, rtol=quad.rtol,
+                                   max_panels=quad.max_panels)
+    vals, err = _widen(_tau_shell(f, quad), tail_bound, vals, np.array([err]),
+                       Y, quad.rtol)
+    return vals, float(err[0]) + 0.3 * quad.rtol * float(np.max(np.abs(vals)))
 
 
 def _I_angular(tau, sigma, j, q):

@@ -31,7 +31,7 @@ from scipy.optimize import brentq
 from .errors import (AccuracyError, BracketError, DomainError, GeometryError,
                      PoleEndpointError)
 from .exponents import kappa_from_gamma
-from .geometry import WedgeSpec, cartesian_to_spherical, validate_wedge
+from .geometry import cartesian_to_spherical, validate_wedge
 
 PI = math.pi
 DEFAULT_TOL = 1e-8
