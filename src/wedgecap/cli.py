@@ -300,7 +300,7 @@ def _cmd_verify(args):
         rep = _exp.harmonicity_experiment(target=args.target,
                                           alpha=args.alpha1 or 0.5 * np.pi)
     else:
-        _, rep = _exp.heat_lifting(R=args.R if args.R else 4.0, q=args.q)
+        _, rep = _exp.heat_lifting(R=args.R, q=args.q)
     return _emit(args, rep.to_dict(),
                  csv_rows=_exp.reports_csv([rep]) if args.format == "csv" else None)
 

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.fft import dst
 
 from ._quad import fit_loglog, geometric_edges, integrate_rows, merge_edges
 from .besov import besov_neg_proxy, besov_pos_norm
@@ -465,14 +465,18 @@ def harmonicity_experiment(target="v_A", alpha=math.pi / 2, N=3,
 class HeatLift:
     """Dirichlet heat evolution on (-R, R), exact in time on the FD grid.
 
-    The second-order space discretization is propagated through its
-    eigendecomposition, so evaluation at any t is exact for the
-    semi-discrete system, time derivatives are analytic, and the
-    discrete maximum principle holds to roundoff.  The lift is
-    H(x', x'') = w(|x'|^2, x'').
+    The orthonormal type-I DST is its own inverse and diagonalizes the FD
+    Laplacian: -Laplacian has eigenvalues (4/h^2) sin^2(j pi / 2n), 0 < j < n
+    (G. Strang, SIAM Review 41, 1999).  So w, w_t and w_tt are exact in t
+    for the semi-discrete system at one O(n log n) transform each, and the
+    discrete maximum principle holds to roundoff.  H(x', x'') = w(|x'|^2, x'').
     """
 
     def __init__(self, eta_fn, R, n=1024):
+        if not R > 0.0:
+            raise DomainError("need R > 0")
+        if n < 2:
+            raise DomainError("need n >= 2 grid intervals")
         self.R = R
         self.n = n
         self.x = np.linspace(-R, R, n + 1)
@@ -480,26 +484,20 @@ class HeatLift:
         self.eta = np.asarray(eta_fn(self.x), float)
         if self.eta[0] != 0.0 or self.eta[-1] != 0.0:
             raise DomainError("eta must vanish at the ends of the ball")
-        hi = np.full(n - 1, -2.0) / self.h ** 2
-        off = np.full(n - 2, 1.0) / self.h ** 2
-        lam, V = eigh_tridiagonal(-hi, -off)   # eigenvalues of -Laplacian > 0
-        self.lam = lam
-        self.V = V
-        self.c = V.T @ self.eta[1:-1]
+        self.lam = 4.0 / self.h ** 2 * np.sin(0.5 * math.pi / n * np.arange(1, n)) ** 2
+        self.c = dst(self.eta[1:-1], type=1, norm="ortho")
 
-    def _assemble(self, interior):
-        out = np.zeros(self.n + 1)
-        out[1:-1] = interior
-        return out
+    def _synthesize(self, g):
+        return np.pad(dst(g * self.c, type=1, norm="ortho"), 1)
 
     def w(self, t):
-        return self._assemble(self.V @ (np.exp(-self.lam * t) * self.c))
+        return self._synthesize(np.exp(-self.lam * t))
 
     def wt(self, t):
-        return self._assemble(self.V @ (-self.lam * np.exp(-self.lam * t) * self.c))
+        return self._synthesize(-self.lam * np.exp(-self.lam * t))
 
     def wtt(self, t):
-        return self._assemble(self.V @ (self.lam ** 2 * np.exp(-self.lam * t) * self.c))
+        return self._synthesize(self.lam ** 2 * np.exp(-self.lam * t))
 
     def H(self, y):
         return self.w(y * y)
@@ -648,7 +646,7 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8, edge_dim=1, n_solve=1024,
                                 + z0[cols2 - stride]) / h ** 2
             dom = (np.cos(0.5 * math.pi * x[cols2] / R)
                    * y ** kappa_plus * _cutoff_profile(np.array([y / R]))[0])
-            mask = dom > 1e-8
+            mask = dom > 1e-8 * np.max(dom)
             worst = max(worst, float(np.max(np.abs(lap[mask]) / dom[mask])))
         sup_ratios.append(worst)
     zeta_growth = sup_ratios[-1] / sup_ratios[0] if sup_ratios[0] > 0 else np.inf

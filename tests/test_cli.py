@@ -167,3 +167,11 @@ def test_missing_required_dimension(capsys):
     code, _, err = run_cli(capsys, "exponents", "--alpha1", "1.0")
     assert code == 2
     assert "--N" in err
+
+
+def test_verify_heat_rejects_nonpositive_radius(capsys):
+    for R in ("0", "-8"):
+        code, out, err = run_cli(capsys, "verify", "heat", "--R", R)
+        assert code == 2
+        assert out == ""
+        assert "need R > 0" in err

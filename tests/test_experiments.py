@@ -4,12 +4,13 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from wedgecap.errors import ConfigurationError, DomainError
-from wedgecap.experiments import (dichotomy_experiment, equivalence_experiment,
-                                  harmonicity_experiment, heat_lifting,
-                                  measure_family, remainder_experiment,
-                                  write_reports_csv)
+from wedgecap.experiments import (HeatLift, _cos2_bump, dichotomy_experiment,
+                                  equivalence_experiment, harmonicity_experiment,
+                                  heat_lifting, measure_family,
+                                  remainder_experiment, write_reports_csv)
 
 
 class TestDichotomy:
@@ -152,6 +153,76 @@ class TestHeatLifting:
         _, rep = run
         assert rep.metrics["zeta_growth"] <= 1.5
         assert rep.passed
+
+
+def _skewed_bump(x):
+    # asymmetric, so a transform that mixes up odd and even modes shows
+    return _cos2_bump(0.5, 1.5)(x) * (1.0 + 0.3 * x)
+
+
+def _dense_lift(lift):
+    """w, w_t, w_tt from a dense eigendecomposition of the FD Laplacian."""
+    n, h2 = lift.n, lift.h ** 2
+    lam, V = eigh_tridiagonal(np.full(n - 1, 2.0 / h2), np.full(n - 2, -1.0 / h2))
+    c = V.T @ lift.eta[1:-1]
+
+    def at(power, t):
+        out = np.zeros(n + 1)
+        out[1:-1] = V @ ((-lam) ** power * np.exp(-lam * t) * c)
+        return out
+    return at
+
+
+class TestHeatLiftOracle:
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_eigenvalues_match_dense_laplacian(self, n):
+        lift = HeatLift(_skewed_bump, 4.0, n=n)
+        h2 = lift.h ** 2
+        ref = eigh_tridiagonal(np.full(n - 1, 2.0 / h2), np.full(n - 2, -1.0 / h2),
+                               eigvals_only=True)
+        assert np.all(np.abs(lift.lam - ref) <= 1e-9 * ref)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-6, 1e-2, 1.0, 16.0])
+    def test_evolution_matches_dense_eigh(self, t):
+        lift = HeatLift(_skewed_bump, 4.0, n=256)
+        dense = _dense_lift(lift)
+        for power, got in enumerate((lift.w(t), lift.wt(t), lift.wtt(t))):
+            ref = dense(power, t)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.1, 2.0])
+    def test_time_derivatives_are_fd_laplacians(self, t):
+        lift = HeatLift(_skewed_bump, 4.0, n=512)
+
+        def lap(u):
+            return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / lift.h ** 2
+        w, wt, wtt = lift.w(t), lift.wt(t), lift.wtt(t)
+        # roundoff in a second difference is eps * |u| / h^2
+        for u, du in ((w, wt), (wt, wtt)):
+            scale = 4.0 * np.max(np.abs(u)) / lift.h ** 2
+            assert np.max(np.abs(du[1:-1] - lap(u))) <= 1e-14 * scale
+            assert du[0] == 0.0 and du[-1] == 0.0
+
+    def test_initial_value_is_eta(self):
+        lift = HeatLift(_skewed_bump, 4.0)
+        assert np.max(np.abs(lift.w(0.0) - lift.eta)) <= 1e-14
+
+    @pytest.mark.parametrize("R", [0.0, -8.0])
+    def test_nonpositive_radius(self, R):
+        with pytest.raises(DomainError, match="need R > 0"):
+            HeatLift(_skewed_bump, R)
+
+    def test_too_few_intervals(self):
+        with pytest.raises(DomainError):
+            HeatLift(_skewed_bump, 4.0, n=1)
+
+    def test_tiny_radius(self):
+        # the (d) sup-ratio mask is relative to the dominating profile, so
+        # the whole experiment is scale-invariant in R
+        _, rep = heat_lifting(R=1e-3, q=1.7)
+        assert rep.passed
+        assert abs(rep.metrics["zeta_growth"] - 1.00903) < 1e-5
 
 
 class TestReporting:

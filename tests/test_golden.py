@@ -3,9 +3,11 @@
 Each case runs ``wedgecap.cli.main`` from the checkout root, so the input
 paths echoed in the JSON ``config`` are the same in every checkout, and
 compares stdout with the file of the same name under ``tests/golden/``.
-After a declared output change, regenerate them with
+After a declared output change, regenerate the files it moves by name,
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py verify_heat.json
+
+so that no other golden file is rewritten; with no names, all of them.
 """
 
 import contextlib
@@ -72,9 +74,13 @@ def test_cli_output_matches_golden(name, monkeypatch):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit("unknown golden file(s): %s" % ", ".join(unknown))
     os.chdir(ROOT)
-    for name, argv in sorted(CASES.items()):
-        code, out = run(argv)
+    for name in names:
+        code, out = run(CASES[name])
         if code != 0:
             sys.exit("%s: exit code %d" % (name, code))
         with open(os.path.join(GOLDEN, name), "w", encoding="utf-8", newline="") as fh:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +232,24 @@ def test_exhausted_ladder_widening_raises():
         reduced_I_ladder(dirac(1), p, (0.01, 0.005), quad=QuadratureSpec(rtol=1e-6))
     assert exc.value.value.shape == (2,)
     assert float(exc.value.error[0]) > 3e-7 * float(np.min(exc.value.value))
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.floats(-0.5, 0.6), q=st.floats(1.6, 3.0),
+       log_eps=st.floats(-2.5, -1.0), rtol=st.sampled_from([1e-6, 1e-4]))
+def test_dirac_ladder_within_reported_error(a, q, log_eps, rtol):
+    # a unit atom on R^1 at nu = 2, sigma = s, j = 1 has the closed form
+    # I(cut) = c(2q) Gamma(a, cut) with a = s q - q + 1 and
+    # c(2q) = integral of (1 + y^2)^{-q} dy = sqrt(pi) G(q - 1/2) / G(q)
+    s = (a + q - 1.0) / q
+    eps = 10.0 ** log_eps
+    cutoffs = [eps / 2 ** k for k in range(4)]
+    p = KernelParams(nu=2.0, m=1, q=q, sigma=s, j=1)
+    vals, err = reduced_I_ladder(dirac(1), p, cutoffs, quad=QuadratureSpec(rtol=rtol))
+    c2q = math.sqrt(math.pi) * math.gamma(q - 0.5) / math.gamma(q)
+    for cut, v in zip(cutoffs, vals):
+        exact = c2q * float(mpmath.gammainc(a, cut))
+        assert abs(v - exact) <= err
 
 
 def test_ladder_widening_integrates_each_tau_once(monkeypatch):
