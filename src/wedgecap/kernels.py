@@ -196,29 +196,40 @@ def poisson_upper_bound(mu, x, report):
 # F_{nu,m}: the L^q slice integral
 
 
-def _kernel_sum_m1(tau, y, mu, nu):
-    """(n_tau, n_y) table of the inner kernel sum, m = 1.
+_BLOCK_CELLS = 1 << 15   # table cells per block: accumulator + scratch fit in L2
 
-    Each atom's term w (tau^2 + (y-z)^2)^{-nu/2} is formed in one scratch
-    buffer and added in place, so the table costs two full-size arrays
-    whatever the number of atoms.
+
+def _kernel_sum_m1(tau, y, mu, nu, q):
+    """(n_tau, n_y) table of the inner kernel sum raised to q, m = 1.
+
+    The table is built one block of tau rows at a time: each atom's term
+    w (tau^2 + (y-z)^2)^{-nu/2} is formed in a block-sized scratch buffer
+    and added to the block, which is raised to q while it is still in
+    cache.  Every cell sees the same operations in the same order
+    whatever the block size.
     """
     t2 = (tau ** 2)[:, None]
-    acc = np.zeros((tau.size, y.size))
-    term = np.empty_like(acc)
-    for z, w in zip(mu.positions[:, 0], mu.weights):
-        np.add(t2, (y - z) ** 2, out=term)
-        np.power(term, -0.5 * nu, out=term)
-        term *= w
-        acc += term
-    return acc
+    atoms = [(w, (y - z) ** 2) for z, w in zip(mu.positions[:, 0], mu.weights)]
+    out = np.empty((tau.size, y.size))
+    rows = max(1, _BLOCK_CELLS // max(1, y.size))
+    scratch = np.empty((min(rows, tau.size), y.size))
+    for r0 in range(0, tau.size, rows):
+        acc = out[r0:r0 + rows]
+        term = scratch[:acc.shape[0]]
+        acc.fill(0.0)
+        for w, d2 in atoms:
+            np.add(t2[r0:r0 + rows], d2, out=term)
+            np.power(term, -0.5 * nu, out=term)
+            term *= w
+            acc += term
+        np.power(acc, q, out=acc)
+    return out
 
 
 def _slice_integrand_m1(tau_arr, mu, params):
-    """y -> k(tau, y)^q for every tau row, raised in place."""
+    """y -> k(tau, y)^q for every tau row."""
     def f(y):
-        out = _kernel_sum_m1(tau_arr, y, mu, params.nu)
-        return np.power(out, params.q, out=out)
+        return _kernel_sum_m1(tau_arr, y, mu, params.nu, params.q)
     return f
 
 

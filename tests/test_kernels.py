@@ -156,24 +156,30 @@ class TestF:
 
 
 def test_kernel_table_matches_atom_loop():
-    # the in-place table must equal the plain per-atom expression bit for bit
+    # the blocked in-place table must equal the plain per-atom expression
+    # raised to q bit for bit, also where the tau rows cross block
+    # boundaries (300 x 2000) and where a block holds one row (40 000)
     mu = DiscreteMeasure(1, [((0.3,), 1.0), ((-0.45,), 0.7), ((2.0,), 0.25)])
-    tau = np.geomspace(1e-3, 20.0, 37)
-    y = np.linspace(-30.0, 30.0, 401)
-    for nu in (2.0, 3.3):
-        ref = np.zeros((tau.size, y.size))
-        for z, w in zip(mu.positions[:, 0], mu.weights):
-            ref += w * ((tau ** 2)[:, None] + (y[None, :] - z) ** 2) ** (-0.5 * nu)
-        assert np.array_equal(kernels._kernel_sum_m1(tau, y, mu, nu), ref)
+    shapes = ((37, 401), (300, 2000), (5, 40000))
+    for (n_tau, n_y) in shapes:
+        tau = np.geomspace(1e-3, 20.0, n_tau)
+        y = np.linspace(-30.0, 30.0, n_y)
+        for nu in (2.0, 3.3):
+            ref = np.zeros((tau.size, y.size))
+            for z, w in zip(mu.positions[:, 0], mu.weights):
+                ref += w * ((tau ** 2)[:, None] + (y[None, :] - z) ** 2) ** (-0.5 * nu)
+            for q in (1.0, 1.8):
+                assert np.array_equal(kernels._kernel_sum_m1(tau, y, mu, nu, q),
+                                      ref ** q)
 
 
 def test_full_line_widening_evaluates_each_node_once(monkeypatch):
     seen = []
     table = kernels._kernel_sum_m1
 
-    def recording(tau, y, mu, nu):
+    def recording(tau, y, mu, nu, q):
         seen.append(np.array(y))
-        return table(tau, y, mu, nu)
+        return table(tau, y, mu, nu, q)
 
     calls = []
     rows = kernels.integrate_rows
