@@ -243,6 +243,8 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
 
     fam = (list(family) if family is not None
            else measure_family(m, R, n_measures=n_measures, seed=seed))
+    if not fam:
+        raise DomainError("n_measures must be >= 1")
     if any(mu.support_radius() > 0.5 * min(R_grid) for mu in fam):
         raise ConfigurationError("family must be supported in B_{R/2} for the "
                                  "smallest truncation radius")

@@ -56,6 +56,9 @@ class KernelParams:
     R: float | None = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise DomainError("%s must be finite" % name)
         if self.m < 1 or int(self.m) != self.m:
             raise DomainError("m must be an integer >= 1")
         if not (self.nu > self.m):
@@ -122,8 +125,8 @@ def params_from_report(report, q, R=None):
 def k_nu_m(tau, zeta, mu, nu):
     """Exact atom sum of the order-nu kernel at (tau, zeta), tau > 0."""
     tau = np.asarray(tau, float)
-    if np.any(tau <= 0.0):
-        raise DomainError("tau must be > 0")
+    if not np.all((0.0 < tau) & (tau < np.inf)):
+        raise DomainError("tau must be finite and > 0")
     zeta = np.atleast_1d(np.asarray(zeta, float))
     if zeta.size != mu.m:
         raise DomainError("zeta must live in R^m")
@@ -211,7 +214,7 @@ def _kernel_sum_m1(tau, y, mu, nu, q):
     t2 = (tau ** 2)[:, None]
     atoms = [(w, (y - z) ** 2) for z, w in zip(mu.positions[:, 0], mu.weights)]
     out = np.empty((tau.size, y.size))
-    rows = max(1, _BLOCK_CELLS // max(1, y.size))
+    rows = max(1, _BLOCK_CELLS // y.size)
     scratch = np.empty((min(rows, tau.size), y.size))
     for r0 in range(0, tau.size, rows):
         acc = out[r0:r0 + rows]
@@ -321,8 +324,8 @@ def F_nu_m(tau, mu, params, quad=None, truncated=True):
     """
     quad = quad or DEFAULT_QUAD
     tau_arr = np.atleast_1d(np.asarray(tau, float))
-    if np.any(tau_arr <= 0.0):
-        raise DomainError("tau must be > 0")
+    if not np.all((0.0 < tau_arr) & (tau_arr < np.inf)):
+        raise DomainError("tau must be finite and > 0")
     if mu.n_atoms == 0:
         z = np.zeros_like(tau_arr)
         return (float(z[0]), 0.0) if np.isscalar(tau) else (z, z)
@@ -458,6 +461,8 @@ def _tau_aggregate(mu, params, quad, weight, weight_pow, hi, eps,
     integral beyond Y; the range is widened shell by shell until the
     bound is negligible and the residue lands in the error estimate.
     """
+    if not math.isfinite(eps):
+        raise DomainError("eps must be finite")
     if mu.n_atoms == 0:
         return 0.0, 0.0
     if params.m != 1:
@@ -602,8 +607,8 @@ def reduced_I_ladder(mu, params, cutoffs, quad=None):
     if params.sigma is None or params.j is None:
         raise ConfigurationError("reduced_I needs params.sigma and params.j")
     cutoffs = [float(c) for c in cutoffs]
-    if any(c <= 0.0 for c in cutoffs):
-        raise DomainError("ladder cutoffs must be > 0")
+    if not all(0.0 < c < math.inf for c in cutoffs):
+        raise DomainError("ladder cutoffs must be finite and > 0")
     if mu.n_atoms == 0:
         return np.zeros(len(cutoffs)), 0.0
     if params.m != 1:

@@ -2,6 +2,8 @@ import json
 import math
 import os
 
+import pytest
+
 from wedgecap.cli import main
 from wedgecap.geometry import dumps
 
@@ -175,3 +177,34 @@ def test_verify_heat_rejects_nonpositive_radius(capsys):
         assert code == 2
         assert out == ""
         assert "need R > 0" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--nu", "inf", "--tau", "0.5"),
+    ("--q", "inf", "--tau", "0.5"),
+    ("--s", "inf", "--R", "8"),
+    ("--sigma", "inf", "--j", "1"),
+    ("--s", "0.5", "--R", "inf"),
+    ("--tau", "nan"),
+    ("--tau", "inf"),
+    ("--sigma", "0.5", "--j", "1", "--eps", "nan"),
+    ("--s", "0.22", "--R", "8", "--eps", "inf"),
+])
+def test_kernel_rejects_non_finite_parameters(tmp_path, capsys, flags):
+    # each used to hang, stall at the panel budget or fail serializing NaN
+    path = write(tmp_path, "m.json",
+                 {"m": 1, "atoms": [{"z": [0.0], "w": 1.0}]})
+    code, out, err = run_cli(capsys, "kernel", "--measure", path, "--nu", "3",
+                             "--m", "1", "--q", "1.8", *flags)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_verify_equivalence_rejects_empty_family(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "equivalence", "--N", "3", "--k", "2",
+                             "--alpha1", "1.5707963267948966", "--n-measures", n)
+    assert code == 2
+    assert out == ""
+    assert "n_measures must be >= 1" in err

@@ -5,19 +5,19 @@ paths echoed in the JSON ``config`` are the same in every checkout, and
 compares stdout with the file of the same name under ``tests/golden/``.
 After a declared output change, regenerate the files it moves by name,
 
-    PYTHONPATH=src python tests/test_golden.py verify_heat.json
+    python tests/test_golden.py verify_heat.json
 
 so that no other golden file is rewritten; with no names, all of them.
+For each file it prints the largest relative change of any number in it.
 """
 
 import contextlib
 import io
 import os
+import re
 import sys
 
 import pytest
-
-from wedgecap.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -57,7 +57,11 @@ CASES = {
 }
 
 
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
 def run(argv):
+    from wedgecap.cli import main
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
@@ -73,7 +77,19 @@ def test_cli_output_matches_golden(name, monkeypatch):
         assert out == fh.read()
 
 
+def largest_relative_change(old, new):
+    """Largest |new - old| / |old| over the numbers of two outputs, in order."""
+    a = [float(x) for x in NUMBER.findall(old)]
+    b = [float(x) for x in NUMBER.findall(new)]
+    if len(a) != len(b):
+        return "%d numbers before, %d after" % (len(a), len(b))
+    worst = max((abs(y - x) / abs(x) if x else abs(y) for x, y in zip(a, b)),
+                default=0.0)
+    return "largest relative change of a number %.3g" % worst
+
+
 if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(ROOT, "src"))
     names = sys.argv[1:] or sorted(CASES)
     unknown = [name for name in names if name not in CASES]
     if unknown:
@@ -83,6 +99,11 @@ if __name__ == "__main__":
         code, out = run(CASES[name])
         if code != 0:
             sys.exit("%s: exit code %d" % (name, code))
-        with open(os.path.join(GOLDEN, name), "w", encoding="utf-8", newline="") as fh:
+        path = os.path.join(GOLDEN, name)
+        old = ""
+        if os.path.exists(path):
+            with open(path, encoding="utf-8", newline="") as fh:
+                old = fh.read()
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(out)
-        print("wrote", name)
+        print("wrote %s: %s" % (name, largest_relative_change(old, out)))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -195,6 +196,35 @@ def test_full_line_widening_evaluates_each_node_once(monkeypatch):
     assert len(calls) >= 3   # the core solve and at least two widenings
     nodes = np.concatenate(seen)
     assert np.unique(nodes).size == nodes.size
+
+
+TWO_ATOMS = ((0.3, 1.0), (-0.45, 0.7))
+
+
+@functools.lru_cache(maxsize=None)
+def _two_atom_F_mpmath(tau, truncated, nu=2.0, q=1.8, R=8.0):
+    # 30-digit tanh-sinh reference, split at each atom and at z +- tau 10^e
+    with mpmath.workdps(30):
+        t2 = mpmath.mpf(tau) ** 2
+
+        def k(y):
+            return sum(w * (t2 + (y - z) ** 2) ** (-0.5 * nu) for z, w in TWO_ATOMS) ** q
+
+        lim = R if truncated else mpmath.inf
+        pts = sorted({z + d * tau * 10 ** e for z, _ in TWO_ATOMS
+                      for d in (-1, 1) for e in range(4)} | {z for z, _ in TWO_ATOMS})
+        return float(mpmath.quad(k, [-lim] + [p for p in pts if -R < p < R] + [lim]))
+
+
+@pytest.mark.parametrize("rtol", [1e-4, 1e-8])
+@pytest.mark.parametrize("truncated", [True, False])
+@pytest.mark.parametrize("tau", [1e-3, 0.1, 5.0])
+def test_two_atom_F_within_reported_error(tau, truncated, rtol):
+    # no closed form for two atoms: the slice integral against mpmath
+    mu = DiscreteMeasure(1, [((z,), w) for z, w in TWO_ATOMS])
+    p = KernelParams(nu=2.0, m=1, q=1.8, R=8.0 if truncated else None)
+    v, e = F_nu_m(tau, mu, p, quad=QuadratureSpec(rtol=rtol), truncated=truncated)
+    assert abs(v - _two_atom_F_mpmath(tau, truncated)) <= e
 
 
 @settings(max_examples=40, deadline=None)

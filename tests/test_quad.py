@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wedgecap._quad import (fit_loglog, geometric_edges, integrate,
-                            integrate_partials, integrate_rows, merge_edges)
+from wedgecap._quad import (_G8_W, _K17_W, _K17_X, fit_loglog, geometric_edges,
+                            integrate, integrate_partials, integrate_rows,
+                            merge_edges)
 from wedgecap.errors import AccuracyError
 
 
@@ -69,3 +70,31 @@ def test_determinism():
     v1 = integrate(f, edges, rtol=1e-8)
     v2 = integrate(f, edges, rtol=1e-8)
     assert v1 == v2
+
+
+def _monomial_integral(k):
+    return 2.0 / (k + 1) if k % 2 == 0 else 0.0
+
+
+def test_kronrod_rule_exact_to_degree_25():
+    for k in range(26):
+        assert abs(np.dot(_K17_W, _K17_X ** k) - _monomial_integral(k)) <= 1e-15
+
+
+def test_kronrod_rule_embeds_gauss_8():
+    x, _ = np.polynomial.legendre.leggauss(8)
+    assert np.all(np.abs(_K17_X[1::2] - x) <= 2e-16)
+    for k in range(16):
+        assert abs(np.dot(_G8_W, _K17_X[1::2] ** k) - _monomial_integral(k)) <= 1e-15
+
+
+def test_rows_evaluate_17_nodes_per_panel():
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.exp(x)[None, :]
+
+    vals, _ = integrate_rows(f, np.linspace(0.0, 1.0, 6), rtol=1e-10)
+    assert sizes == [17 * 5]
+    assert abs(vals[0] - math.expm1(1.0)) < 1e-14
