@@ -39,21 +39,13 @@ def geometric_edges(lo, hi, per_decade=8):
     return lo * (hi / lo) ** np.linspace(0.0, 1.0, n + 1)
 
 
-def merge_edges(lo, hi, *edge_sets, min_gap=0.0):
+def merge_edges(lo, hi, *edge_sets):
     """Sorted union of edges clipped to [lo, hi], always including both ends."""
     pts = [np.asarray([lo, hi], float)]
     for e in edge_sets:
         e = np.asarray(e, float)
         pts.append(e[(e > lo) & (e < hi)])
-    edges = np.unique(np.concatenate(pts))
-    if min_gap > 0.0:
-        keep = [0]
-        for i in range(1, len(edges) - 1):
-            if edges[i] - edges[keep[-1]] >= min_gap:
-                keep.append(i)
-        keep.append(len(edges) - 1)
-        edges = edges[np.array(keep)]
-    return edges
+    return np.unique(np.concatenate(pts))
 
 
 # K17 on [-1, 1], nodes x >= 0 (the rule is symmetric): the roots of the

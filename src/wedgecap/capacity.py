@@ -96,8 +96,8 @@ def bessel_kernel_radial(r, alpha, ell, rtol=1e-10):
 
     Positive and radially decreasing; singular at r = 0 when alpha <= ell.
     """
-    if alpha <= 0.0:
-        raise DomainError("alpha must be > 0")
+    if not (0.0 < alpha < math.inf):
+        raise DomainError("alpha must be finite and > 0")
     if ell < 1 or int(ell) != ell:
         raise DomainError("ell must be a positive integer")
     r = np.atleast_1d(np.asarray(r, float))
@@ -230,10 +230,12 @@ def bessel_capacity(points, alpha, p, resolution=0.05, levels=4,
     unchanged but makes the program convex-conic.  Solved at ``levels``
     resolutions (coarsest first) to populate the refinement history.
     """
-    if p <= 1.0:
-        raise DomainError("p must be > 1")
-    if alpha <= 0.0:
-        raise DomainError("alpha must be > 0")
+    if not (1.0 < p < math.inf):
+        raise DomainError("p must be finite and > 1")
+    if not (0.0 < alpha < math.inf):
+        raise DomainError("alpha must be finite and > 0")
+    if not (0.0 < resolution < math.inf):
+        raise DomainError("resolution must be finite and > 0")
     pts = np.atleast_1d(np.asarray(points, float))
     if pts.ndim > 1:
         if pts.shape[1] != 1:
@@ -394,8 +396,8 @@ def capacity_null_test(piece, alpha, p, ell):
     is null iff alpha p <= ell - d (nonempty interior, d = ell, is always
     positive).  Grids defer to the numeric program.
     """
-    if alpha <= 0.0 or p <= 1.0:
-        raise DomainError("need alpha > 0 and p > 1")
+    if not (0.0 < alpha < math.inf and 1.0 < p < math.inf):
+        raise DomainError("need finite alpha > 0 and p > 1")
     if piece.kind == "point":
         return "null" if alpha * p <= ell else "positive"
     if piece.kind == "ball":

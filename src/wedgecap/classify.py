@@ -20,8 +20,8 @@ decided analytically, grids take supplied evidence or come back as
 from dataclasses import dataclass
 
 from .capacity import capacity_null_test
-from .errors import ConfigurationError, DomainError
-from .exponents import critical_exponents
+from .errors import ConfigurationError
+from .exponents import _require_q, critical_exponents
 from .geometry import ConeOpening, WedgeSpec
 from .spectral import gamma_first_eigenvalue
 
@@ -62,8 +62,7 @@ def stratum_report(stratum, N, tol=1e-8):
 
 def stratum_verdict(stratum, q, N=None, tol=1e-8):
     """Criticality regime of one stratum at exponent q."""
-    if q <= 1.0:
-        raise DomainError("q must be > 1")
+    _require_q(q)
     if N is None:
         if isinstance(stratum.opening, WedgeSpec):
             N = stratum.opening.N

@@ -23,7 +23,7 @@ from scipy.fft import dst
 from ._quad import fit_loglog, geometric_edges, integrate_rows, merge_edges
 from .besov import besov_neg_proxy, besov_pos_norm
 from .errors import AnomalyError, ConfigurationError, DomainError
-from .exponents import capacity_index_s, critical_exponents
+from .exponents import _require_q, capacity_index_s, critical_exponents
 from .geometry import DiscreteMeasure, dirac
 from .kernels import (DEFAULT_QUAD, KernelParams, M_nu_s, QuadratureSpec,
                       _F_outside_m1, h_sigma_j, params_from_report)
@@ -98,6 +98,8 @@ def write_reports_csv(reports, path):
 def measure_family(m, R, n_measures=20, seed=DEFAULT_SEED,
                    max_atoms=10):
     """Seeded positive atomic measures supported in B_{R/4} of R^m."""
+    if not (0.0 < R < math.inf):
+        raise DomainError("R must be finite and > 0")
     rng = np.random.default_rng(seed)
     fam = []
     for _ in range(n_measures):
@@ -133,6 +135,7 @@ def dichotomy_experiment(N, k, gamma, q, eps_grid=None, R=1.0, quad=None):
     """
     t0 = time.perf_counter()
     quad = quad or DEFAULT_QUAD
+    _require_q(q)
     rep = critical_exponents(N, k, gamma)
     kp = rep.kappa_plus
     if eps_grid is None:
@@ -153,8 +156,7 @@ def dichotomy_experiment(N, k, gamma, q, eps_grid=None, R=1.0, quad=None):
                     * rpp[None, :] ** mpow)
         edges = merge_edges(1e-12 * R, R, geometric_edges(1e-12 * R, R, 4),
                             np.linspace(1e-12 * R, R, 9))
-        vals, _ = integrate_rows(f, edges, rtol=quad.rtol,
-                                 max_panels=quad.max_panels)
+        vals, _ = integrate_rows(f, edges, rtol=quad.rtol)
         return vals
 
     def integrand(r_nodes):
@@ -164,8 +166,7 @@ def dichotomy_experiment(N, k, gamma, q, eps_grid=None, R=1.0, quad=None):
     for eps in eps_grid:
         edges = merge_edges(eps, R, geometric_edges(eps, R, 6),
                             np.linspace(eps, R, 9))
-        v, _ = integrate_rows(integrand, edges, rtol=quad.rtol,
-                              max_panels=quad.max_panels)
+        v, _ = integrate_rows(integrand, edges, rtol=quad.rtol)
         I_vals.append(float(v[0]))
     slope_I, _, r2_I, se_I = fit_loglog(eps_grid, I_vals)
 
@@ -269,6 +270,7 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
     homog_err_P = []
     rows = []
     proxies = []
+    M_at_R = []
     for i, mu in enumerate(fam):
         Mv, _ = M_nu_s(mu, kp, quad=quad, eps=eps)
         P = besov_neg_proxy(mu, s, q, eps=eps, quad=quad).value
@@ -276,6 +278,7 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
         P2 = besov_neg_proxy(mu.scaled(2.0), s, q, eps=eps, quad=quad).value
         ratios.append(Mv / P)
         proxies.append(P)
+        M_at_R.append(Mv)
         homog_err_M.append(abs(M2 / (2.0 ** q * Mv) - 1.0))
         homog_err_P.append(abs(P2 / (2.0 ** q * P) - 1.0))
         rows.append({"params": {"measure": i}, "metric": "ratio", "value": Mv / P})
@@ -284,9 +287,12 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
 
     growth = []
     for Rg in R_grid:
-        kg = params_from_report(rep, q, R=Rg)
-        vals = [M_nu_s(mu, kg, quad=quad, eps=eps)[0] / P
-                for mu, P in zip(fam, proxies)]
+        if Rg == R:
+            M_g = M_at_R
+        else:
+            kg = params_from_report(rep, q, R=Rg)
+            M_g = [M_nu_s(mu, kg, quad=quad, eps=eps)[0] for mu in fam]
+        vals = [Mv / P for Mv, P in zip(M_g, proxies)]
         growth.append(max(vals))
         rows.append({"params": {"R": Rg}, "metric": "max_ratio", "value": max(vals)})
     growth_slope, _, growth_r2, _ = fit_loglog(R_grid, growth)
@@ -345,8 +351,7 @@ def remainder_experiment(nu, sigma, m, j, q, mu=None, R_grid=(2.0, 4.0, 8.0, 16.
 
         Y = max(60.0, 3.0 * R)
         edges = merge_edges(R, Y, geometric_edges(R, Y, 8))
-        tail_v, _ = integrate_rows(f_tail, edges, rtol=quad.rtol,
-                                   max_panels=quad.max_panels)
+        tail_v, _ = integrate_rows(f_tail, edges, rtol=quad.rtol)
 
         # deficit: integral over tau < R of the outside-ball slice integral
         def f_def(tau):
@@ -355,8 +360,7 @@ def remainder_experiment(nu, sigma, m, j, q, mu=None, R_grid=(2.0, 4.0, 8.0, 16.
 
         edges2 = merge_edges(1e-6 * R, R, geometric_edges(1e-6 * R, R, 5),
                              np.linspace(1e-6 * R, R, 9))
-        def_v, _ = integrate_rows(f_def, edges2, rtol=quad.rtol,
-                                  max_panels=quad.max_panels)
+        def_v, _ = integrate_rows(f_def, edges2, rtol=quad.rtol)
         deltas.append(float(tail_v[0] + def_v[0]))
 
     slope, _, r2, se = fit_loglog(R_grid, deltas)

@@ -27,6 +27,11 @@ from .errors import CodimensionRangeError, DomainError
 _DISC_CLAMP = 1e-14   # discriminants this close to 0 are treated as 0
 
 
+def _require_q(q):
+    if not (1.0 < q < math.inf):
+        raise DomainError("q must be finite and > 1")
+
+
 def _sqrt_clamped(x):
     if x < 0.0:
         if x > -_DISC_CLAMP:
@@ -68,15 +73,13 @@ def capacity_index_s(k, kappa_plus, q):
     For q in [q_c, q_c_star) this lands in (0, (N-k)/q'], the window in
     which the index pairs a nontrivial capacity with the edge.
     """
-    if q <= 1.0:
-        raise DomainError("q must be > 1")
+    _require_q(q)
     return 2.0 - (k + kappa_plus) * (q - 1.0) / q
 
 
 def absorption_coefficient(N, q):
     """a_{N,q} = (2/(q-1)) ((2q/(q-1)) - N), the self-similar absorption rate."""
-    if q <= 1.0:
-        raise DomainError("q must be > 1")
+    _require_q(q)
     t = 2.0 / (q - 1.0)
     return t * (t * q - N)   # 2q/(q-1) = t*q
 
@@ -128,8 +131,7 @@ class ExponentReport:
 
     def beta(self, q):
         """Growth exponent (q+1) kappa_plus + k - 1 of the truncated functional."""
-        if q <= 1.0:
-            raise DomainError("q must be > 1")
+        _require_q(q)
         return (q + 1.0) * self.kappa_plus + self.k - 1.0
 
     @property

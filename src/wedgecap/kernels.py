@@ -77,23 +77,14 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy contract for the adaptive quadrature.
-
-    split_factor scales the mandatory panel edges placed around each
-    atom (radius = split_factor * min(tau, nearest-atom distance)); eps
-    is the inner cutoff used by divergence probes.
-    """
+    """Accuracy contract for the adaptive quadrature: the relative
+    tolerance every refined panel set must meet."""
 
     rtol: float = 1e-6
-    max_panels: int = 4096
-    split_factor: float = 0.5
-    eps: float = 1e-2
 
     def __post_init__(self):
         if not (1e-10 < self.rtol < 1e-2):
             raise DomainError("rtol must lie in (1e-10, 1e-2)")
-        if not (self.eps > 0.0):
-            raise DomainError("eps must be > 0")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -281,8 +272,7 @@ def _widen_m1(tau_arr, mu, params, quad, vals, errs, Y):
     folded = _folded_integrand_m1(tau_arr, mu, params)
 
     def shell(lo, hi):
-        return integrate_rows(folded, np.linspace(lo, hi, 9), rtol=quad.rtol,
-                              max_panels=quad.max_panels)
+        return integrate_rows(folded, np.linspace(lo, hi, 9), rtol=quad.rtol)
 
     def tail_bound(Y):
         return 2.0 * amp * (Y - zmax) ** (1.0 - nuq) / (nuq - 1.0)
@@ -299,8 +289,9 @@ def _c_ball(nuq, m):
     raise ConfigurationError("tail constants implemented for m in {1, 2}")
 
 
-def _atom_edges_m1(mu, lo, hi, tau_floor, split_factor):
-    """Mandatory panel edges around each atom position."""
+def _atom_edges_m1(mu, lo, hi, tau_floor):
+    """Mandatory panel edges around each atom position: a 4-fold ladder
+    starting at half of min(tau, nearest-atom distance)."""
     edges = []
     zs = np.sort(mu.positions[:, 0])
     for i, z in enumerate(zs):
@@ -308,7 +299,7 @@ def _atom_edges_m1(mu, lo, hi, tau_floor, split_factor):
         if len(zs) > 1:
             others = np.delete(zs, i)
             gap = float(np.min(np.abs(others - z)))
-        r0 = split_factor * min(max(tau_floor, 1e-9), gap if np.isfinite(gap) else 1e9)
+        r0 = 0.5 * min(max(tau_floor, 1e-9), gap if np.isfinite(gap) else 1e9)
         r0 = max(r0, 1e-9)
         ladder = r0 * 4.0 ** np.arange(0, 20)
         ladder = ladder[ladder <= (hi - lo)]
@@ -352,10 +343,10 @@ def _F_m1(tau_arr, mu, params, quad, truncated):
     # _widen_m1 extends shell by shell
     Y = params.R if truncated else (mu.support_radius()
                                     + max(10.0, 4.0 * float(np.max(tau_arr))))
-    atom = _atom_edges_m1(mu, -Y, Y, tau_floor, quad.split_factor)
+    atom = _atom_edges_m1(mu, -Y, Y, tau_floor)
     edges = merge_edges(-Y, Y, np.linspace(-Y, Y, 9), atom)
     vals, errs = integrate_rows(_slice_integrand_m1(tau_arr, mu, params), edges,
-                                rtol=quad.rtol, max_panels=quad.max_panels)
+                                rtol=quad.rtol)
     if truncated:
         return vals, errs
     return _widen_m1(tau_arr, mu, params, quad, vals, errs, Y)
@@ -366,7 +357,7 @@ def _F_outside_m1(tau_arr, mu, params, R, quad):
     Y = R + max(10.0, 10.0 * float(np.max(tau_arr)))
     vals, errs = integrate_rows(_folded_integrand_m1(tau_arr, mu, params),
                                 merge_edges(R, Y, geometric_edges(R, Y, 8)),
-                                rtol=quad.rtol, max_panels=quad.max_panels)
+                                rtol=quad.rtol)
     return _widen_m1(tau_arr, mu, params, quad, vals, errs, Y)
 
 
@@ -400,7 +391,7 @@ def _F_m2(tau_arr, mu, params, quad, truncated):
                     return acc ** q
 
                 v, _ = integrate_rows(lambda y: inner(y)[None, :], edges,
-                                      rtol=quad.rtol, max_panels=quad.max_panels)
+                                      rtol=quad.rtol)
                 out[0, i] = v[0]
             return out
 
@@ -408,8 +399,7 @@ def _F_m2(tau_arr, mu, params, quad, truncated):
         edges1 = merge_edges(-R, R, np.linspace(-R, R, 9),
                              np.concatenate([marks1, marks1 + max(t, tau_floor),
                                              marks1 - max(t, tau_floor)]))
-        v, e = integrate_rows(outer, edges1, rtol=quad.rtol,
-                              max_panels=quad.max_panels)
+        v, e = integrate_rows(outer, edges1, rtol=quad.rtol)
         if not truncated:
             e = e + 2.0 * math.pi * mu.mass ** q * R ** (2.0 - nuq) / (nuq - 2.0)
         vals[it], errs[it] = v[0], e if np.isscalar(e) else e[0]
@@ -443,32 +433,59 @@ def _tau_integrand(mu, params, quad, weight, truncated):
     return f
 
 
-def _tau_shell(f, quad):
-    """(lo, hi) -> integrate_rows of a tau-integrand on graded panels of (lo, hi)."""
+def _tau_edges(lo, hi, *marks):
+    """Initial panels of a tau-integral over (lo, hi): log-graded ones,
+    nine uniform ones and the mandatory marks."""
+    return merge_edges(lo, hi, geometric_edges(lo, hi, per_decade=6),
+                       np.linspace(lo, hi, 9), *marks)
+
+
+def _tau_ladder(f, cutoffs, Y, tail_bound, quad):
+    """Integrals of the tau-integrand ``f`` above each cutoff, one solve.
+
+    The cutoffs are mandatory panel edges of a single adaptive
+    decomposition of (min cutoff, Y), so each value is the exact
+    aggregate of the refined panels above its cutoff.  With
+    ``tail_bound(Y)``, a rigorous bound on the integral beyond Y, the
+    range is widened shell by shell from max(Y, 2 * max cutoff) and each
+    shell is added to every value; with None, Y is the upper limit.
+    Returns (values in the order of ``cutoffs``, error).
+    """
+    if tail_bound is not None:
+        Y = max(Y, 2.0 * max(cutoffs))
+    vals, err = integrate_partials(f, _tau_edges(min(cutoffs), Y, cutoffs),
+                                   cutoffs, rtol=quad.rtol)
+    if tail_bound is None:
+        return vals, err
+
     def shell(lo, hi):
-        edges = merge_edges(lo, hi, geometric_edges(lo, hi, per_decade=6),
-                            np.linspace(lo, hi, 9))
-        return integrate_rows(f, edges, rtol=quad.rtol, max_panels=quad.max_panels)
-    return shell
+        return integrate_rows(f, _tau_edges(lo, hi), rtol=quad.rtol)
+
+    vals, errs = _widen(shell, tail_bound, vals, np.array([err]), Y, quad.rtol)
+    return vals, float(errs[0])
 
 
-def _tau_aggregate(mu, params, quad, weight, weight_pow, hi, eps,
-                   truncated, tail_bound=None, y0=None):
-    """integral_(lo,hi) F(tau) * weight(tau) dtau with divergence guards.
+def _require_line_edge(params):
+    if params.m != 1:
+        raise ConfigurationError(
+            "tau-aggregates are implemented for 1-dimensional edges; the "
+            "slice integral F itself supports m = 2")
 
-    weight_pow is the small-tau power of the weight.  For hi = inf the
-    caller supplies ``tail_bound(Y)``, a rigorous bound on the neglected
-    integral beyond Y; the range is widened shell by shell until the
-    bound is negligible and the residue lands in the error estimate.
+
+def _tau_aggregate(mu, params, quad, weight, weight_pow, Y, eps, truncated,
+                   tail_bound=None):
+    """integral_(eps,Y) F(tau) * weight(tau) dtau with divergence guards.
+
+    weight_pow is the small-tau power of the weight.  With a
+    ``tail_bound`` the upper limit is infinity and Y is where the
+    widening starts (see :func:`_tau_ladder`).  eps <= 0 integrates from
+    0, which needs a convergent small-tau exponent.
     """
     if not math.isfinite(eps):
         raise DomainError("eps must be finite")
     if mu.n_atoms == 0:
         return 0.0, 0.0
-    if params.m != 1:
-        raise ConfigurationError(
-            "tau-aggregates are implemented for 1-dimensional edges; the "
-            "slice integral F itself supports m = 2")
+    _require_line_edge(params)
     q = params.q
     p0 = _small_tau_exponent(params, weight_pow)
     if eps <= 0.0 and p0 <= -1.0:
@@ -476,26 +493,16 @@ def _tau_aggregate(mu, params, quad, weight, weight_pow, hi, eps,
             "aggregate diverges at tau -> 0 for atomic data (exponent %.4g); "
             "pass an inner cutoff eps > 0" % p0)
 
-    na = mu.n_atoms
-    infinite = not np.isfinite(hi)
-    if infinite:
-        Y = y0 if y0 is not None else max(40.0, 4.0 * abs(weight_pow)
-                                          + 8.0 * mu.support_radius())
-    else:
-        Y = hi
-
     lo = eps if eps > 0.0 else min(1e-4 * Y, 1e-4)
-    if not (lo < Y):
+    if tail_bound is None and not (lo < Y):
         raise ConfigurationError("empty integration range (eps >= upper limit)")
-
-    shell = _tau_shell(_tau_integrand(mu, params, quad, weight, truncated), quad)
 
     if eps <= 0.0:
         # atoms decouple as tau -> 0, so the below-floor piece has the
         # closed form  A tau^{p0+1}/(p0+1)  with A = c_ball * sum w_i^q,
         # accurate to O((lo/gap)^2); the floor is placed deep within the
         # decoupling scale and the piece added analytically
-        if na > 1:
+        if mu.n_atoms > 1:
             d = mu.positions[:, None, :] - mu.positions[None, :, :]
             gaps = np.linalg.norm(d, axis=2)
             gap = float(np.min(gaps[gaps > 0])) if np.any(gaps > 0) else 1.0
@@ -503,10 +510,9 @@ def _tau_aggregate(mu, params, quad, weight, weight_pow, hi, eps,
             gap = min(1.0, Y)
         lo = min(lo, 1e-3 * gap, 1e-6 * Y)
 
-    value, err = shell(lo, Y)
-    if infinite:
-        value, err = _widen(shell, tail_bound, value, err, Y, quad.rtol)
-    value, err = float(value[0]), float(err[0])
+    f = _tau_integrand(mu, params, quad, weight, truncated)
+    vals, err = _tau_ladder(f, [lo], Y, tail_bound, quad)
+    value = float(vals[0])
 
     if eps <= 0.0:
         a_dec = float(np.sum(mu.weights ** q)) * _c_ball(params.nu * q, params.m)
@@ -557,7 +563,8 @@ def _tail_amp(mu, params):
 
 
 def _reduction_pieces(mu, params):
-    """Weight, its small-tau power, and the rigorous large-tau tail bound."""
+    """Weight, its small-tau power, the rigorous large-tau tail bound and
+    the Y at which the tail widening starts."""
     sigma, j, q = params.sigma, params.j, params.q
     p = (sigma + 1.0) * q
     wpow = p + j - 2.0 if j >= 2 else p - 1.0
@@ -570,16 +577,18 @@ def _reduction_pieces(mu, params):
 
         def tail_bound(Y):
             return ampc * Y ** (tp + 1.0) / (-(tp + 1.0))
+        Y = max(40.0, 4.0 * abs(wpow) + 8.0 * mu.support_radius())
     else:
         c = params.m - params.nu * q + p - 1.0
 
         def tail_bound(Y):
             return 2.0 * ampc * Y ** c * math.exp(-Y)
+        Y = 20.0
 
     def w(tau):
         return h_sigma_j(tau, sigma, j, q)
 
-    return w, wpow, tail_bound
+    return w, wpow, tail_bound, Y
 
 
 def reduced_I(mu, params, quad=None, eps=0.0):
@@ -587,21 +596,18 @@ def reduced_I(mu, params, quad=None, eps=0.0):
     quad = quad or DEFAULT_QUAD
     if params.sigma is None or params.j is None:
         raise ConfigurationError("reduced_I needs params.sigma and params.j")
-    w, wpow, tail_bound = _reduction_pieces(mu, params)
-    y0 = 20.0 if params.j == 1 else None
-    return _tau_aggregate(mu, params, quad, w, wpow, np.inf, eps,
-                          truncated=False, tail_bound=tail_bound, y0=y0)
+    w, wpow, tail_bound, Y = _reduction_pieces(mu, params)
+    return _tau_aggregate(mu, params, quad, w, wpow, Y, eps,
+                          truncated=False, tail_bound=tail_bound)
 
 
 def reduced_I_ladder(mu, params, cutoffs, quad=None):
     """reduced_I at several inner cutoffs from one shared refinement.
 
-    The cutoffs become mandatory panel edges of a single adaptive
-    decomposition over (min cutoff, Y); each ladder value is the exact
-    aggregate of the refined panels above its cutoff.  Beyond Y the
-    range is widened shell by shell and each shell is added to every
-    rung.  Returns (values, error) with values in the order of
-    ``cutoffs``.
+    Each ladder value is the exact aggregate of the refined panels above
+    its cutoff, and every widening shell beyond the core is added to
+    every rung (see :func:`_tau_ladder`).  Returns (values, error) with
+    values in the order of ``cutoffs``.
     """
     quad = quad or DEFAULT_QUAD
     if params.sigma is None or params.j is None:
@@ -611,23 +617,11 @@ def reduced_I_ladder(mu, params, cutoffs, quad=None):
         raise DomainError("ladder cutoffs must be finite and > 0")
     if mu.n_atoms == 0:
         return np.zeros(len(cutoffs)), 0.0
-    if params.m != 1:
-        raise ConfigurationError(
-            "tau-aggregates are implemented for 1-dimensional edges; the "
-            "slice integral F itself supports m = 2")
-    w, wpow, tail_bound = _reduction_pieces(mu, params)
-    lo = min(cutoffs)
-    Y = 20.0 if params.j == 1 else max(40.0, 4.0 * abs(wpow)
-                                       + 8.0 * mu.support_radius())
-
+    _require_line_edge(params)
+    w, _, tail_bound, Y = _reduction_pieces(mu, params)
     f = _tau_integrand(mu, params, quad, w, truncated=False)
-    edges = merge_edges(lo, Y, geometric_edges(lo, Y, per_decade=6),
-                        np.linspace(lo, Y, 9), cutoffs)
-    vals, err = integrate_partials(f, edges, cutoffs, rtol=quad.rtol,
-                                   max_panels=quad.max_panels)
-    vals, err = _widen(_tau_shell(f, quad), tail_bound, vals, np.array([err]),
-                       Y, quad.rtol)
-    return vals, float(err[0]) + 0.3 * quad.rtol * float(np.max(np.abs(vals)))
+    vals, err = _tau_ladder(f, cutoffs, Y, tail_bound, quad)
+    return vals, err + 0.3 * quad.rtol * float(np.max(np.abs(vals)))
 
 
 def _I_angular(tau, sigma, j, q):
@@ -660,21 +654,16 @@ def I_m_j(mu, params, quad=None, eps=0.0):
     sigma, j, q = params.sigma, params.j, params.q
     if j == 1:
         return reduced_I(mu, params, quad=quad, eps=eps)
+    # reduced_I's power tail, scaled by c 2^{p/2} Gamma(p): the angular
+    # factor I_j ~ tau^{-p} kills the tau^p part of the weight
+    _, wpow, tail_bound, Y = _reduction_pieces(mu, params)
     c = 2.0 * math.pi ** (0.5 * (j - 1.0)) / _gamma_fn(0.5 * (j - 1.0))
     p = (sigma + 1.0) * q
-    wpow = p + j - 2.0   # I_j(0) is a positive constant
-    tp = params.m - params.nu * q + j - 2.0   # I_j ~ tau^{-p} kills the tau^p part
-    if tp >= -1.0:
-        raise DivergenceError("aggregate diverges at tau -> infinity "
-                              "(need nu*q > m + j - 1)")
-    ampc = _tail_amp(mu, params) * c * 2.0 ** (0.5 * p) * _gamma_fn(p)
-
-    def tail_bound(Y):
-        return ampc * Y ** (tp + 1.0) / (-(tp + 1.0))
+    scale = c * 2.0 ** (0.5 * p) * _gamma_fn(p)
 
     def w(tau):
         tau = np.asarray(tau, float)
         return c * tau ** (p + j - 2.0) * _I_angular(tau, sigma, j, q)
 
-    return _tau_aggregate(mu, params, quad, w, wpow, np.inf, eps,
-                          truncated=False, tail_bound=tail_bound)
+    return _tau_aggregate(mu, params, quad, w, wpow, Y, eps, truncated=False,
+                          tail_bound=lambda y: scale * tail_bound(y))

@@ -12,8 +12,9 @@ increasing in mu, so higher inner modes cannot produce the global
 minimum.  For k = 2 the chain is the bare circle problem and
 gamma = (pi/alpha1)^2 in closed form.
 
-Discretization: a second-order finite-difference matrix brackets the
-eigenvalue; RK4 shooting with Brent root-finding on gamma refines it.
+Discretization: the two lowest eigenvalues of a second-order
+finite-difference matrix bracket the first eigenvalue clear of the
+second; RK4 shooting with Brent root-finding on gamma refines it.
 Pole endpoints (t = 0 or pi) are left via the Frobenius exponent r with
 r (r + d - 1) = mu, imposing boundedness; this mode is opt-in through
 ``WedgeSpec.allow_pole``.
@@ -163,6 +164,11 @@ def sl_eigen_fd(problem, n=2000):
     a Dirichlet wall slightly inside, so this value is a bracketing and
     convergence-study tool, not the refined answer.
     """
+    return float(_fd_lowest(problem, n, 1)[0])
+
+
+def _fd_lowest(problem, n, count):
+    """The ``count`` lowest eigenvalues of :func:`sl_eigen_fd`'s matrix."""
     a, b = problem.a, problem.b
     if problem.bc_a == "bounded":
         a = a + (b - a) * 1e-3
@@ -178,31 +184,27 @@ def sl_eigen_fd(problem, n=2000):
     dsq = np.sqrt(p)
     cd = diag / p
     ce = off / (dsq[:-1] * dsq[1:])
-    vals = eigh_tridiagonal(cd, ce, select="i", select_range=(0, 0),
+    return eigh_tridiagonal(cd, ce, select="i", select_range=(0, count - 1),
                             eigvals_only=True)
-    return float(vals[0])
+
+
+_NOT_ISOLATED = "could not isolate a positive first eigenfunction"
 
 
 def _solve_on_mesh(problem, lo, hi, n):
+    """Shooting root in [lo, hi] and its trajectory; the bracket must hold
+    the first eigenvalue and no other."""
     mesh = _mesh(problem, n)
 
     def endpoint(g):
         return _shoot(problem, g, mesh)[-1]
 
-    s_lo, s_hi = endpoint(lo), endpoint(hi)
-    grow = 0
-    while s_lo * s_hi > 0.0:
-        grow += 1
-        if grow > 40:
-            raise BracketError("no sign change for gamma in [%.6g, %.6g]" % (lo, hi))
-        if abs(s_lo) < abs(s_hi):
-            lo = max(lo / 1.5, 1e-12)
-            s_lo = endpoint(lo)
-        else:
-            hi *= 1.5
-            s_hi = endpoint(hi)
+    if endpoint(lo) * endpoint(hi) > 0.0:
+        raise BracketError(_NOT_ISOLATED)
     gamma = brentq(endpoint, lo, hi, xtol=1e-14, rtol=8.9e-16)
     traj = _shoot(problem, gamma, mesh)
+    if np.min(traj[1:-1]) < -1e-10 * np.max(np.abs(traj)):
+        raise BracketError(_NOT_ISOLATED)
     return gamma, mesh, traj
 
 
@@ -230,27 +232,23 @@ def sl_eigen_1d(problem, tol=DEFAULT_TOL, n_samples=DEFAULT_GRID):
         return EigenResult(gamma=refl.gamma, theta=(PI - refl.theta)[::-1].copy(),
                            values=refl.values[::-1].copy(), h=refl.h, error=refl.error)
 
-    est = sl_eigen_fd(problem, n=600)
-    lo, hi = 0.75 * est, 1.15 * est
+    # brackets stay below half-way to the second eigenvalue, so they
+    # cannot catch a higher mode
+    est, est2 = _fd_lowest(problem, 600, 2)
+    gap = 0.5 * (est2 - est)
+    lo, hi = 0.75 * est, min(1.15 * est, est + gap)
     gamma_prev = None
     err = math.inf
     n = 1024
     for _ in range(4):
         gamma, mesh, traj = _solve_on_mesh(problem, lo, hi, n)
-        interior = traj[1:-1]
-        if np.min(interior) < -1e-10 * np.max(np.abs(traj)):
-            # caught a higher mode: push the bracket down once
-            gamma, mesh, traj = _solve_on_mesh(problem, max(0.25 * est, 1e-10),
-                                               0.98 * gamma, n)
-            interior = traj[1:-1]
-            if np.min(interior) < -1e-10 * np.max(np.abs(traj)):
-                raise BracketError("could not isolate a positive first eigenfunction")
         if gamma_prev is not None:
             err = abs(gamma - gamma_prev)
             if err <= tol * abs(gamma):
                 break
         gamma_prev = gamma
-        lo, hi = gamma * (1.0 - 1e-3), gamma * (1.0 + 1e-3)
+        w = min(1e-3, gap / gamma)
+        lo, hi = gamma * (1.0 - w), gamma * (1.0 + w)
         n *= 2
     else:
         raise AccuracyError("eigenvalue did not stabilize to tol=%g" % tol,

@@ -14,6 +14,8 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+QUARTER = ("--N", "3", "--k", "2", "--alpha1", "1.5707963267948966")
+
 CUBE = {
     "N": 3,
     "strata": [
@@ -208,3 +210,25 @@ def test_verify_equivalence_rejects_empty_family(capsys, n):
     assert code == 2
     assert out == ""
     assert "n_measures must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("capacity", "--set", "tests/golden/grid_set.json", "--alpha", "nan", "--p", "2"),
+     "alpha must be finite"),
+    (("capacity", "--set", "tests/golden/grid_set.json", "--alpha", "0.6", "--p", "inf"),
+     "p must be finite"),
+    (("capacity", "--set", "tests/golden/grid_set.json", "--alpha", "0.6", "--p", "2",
+      "--resolution", "inf"), "resolution must be finite"),
+    (("verify", "dichotomy") + QUARTER + ("--q", "nan"), "q must be finite"),
+    (("exponents",) + QUARTER + ("--q", "nan"), "q must be finite"),
+    (("classify", "--poly", "demos/cube.json", "--q", "nan"), "q must be finite"),
+    (("verify", "equivalence") + QUARTER + ("--R", "inf", "--n-measures", "1"),
+     "R must be finite"),
+])
+def test_non_finite_flags_exit_2(capsys, monkeypatch, argv, message):
+    # each used to hang, fail only while serializing NaN or raise a traceback
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err

@@ -424,6 +424,9 @@ class TestExponentialFamily:
         for c, v in zip(cutoffs, vals):
             ref, err = reduced_I(mu, p, eps=c)
             assert abs(v - ref) <= 2e-5 * ref + err
+            # a one-rung ladder is the very solve reduced_I runs
+            one, one_err = reduced_I_ladder(mu, p, [c])
+            assert (float(one[0]), one_err) == (ref, err)
 
     def test_monotone_in_atoms(self):
         p = KernelParams(nu=3.0, m=1, q=2.0, sigma=2.0, j=2)
@@ -452,6 +455,17 @@ class TestClosedFormOracles:
         v, _ = reduced_I(dirac(1), p)
         beta24 = 1.0 / 20.0   # B(2, 4)
         assert abs(v - self.C * beta24) < 1e-6 * self.C * beta24
+
+    def test_cutoff_beyond_widening_start(self):
+        # eps = 60 lies above the j = 2 widening start Y = 40: the range
+        # starts at 2 eps instead of coming out empty
+        p = KernelParams(nu=3.0, m=1, q=1.8, sigma=0.5, j=2)
+        v, e = reduced_I(dirac(1), p, eps=60.0)
+        c = mpmath.sqrt(mpmath.pi) * mpmath.gamma(2.2) / mpmath.gamma(2.7)
+        with mpmath.workdps(30):
+            exact = float(c * mpmath.quad(
+                lambda t: t ** -4.4 * t ** 2.7 / (1 + t) ** 2.7, [60, 240, mpmath.inf]))
+        assert abs(v - exact) <= e
 
     def test_j2_full_is_half_pi(self):
         # c = 3 pi / 8 and the polar reduction integrates to exactly pi/2

@@ -102,6 +102,15 @@ class TestGammaChain:
         b = WedgeSpec(4, 3, PI / 2, intervals=((0.7, 1.9),))
         assert gamma_first_eigenvalue(b) > gamma_first_eigenvalue(a)
 
+    def test_narrow_first_interval_k4(self):
+        # stage 3's first eigenvalue gap lies inside the old [0.75, 1.15]
+        # FD bracket here; 238.1166294 is the FD-Richardson value of the chain
+        spec = WedgeSpec(5, 4, 2.2240803047901485,
+                         intervals=((0.670983078554521, 0.8826308639743676),
+                                    (0.7728504859576815, 2.583903730810266)))
+        g = gamma_first_eigenvalue(spec)
+        assert abs(g - 238.1166294) < 1e-8 * 238.1166294
+
     def test_k1_rejected(self):
         with pytest.raises(DomainError):
             gamma_first_eigenvalue(WedgeSpec(3, 1))
