@@ -34,7 +34,7 @@ class SingularityError(DomainError):
 
 
 class BracketError(WedgecapError, RuntimeError):
-    """Eigenvalue shooting failed to bracket a sign change."""
+    """Kept for callers that catch it: no solver brackets eigenvalues now."""
 
 
 class AccuracyError(WedgecapError, RuntimeError):

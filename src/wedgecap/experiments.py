@@ -26,7 +26,8 @@ from .errors import AnomalyError, ConfigurationError, DomainError
 from .exponents import _require_q, capacity_index_s, critical_exponents
 from .geometry import DiscreteMeasure, dirac
 from .kernels import (DEFAULT_QUAD, KernelParams, M_nu_s, QuadratureSpec,
-                      _F_outside_m1, h_sigma_j, params_from_report)
+                      _F_outside_m1, h_sigma_j, params_from_report,
+                      reduced_I_ladder)
 
 DEFAULT_SEED = 42
 
@@ -340,28 +341,19 @@ def remainder_experiment(nu, sigma, m, j, q, mu=None, R_grid=(2.0, 4.0, 8.0, 16.
         raise DomainError("need m < nu q and j - 1 < nu q")
     bound = (sigma + 1.0 - nu) * q + m + j - 1.0
 
-    from .kernels import F_nu_m
-
+    # tails: integral over tau > R of the full slice integral, all R at once
+    tails, _ = reduced_I_ladder(mu, params, R_grid, quad=quad)
     deltas = []
-    for R in R_grid:
-        # tail: integral over tau > R of the full slice integral
-        def f_tail(tau):
-            fv, _ = F_nu_m(tau, mu, params, quad=quad, truncated=False)
-            return (np.atleast_1d(fv) * h_sigma_j(tau, sigma, j, q))[None, :]
-
-        Y = max(60.0, 3.0 * R)
-        edges = merge_edges(R, Y, geometric_edges(R, Y, 8))
-        tail_v, _ = integrate_rows(f_tail, edges, rtol=quad.rtol)
-
+    for R, tail in zip(R_grid, tails):
         # deficit: integral over tau < R of the outside-ball slice integral
         def f_def(tau):
             fv, _ = _F_outside_m1(np.asarray(tau, float), mu, params, R, quad)
             return (fv * h_sigma_j(tau, sigma, j, q))[None, :]
 
-        edges2 = merge_edges(1e-6 * R, R, geometric_edges(1e-6 * R, R, 5),
-                             np.linspace(1e-6 * R, R, 9))
-        def_v, _ = integrate_rows(f_def, edges2, rtol=quad.rtol)
-        deltas.append(float(tail_v[0] + def_v[0]))
+        edges = merge_edges(1e-6 * R, R, geometric_edges(1e-6 * R, R, 5),
+                            np.linspace(1e-6 * R, R, 9))
+        deficit, _ = integrate_rows(f_def, edges, rtol=quad.rtol)
+        deltas.append(float(tail + deficit[0]))
 
     slope, _, r2, se = fit_loglog(R_grid, deltas)
     monotone = bool(np.all(np.diff(deltas) <= 1e-12 * np.array(deltas[:-1])))
@@ -413,6 +405,8 @@ def harmonicity_experiment(target="v_A", alpha=math.pi / 2, N=3,
     t0 = time.perf_counter()
     if N != 3:
         raise ConfigurationError("harmonicity experiment implemented for N = 3, k = 2")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError("alpha must be finite and > 0")
     kappa = math.pi / alpha
     nu = N - 2.0 + 2.0 * kappa
 
@@ -479,6 +473,8 @@ class HeatLift:
     """
 
     def __init__(self, eta_fn, R, n=1024):
+        if not math.isfinite(R):
+            raise DomainError("R must be finite")
         if not R > 0.0:
             raise DomainError("need R > 0")
         if n < 2:

@@ -172,8 +172,8 @@ def critical_exponents(N, k, gamma=None):
         qc = (N + 1.0) / (N - 1.0)
         return ExponentReport(N=N, k=k, gamma=0.0, lambda_A=lam,
                               kappa_plus=kp, kappa_minus=km, q_c=qc, q_c_star=qc)
-    if gamma is None or gamma <= 0.0:
-        raise DomainError("gamma > 0 required for k >= 2")
+    if gamma is None or not 0.0 < gamma < math.inf:
+        raise DomainError("gamma must be finite and > 0 for k >= 2")
     kp = kappa_from_gamma(k, gamma)
     lam = gamma + (N - k) * kp
     kp2, km = kappa_roots(N, lam)

@@ -12,12 +12,18 @@ increasing in mu, so higher inner modes cannot produce the global
 minimum.  For k = 2 the chain is the bare circle problem and
 gamma = (pi/alpha1)^2 in closed form.
 
-Discretization: the two lowest eigenvalues of a second-order
-finite-difference matrix bracket the first eigenvalue clear of the
-second; RK4 shooting with Brent root-finding on gamma refines it.
-Pole endpoints (t = 0 or pi) are left via the Frobenius exponent r with
-r (r + d - 1) = mu, imposing boundedness; this mode is opt-in through
-``WedgeSpec.allow_pole``.
+Discretization: one conservative second-order finite-difference scheme.
+The substitution f = sin^r g with r (r + d - 1) = mu removes the
+mu/sin^2 term exactly; at a pole endpoint (t = 0 or pi) r is the
+Frobenius exponent of the bounded solution and the pole node is an
+unknown with natural flux 0, so the bounded condition is exact (this
+mode is opt-in through ``WedgeSpec.allow_pole``).  The lowest eigenvalue
+on 32, 64, ... intervals is computed to full relative accuracy and
+Richardson-extrapolated in h^2, then h^4.  The lowest eigenvector of the
+irreducible scheme is positive (Perron-Frobenius), so no higher mode can
+be mistaken for the first.  Refs: J. D. Pryce, Numerical Solution of
+Sturm-Liouville Problems (1993); Paine, de Hoog & Anderssen, Computing
+26 (1981).
 """
 
 import math
@@ -26,10 +32,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from .errors import (AccuracyError, BracketError, DomainError, GeometryError,
+from .errors import (AccuracyError, DomainError, GeometryError,
                      PoleEndpointError)
 from .exponents import kappa_from_gamma
 from .geometry import cartesian_to_spherical, validate_wedge
@@ -37,6 +42,10 @@ from .geometry import cartesian_to_spherical, validate_wedge
 PI = math.pi
 DEFAULT_TOL = 1e-8
 DEFAULT_GRID = 4096
+_FD_INTERVALS = tuple(32 << i for i in range(8))    # 32, 64, ..., 4096
+# bisection runs to full relative accuracy when its absolute tolerance is
+# this small (LAPACK dstebz)
+_BISECT_ABSTOL = 4.0 * np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -90,188 +99,151 @@ def indicial_exponent(d, mu):
     return 0.5 * ((1.0 - d) + math.sqrt((d - 1.0) ** 2 + 4.0 * mu))
 
 
-def _series_start(d, mu, gamma, theta0):
-    """Bounded-solution value and slope a little away from the pole.
+def _fd_golub_kahan(problem, n):
+    """The stage's FD scheme on n uniform intervals, factored.
 
-    f = t^r (1 + a2 t^2) + O(t^{r+4}) with the a2 fixed by the equation.
+    With r (r + d - 1) = mu, f = sin^r g cancels the mu/sin^2 term on the
+    whole interval: -(sin^kappa g')'/sin^kappa = (gamma - shift) g with
+    kappa = d + 2r and shift = r (r + d).  At a pole r is the Frobenius
+    exponent of the bounded solution; mu = 0 needs no substitution.
+
+    The conservative scheme A g = lambda M g has A = D' W D, with D the
+    node differences across the n cells, W their fluxes sin^kappa / h
+    at the cell midpoints and M the node masses h sin^kappa.  A bounded
+    pole node is an unknown with natural flux 0 and the half-cell mass
+    (h/2)^(kappa+1)/(kappa+1).
+
+    So the FD eigenvalues are the squared singular values of
+    C = W^(1/2) D M^(-1/2).  Its entries follow the path node, cell,
+    node, ...; the zero-diagonal tridiagonal with them as off-diagonal
+    (Golub-Kahan form) has plus and minus those singular values, and
+    zeros, as eigenvalues, the smallest positive one at index n.  The
+    entries are square roots of ratios of sines, formed without
+    cancellation and free of under- or overflow, so bisection gets that
+    eigenvalue to full relative accuracy (Demmel & Kahan 1990), where a
+    formed A loses eps * |A|.
+
+    Returns the off-diagonal, the shift r (r + d), the index range of
+    the unknowns on linspace(a, b, n + 1) and sin^r at the unknowns.
     """
-    r = indicial_exponent(d, mu)
-    a2 = (d * r / 3.0 + mu / 3.0 - gamma) / ((r + 2.0) * (r + 1.0) + d * (r + 2.0) - mu)
-    f = theta0 ** r * (1.0 + a2 * theta0 ** 2)
-    fp = r * theta0 ** (r - 1.0) + a2 * (r + 2.0) * theta0 ** (r + 1.0)
-    return f, fp
-
-
-def _mesh(problem, n):
-    """Integration mesh; geometric grading out of a pole start."""
-    a, b = problem.a, problem.b
-    if problem.bc_a == "bounded":
-        t0 = 1e-6
-        t_cut = min(0.02, 0.05 * (b - a))
-        ng = max(n // 8, 128)
-        graded = t0 * (t_cut / t0) ** (np.arange(ng + 1) / ng)
-        uniform = np.linspace(t_cut, b, n + 1)[1:]
-        return np.concatenate([graded, uniform])
-    return np.linspace(a, b, n + 1)
-
-
-def _rhs(theta, f, fp, d, mu, gamma):
-    acc = -gamma * f
-    if d:
-        s = math.sin(theta)
-        acc -= d * (math.cos(theta) / s) * fp
-        if mu:
-            acc += mu / (s * s) * f
-    elif mu:
-        s = math.sin(theta)
-        acc += mu / (s * s) * f
-    return fp, acc
-
-
-def _shoot(problem, gamma, mesh):
-    """RK4 trajectory of (f, f') along the mesh; returns the f samples."""
     d, mu = problem.d, problem.mu
-    if problem.bc_a == "bounded":
-        f, fp = _series_start(d, mu, gamma, mesh[0])
-    else:
-        f, fp = 0.0, 1.0
-    out = np.empty(mesh.size)
-    out[0] = f
-    for i in range(mesh.size - 1):
-        t = mesh[i]
-        h = mesh[i + 1] - t
-        k1f, k1p = _rhs(t, f, fp, d, mu, gamma)
-        k2f, k2p = _rhs(t + 0.5 * h, f + 0.5 * h * k1f, fp + 0.5 * h * k1p, d, mu, gamma)
-        k3f, k3p = _rhs(t + 0.5 * h, f + 0.5 * h * k2f, fp + 0.5 * h * k2p, d, mu, gamma)
-        k4f, k4p = _rhs(t + h, f + h * k3f, fp + h * k3p, d, mu, gamma)
-        f += h * (k1f + 2.0 * k2f + 2.0 * k3f + k4f) / 6.0
-        fp += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        out[i + 1] = f
-    return out
+    r = indicial_exponent(d, mu) if mu else 0.0
+    kappa, shift = d + 2.0 * r, r * (r + d)
+    a, b = problem.a, problem.b
+    h = (b - a) / n
+    # |sin|: the weightless circle stage may run past pi
+    s = np.abs(np.sin(np.linspace(a, b, n + 1)))
+    s_mid = np.abs(np.sin(a + h * (np.arange(n) + 0.5)))
+    pole = [i for i, bc in ((0, problem.bc_a), (n, problem.bc_b)) if bc == "bounded"]
+    s[pole] = 0.0
+    lo = 0 if problem.bc_a == "bounded" else 1
+    hi = n + 1 if problem.bc_b == "bounded" else n
+    # node i has the mass h * beta_i * sig_i^kappa; wall nodes are no
+    # unknowns, their entries are dropped
+    sig, beta = np.where(s > 0.0, s, 1.0), np.ones(n + 1)
+    sig[pole], beta[pole] = 0.5 * h, 0.5 / (kappa + 1.0)
+    path = np.empty(2 * n)                 # h C along the path
+    path[0::2] = -np.sqrt((s_mid / sig[:-1]) ** kappa / beta[:-1])   # node i, cell i
+    path[1::2] = np.sqrt((s_mid / sig[1:]) ** kappa / beta[1:])      # cell i, node i+1
+    off = path[lo:n + hi - 1] / h
+    return off, shift, (lo, hi), s[lo:hi] ** r
 
 
-def _reflected(problem):
-    """theta -> pi - theta swaps the endpoints and leaves sin invariant."""
-    return SLProblem(a=PI - problem.b, b=PI - problem.a, d=problem.d, mu=problem.mu,
-                     bc_a=problem.bc_b, bc_b=problem.bc_a)
+def _smallest_singular_value(off, n):
+    return float(eigh_tridiagonal(np.zeros(off.size + 1), off, eigvals_only=True,
+                                  select="i", select_range=(n, n),
+                                  tol=_BISECT_ABSTOL)[0])
+
+
+def _fd_lowest(problem, n):
+    """Lowest FD eigenvalue on n intervals."""
+    off, shift, _, _ = _fd_golub_kahan(problem, n)
+    return _smallest_singular_value(off, n) ** 2 + shift
+
+
+def _fd_eigenfunction(problem, n):
+    """Samples of the lowest FD eigenfunction on linspace(a, b, n + 1),
+    positive inside, with unit trapezoidal integral.
+
+    Inverse iteration at the FD eigenvalue runs on M^(-1) A in the
+    variable g, which lacks the t^r decay of f = sin^r g at a pole, so f
+    keeps full relative accuracy there.  The eigenvector M^(1/2) g of the
+    Golub-Kahan form would lose those tiny entries to absolute rounding.
+    """
+    off, _, (lo, hi), sin_r = _fd_golub_kahan(problem, n)
+    lam = _smallest_singular_value(off, n) ** 2
+    # row i of M^(-1) A couples node i to its cells with the squares of
+    # its two path entries (left, right); walls and poles end the path
+    c2 = np.concatenate([[0.0], off ** 2, [0.0]])
+    left, right = c2[lo::2][:hi - lo], c2[lo + 1::2][:hi - lo]
+    band = np.zeros((3, hi - lo))
+    band[0, 1:], band[1], band[2, :-1] = -right[:-1], left + right - lam, -left[1:]
+    g = np.ones(hi - lo)
+    for _ in range(2):
+        g = solve_banded((1, 1), band, g)
+        g /= np.max(np.abs(g))
+    f = np.zeros(n + 1)
+    f[lo:hi] = g * sin_r
+    h = (problem.b - problem.a) / n
+    return f / (h * (np.sum(f) - 0.5 * (f[0] + f[-1])))
 
 
 def sl_eigen_fd(problem, n=2000):
-    """Second-order finite-difference estimate of the first eigenvalue.
+    """Lowest eigenvalue of the second-order finite-difference scheme.
 
-    Self-adjoint form -(p f')' + mu p/sin^2 f = gamma p f with
-    p = sin^d on a uniform interior grid; a pole endpoint is replaced by
-    a Dirichlet wall slightly inside, so this value is a bracketing and
-    convergence-study tool, not the refined answer.
+    Self-adjoint form -(p f')' + mu p/sin^2 f = gamma p f with p = sin^d
+    on n uniform intervals, after f = sin^r g has removed the mu/sin^2
+    term; a bounded pole is exact (an unknown with natural flux 0), not
+    a wall moved inside.  The error is O(h^2), also at a pole.  This is
+    one level of :func:`sl_eigen_1d`'s extrapolation.
     """
-    return float(_fd_lowest(problem, n, 1)[0])
-
-
-def _fd_lowest(problem, n, count):
-    """The ``count`` lowest eigenvalues of :func:`sl_eigen_fd`'s matrix."""
-    a, b = problem.a, problem.b
-    if problem.bc_a == "bounded":
-        a = a + (b - a) * 1e-3
-    if problem.bc_b == "bounded":
-        b = b - (b - a) * 1e-3
-    h = (b - a) / n
-    theta = a + h * np.arange(1, n)
-    p = np.sin(theta) ** problem.d
-    ph = np.sin(a + h * (np.arange(n) + 0.5)) ** problem.d   # p at half nodes
-    diag = (ph[:-1] + ph[1:]) / h ** 2 + problem.mu * p / np.sin(theta) ** 2
-    off = -ph[1:-1] / h ** 2
-    # symmetric-definite reduction of A f = gamma B f with B = diag(p)
-    dsq = np.sqrt(p)
-    cd = diag / p
-    ce = off / (dsq[:-1] * dsq[1:])
-    return eigh_tridiagonal(cd, ce, select="i", select_range=(0, count - 1),
-                            eigvals_only=True)
-
-
-_NOT_ISOLATED = "could not isolate a positive first eigenfunction"
-
-
-def _solve_on_mesh(problem, lo, hi, n):
-    """Shooting root in [lo, hi] and its trajectory; the bracket must hold
-    the first eigenvalue and no other."""
-    mesh = _mesh(problem, n)
-
-    def endpoint(g):
-        return _shoot(problem, g, mesh)[-1]
-
-    if endpoint(lo) * endpoint(hi) > 0.0:
-        raise BracketError(_NOT_ISOLATED)
-    gamma = brentq(endpoint, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    traj = _shoot(problem, gamma, mesh)
-    if np.min(traj[1:-1]) < -1e-10 * np.max(np.abs(traj)):
-        raise BracketError(_NOT_ISOLATED)
-    return gamma, mesh, traj
+    return _fd_lowest(problem, n)
 
 
 def sl_eigen_1d(problem, tol=DEFAULT_TOL, n_samples=DEFAULT_GRID):
-    """Smallest eigenvalue with positive eigenfunction, by shooting.
+    """Smallest eigenvalue with positive eigenfunction, by Richardson
+    extrapolation of the FD scheme.
 
     Parameters
     ----------
     problem : SLProblem
     tol : float
-        Relative eigenvalue tolerance in (1e-12, 1e-2), certified by a
-        step-halving Richardson estimate of the RK4 trajectory error.
+        Relative eigenvalue tolerance in (1e-12, 1e-2).  The FD eigenvalue
+        on n = 32, 64, ..., 4096 intervals is extrapolated in h^2, then
+        h^4; two consecutive h^4 extrapolants must agree to tol.
     n_samples : int
         Uniform sample count of the returned eigenfunction.
 
     Returns
     -------
     EigenResult with max-normalized samples, f > 0 inside, f = 0 at
-    Dirichlet walls.
+    Dirichlet walls.  The samples are the FD eigenfunctions on n_samples
+    and 2 n_samples intervals, extrapolated in h^2.
     """
     if not (1e-12 < tol < 1e-2):
         raise DomainError("tol must lie in (1e-12, 1e-2)")
-    if problem.bc_b == "bounded":
-        refl = sl_eigen_1d(_reflected(problem), tol=tol, n_samples=n_samples)
-        return EigenResult(gamma=refl.gamma, theta=(PI - refl.theta)[::-1].copy(),
-                           values=refl.values[::-1].copy(), h=refl.h, error=refl.error)
-
-    # brackets stay below half-way to the second eigenvalue, so they
-    # cannot catch a higher mode
-    est, est2 = _fd_lowest(problem, 600, 2)
-    gap = 0.5 * (est2 - est)
-    lo, hi = 0.75 * est, min(1.15 * est, est + gap)
-    gamma_prev = None
-    err = math.inf
-    n = 1024
-    for _ in range(4):
-        gamma, mesh, traj = _solve_on_mesh(problem, lo, hi, n)
-        if gamma_prev is not None:
-            err = abs(gamma - gamma_prev)
+    lam, h2, h4 = [], [], []     # FD values, extrapolants in h^2, in h^4
+    for n in _FD_INTERVALS:
+        lam.append(_fd_lowest(problem, n))
+        if len(lam) > 1:
+            h2.append((4.0 * lam[-1] - lam[-2]) / 3.0)
+        if len(h2) > 1:
+            h4.append((16.0 * h2[-1] - h2[-2]) / 15.0)
+        if len(h4) > 1:
+            gamma, err = h4[-1], abs(h4[-1] - h4[-2])
             if err <= tol * abs(gamma):
                 break
-        gamma_prev = gamma
-        w = min(1e-3, gap / gamma)
-        lo, hi = gamma * (1.0 - w), gamma * (1.0 + w)
-        n *= 2
     else:
         raise AccuracyError("eigenvalue did not stabilize to tol=%g" % tol,
                             value=gamma, error=err)
 
-    # final trajectory directly on the uniform sample grid (no resampling,
-    # so the FD residual of the samples is pure truncation error)
     theta = np.linspace(problem.a, problem.b, n_samples + 1)
-    if problem.bc_a == "bounded":
-        t0 = 1e-6
-        ng = max(n_samples // 8, 128)
-        graded = t0 * (theta[1] / t0) ** (np.arange(ng + 1) / ng)
-        traj_f = _shoot(problem, gamma, np.concatenate([graded, theta[2:]]))
-        values = np.empty(n_samples + 1)
-        r = indicial_exponent(problem.d, problem.mu)
-        values[0] = 0.0 if r > 0 else 1.0
-        values[1:] = traj_f[ng:]
-    else:
-        values = _shoot(problem, gamma, theta)
+    values = (4.0 * _fd_eigenfunction(problem, 2 * n_samples)[::2]
+              - _fd_eigenfunction(problem, n_samples)) / 3.0
+    if not np.all(values[1:-1] > 0.0):
+        raise AccuracyError("extrapolated eigenfunction is not positive inside",
+                            value=gamma, error=err)
     values /= np.max(values)
-    if problem.bc_a == "dirichlet":
-        values[0] = 0.0
-    values[-1] = 0.0
     return EigenResult(gamma=gamma, theta=theta, values=values,
                        h=float(theta[1] - theta[0]), error=float(err))
 

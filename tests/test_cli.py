@@ -224,6 +224,9 @@ def test_verify_equivalence_rejects_empty_family(capsys, n):
     (("classify", "--poly", "demos/cube.json", "--q", "nan"), "q must be finite"),
     (("verify", "equivalence") + QUARTER + ("--R", "inf", "--n-measures", "1"),
      "R must be finite"),
+    (("exponents", "--N", "3", "--k", "2", "--gamma", "nan"), "gamma must be finite"),
+    (("verify", "heat", "--R", "inf"), "R must be finite"),
+    (("verify", "harmonicity", "--alpha1", "nan"), "alpha must be finite"),
 ])
 def test_non_finite_flags_exit_2(capsys, monkeypatch, argv, message):
     # each used to hang, fail only while serializing NaN or raise a traceback

@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +13,22 @@ from wedgecap.spectral import (SLProblem, gamma_first_eigenvalue,
                                opening_eigenfunction, sl_eigen_1d, sl_eigen_fd)
 
 PI = math.pi
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_gamma(mu, b):
+    """nu (nu + 1) at the first zero nu of P_nu^{-sqrt(mu)}(cos b), 30 digits."""
+    with mpmath.workdps(30):
+        def p(nu):
+            return mpmath.legenp(nu, -mpmath.sqrt(mu), mpmath.cos(b))
+        lo = mpmath.mpf(0)
+        while p(lo + 0.25) > 0:      # eigenvalue gaps in nu exceed 1
+            lo += 0.25
+        hi = lo + 0.25
+        for _ in range(60):          # bisection: p is tiny at large order
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if p(mid) > 0 else (lo, mid)
+        return float(lo * (lo + 1))
 
 
 class TestSLSolver:
@@ -42,6 +60,35 @@ class TestSLSolver:
         res = sl_eigen_1d(SLProblem(PI / 2, PI, 1, 4.0, bc_b="bounded"))
         assert abs(res.gamma - 12.0) < 1e-7 * 12.0
         assert res.values[0] == 0.0   # Dirichlet wall now on the left
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("mu, b", [(0.3, 1.2), (1.3, 2.0), (400.0, 1.0)])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_pole_matches_associated_legendre(self, mu, b, tol, side):
+        # d = 1: f(t) = P_nu^{-sqrt(mu)}(cos t) is the bounded solution at
+        # t = 0 and gamma = nu (nu + 1), where nu is the first zero of
+        # nu -> P_nu^{-sqrt(mu)}(cos b).  The Frobenius exponent is not an
+        # integer for mu = 0.3, 1.3; for mu = 400 it is 20, so f ~ t^20
+        # spans 70 decades and must stay positive near the pole.
+        exact = _legendre_gamma(mu, b)
+        if side == "left":
+            prob = SLProblem(0.0, b, 1, mu, bc_a="bounded")
+        else:
+            prob = SLProblem(PI - b, PI, 1, mu, bc_b="bounded")
+        res = sl_eigen_1d(prob, tol=tol)
+        assert abs(res.gamma - exact) <= tol * exact
+        assert abs(res.gamma - exact) <= res.error
+
+    @pytest.mark.parametrize("prob", [
+        SLProblem(0.7530442341822747, 2.689413101439338, 1, 1.3583346615282204),
+        SLProblem(0.32272789319176, 2.355323851117069, 1, 1.5576326545953718),
+    ])
+    def test_tight_tolerance_certified(self, prob):
+        # chain stages whose tol-1e-11 extrapolation stalls in roundoff when
+        # the FD matrix is formed before its eigenvalue is computed
+        tight = sl_eigen_1d(prob, tol=1e-11)
+        assert tight.error <= 1e-11 * tight.gamma
+        assert abs(tight.gamma - sl_eigen_1d(prob).gamma) <= 1e-8 * tight.gamma
 
     def test_eigenfunction_contract(self):
         res = sl_eigen_1d(SLProblem(0.3, 2.1, 2, 3.0))
@@ -102,14 +149,22 @@ class TestGammaChain:
         b = WedgeSpec(4, 3, PI / 2, intervals=((0.7, 1.9),))
         assert gamma_first_eigenvalue(b) > gamma_first_eigenvalue(a)
 
-    def test_narrow_first_interval_k4(self):
-        # stage 3's first eigenvalue gap lies inside the old [0.75, 1.15]
-        # FD bracket here; 238.1166294 is the FD-Richardson value of the chain
-        spec = WedgeSpec(5, 4, 2.2240803047901485,
-                         intervals=((0.670983078554521, 0.8826308639743676),
-                                    (0.7728504859576815, 2.583903730810266)))
-        g = gamma_first_eigenvalue(spec)
-        assert abs(g - 238.1166294) < 1e-8 * 238.1166294
+    @pytest.mark.parametrize("alpha1, intervals, expected", [
+        # stage 3's first eigenvalue gap lies inside a [0.75, 1.15] bracket
+        # around the coarse FD estimate
+        (2.2240803047901485, ((0.670983078554521, 0.8826308639743676),
+                              (0.7728504859576815, 2.583903730810266)), 238.1166294),
+        # stage 3 (mu = 531.39) is oscillatory only on (1.37, 1.77); a
+        # one-sided shot to the wall at 2.81 grows its error about 6e10-fold
+        (2.1086284516044005, ((0.5031327813828171, 0.6402597861672545),
+                              (0.6186579083412748, 2.8148826710148165)), 553.9422974),
+    ], ids=["seed185", "seed139"])
+    def test_narrow_first_interval_k4(self, alpha1, intervals, expected):
+        # boxes of the benchmark's cli-demos generator (seeds 185 and 139);
+        # expected: Richardson in h^2 of a plain Dirichlet FD chain solved by
+        # bisection on 2000/4000 and 4000/8000 intervals (agreeing to 8e-9)
+        g = gamma_first_eigenvalue(WedgeSpec(5, 4, alpha1, intervals=intervals))
+        assert abs(g - expected) < 1e-8 * expected
 
     def test_k1_rejected(self):
         with pytest.raises(DomainError):
