@@ -12,7 +12,8 @@ discretized min-norm program
 
     min ||g||_p^p   over g >= 0 on a source grid,  (G_alpha * g)(x) >= 1 on K,
 
-solved by projected gradient ascent on the dual; the weighted edge
+solved by projected gradient ascent on the dual, with the cell integrals
+of G_alpha taken from the same subordination integral; the weighted edge
 capacity in its sup-mass form reduces, by q-homogeneity of
 the admissibility functional J, to minimizing J over the weight simplex.
 
@@ -27,8 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import gammaln
+from scipy.special import erfc, gamma, gammainc, gammaln
 
 from ._quad import gauss_legendre, geometric_edges, integrate_rows, merge_edges
 from .errors import (ConfigurationError, DomainError, SingularityError,
@@ -91,7 +91,16 @@ def _verdict_from_history(history, theta):
 # Bessel kernel
 
 
-def bessel_kernel_radial(r, alpha, ell, rtol=1e-10):
+def _subordinate(rows, c, u_lo):
+    """Each row's integral of rows(u, log_w) over u = log t in [u_lo, 9] on
+    uniform panels; log_w = c u - e^u is the log of the Gamma weight
+    t^c e^{-t} dt/t, below e^{-8000} past u = 9."""
+    vals, _ = integrate_rows(lambda u: rows(u, c * u - np.exp(u)),
+                             np.linspace(u_lo, 9.0, 25), rtol=1e-10)
+    return vals
+
+
+def bessel_kernel_radial(r, alpha, ell):
     """G_alpha(|x|) on R^ell via the subordination integral, vectorized in r.
 
     Positive and radially decreasing; singular at r = 0 when alpha <= ell.
@@ -112,65 +121,50 @@ def bessel_kernel_radial(r, alpha, ell, rtol=1e-10):
         out[zero] = pref * math.exp(gammaln(0.5 * (alpha - ell)))
     pos = ~zero
     if np.any(pos):
-        rp = r[pos]
-        u_lo = min(float(np.min(np.log(rp ** 2 / 4.0))) - 12.0, -12.0)
-        u_hi = 9.0
-        b2 = (rp ** 2 / 4.0)[:, None]
-        c = 0.5 * (alpha - ell)
+        b2 = (r[pos] ** 2 / 4.0)[:, None]
+        u_lo = min(float(np.min(np.log(b2))) - 12.0, -12.0)
 
-        def f(u):
-            return np.exp(c * u[None, :] - np.exp(u)[None, :]
-                          - b2 * np.exp(-u)[None, :])
+        def rows(u, log_w):
+            return np.exp(log_w[None, :] - b2 * np.exp(-u)[None, :])
 
-        edges = merge_edges(u_lo, u_hi, np.linspace(u_lo, u_hi, 25))
-        vals, _ = integrate_rows(f, edges, rtol=rtol, max_panels=2048)
-        out[pos] = pref * vals
+        out[pos] = pref * _subordinate(rows, 0.5 * (alpha - ell), u_lo)
     return out if out.size > 1 else float(out[0])
 
 
-def bessel_kernel(x, alpha, rtol=1e-10):
+def bessel_kernel(x, alpha):
     """G_alpha at a point of R^ell (ell = len(x))."""
     x = np.atleast_1d(np.asarray(x, float))
-    return bessel_kernel_radial(float(np.linalg.norm(x)), alpha, x.size, rtol=rtol)
+    return bessel_kernel_radial(float(np.linalg.norm(x)), alpha, x.size)
 
 
-class _RadialPrimitive:
-    """Phi(t) = integral_0^t G_alpha(u) du on R^1, with odd extension.
+def _cell_matrix(targets, centers, h, alpha):
+    """A[j, l] = integral of G_alpha on R^1 over cell l seen from target j.
 
-    Cell averages of the (possibly singular) kernel are differences of
-    Phi, which keeps the convolution matrix assembly exact-to-quadrature
-    even across the singular cell.
+    G_alpha is a Gamma(alpha/2) mixture of heat kernels, and a heat
+    kernel's cell integral is an erf difference.  With t = e^u, the cell
+    [d - h/2, d + h/2] (d the target-to-center distance) gives
+
+        A = 1/(2 Gamma(alpha/2)) integral e^{(alpha/2) u - e^u}
+            [erfc(a / 2 sqrt t) - erfc(b / 2 sqrt t)] du,   a, b = d -+ h/2,
+
+    with erfc so that far cells do not cancel.  Below u_lo every nonzero
+    erfc argument exceeds 6 in size, so the bracket is 1 - sign(a) to
+    double precision and that piece is (1 - sign(a)) P(alpha/2, e^{u_lo}) / 2
+    in closed form.  A depends on |d| only: one row per distinct |d|.
     """
+    d = np.abs(targets[:, None] - centers[None, :])
+    dist, inv = np.unique(d, return_inverse=True)
+    a, b = dist - 0.5 * h, dist + 0.5 * h
+    ends = np.abs(np.concatenate([a, b]))
+    u_lo = min(2.0 * math.log(float(np.min(ends[ends > 0.0])) / 12.0), -12.0)
 
-    def __init__(self, alpha, t_max, rtol=1e-9):
-        self.alpha = alpha
-        nodes = np.concatenate([[0.0],
-                                geometric_edges(1e-9, 0.5, per_decade=10),
-                                np.linspace(0.5, max(t_max, 1.0), 160)[1:]])
-        nodes = np.unique(nodes)
-        x16, w16 = gauss_legendre(16)
-        a, b = nodes[:-1], nodes[1:]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        pts = (mid[:, None] + half[:, None] * x16).ravel()
-        g = bessel_kernel_radial(np.maximum(pts, 1e-300), alpha, 1, rtol=rtol)
-        seg = (g.reshape(a.size, 16) * w16).sum(axis=1) * half
-        phi = np.concatenate([[0.0], np.cumsum(seg)])
-        self._interp = PchipInterpolator(nodes, phi, extrapolate=False)
-        self.t_max = float(nodes[-1])
-        self.total = float(phi[-1])
+    def rows(u, log_w):
+        s = 0.5 * np.exp(-0.5 * u)         # 1 / (2 sqrt t)
+        return np.exp(log_w) * (erfc(np.outer(a, s)) - erfc(np.outer(b, s)))
 
-    def __call__(self, t):
-        t = np.asarray(t, float)
-        sign = np.sign(t)
-        at = np.minimum(np.abs(t), self.t_max)
-        return sign * self._interp(at)
-
-
-def _cell_matrix(targets, centers, h, prim):
-    """A[j, l] = integral of G over cell l evaluated from target j."""
-    d = targets[:, None] - centers[None, :]
-    return prim(d + 0.5 * h) - prim(d - 0.5 * h)
+    vals = (0.5 / gamma(0.5 * alpha) * _subordinate(rows, 0.5 * alpha, u_lo)
+            + 0.5 * (1.0 - np.sign(a)) * gammainc(0.5 * alpha, math.exp(u_lo)))
+    return vals[inv].reshape(d.shape)
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +242,6 @@ def bessel_capacity(points, alpha, p, resolution=0.05, levels=4,
     reff = max(1.0, alpha)
     lo = float(np.min(pts)) - dilation_radii * reff
     hi = float(np.max(pts)) + dilation_radii * reff
-    prim = _RadialPrimitive(alpha, t_max=(hi - lo) + 1.0)
     history = []
     value = gap = np.nan
     iters = 0
@@ -261,7 +254,7 @@ def bessel_capacity(points, alpha, p, resolution=0.05, levels=4,
         centers = pts[0] + h * np.arange(j_lo, j_hi + 1)
         if centers.size == 0:
             raise ConfigurationError("empty source grid")
-        A = _cell_matrix(pts, centers, h, prim)   # cell integrals of the kernel
+        A = _cell_matrix(pts, centers, h, alpha)   # cell integrals of the kernel
         value, gap, iters, _ = _dual_ascent(A, h, p, gap_tol=gap_tol)
         history.append((h, value))
     verdict, limit = _verdict_from_history(history, alpha * p - 1.0)

@@ -297,8 +297,8 @@ def _cmd_verify(args):
         rep = _exp.remainder_experiment(nu=args.nu, sigma=args.sigma,
                                         m=args.m, j=args.j, q=args.q)
     elif name == "harmonicity":
-        rep = _exp.harmonicity_experiment(target=args.target,
-                                          alpha=args.alpha1 or 0.5 * np.pi)
+        alpha = 0.5 * np.pi if args.alpha1 is None else args.alpha1
+        rep = _exp.harmonicity_experiment(target=args.target, alpha=alpha)
     else:
         _, rep = _exp.heat_lifting(R=args.R, q=args.q)
     return _emit(args, rep.to_dict(),

@@ -401,7 +401,13 @@ def _F_m2(tau_arr, mu, params, quad, truncated):
                                              marks1 - max(t, tau_floor)]))
         v, e = integrate_rows(outer, edges1, rtol=quad.rtol)
         if not truncated:
-            e = e + 2.0 * math.pi * mu.mass ** q * R ** (2.0 - nuq) / (nuq - 2.0)
+            # outside the square lies outside the disk |y| > R, where every
+            # atom is at least |y| - rho away: the integrand is at most
+            # (mass (|y| - rho)^-nu)^q
+            rho = mu.support_radius()
+            e = e + 2.0 * math.pi * mu.mass ** q * (
+                (R - rho) ** (2.0 - nuq) / (nuq - 2.0)
+                + rho * (R - rho) ** (1.0 - nuq) / (nuq - 1.0))
         vals[it], errs[it] = v[0], e if np.isscalar(e) else e[0]
     return vals, errs
 

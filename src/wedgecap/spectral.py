@@ -200,6 +200,27 @@ def sl_eigen_fd(problem, n=2000):
     return _fd_lowest(problem, n)
 
 
+def _extrapolated_lowest(problem, tol):
+    """(gamma, error): the FD eigenvalue on n = 32, 64, ..., 4096
+    intervals extrapolated in h^2, then h^4, until two consecutive h^4
+    extrapolants agree to tol."""
+    if not (1e-12 < tol < 1e-2):
+        raise DomainError("tol must lie in (1e-12, 1e-2)")
+    lam, h2, h4 = [], [], []     # FD values, extrapolants in h^2, in h^4
+    for n in _FD_INTERVALS:
+        lam.append(_fd_lowest(problem, n))
+        if len(lam) > 1:
+            h2.append((4.0 * lam[-1] - lam[-2]) / 3.0)
+        if len(h2) > 1:
+            h4.append((16.0 * h2[-1] - h2[-2]) / 15.0)
+        if len(h4) > 1:
+            gamma, err = h4[-1], abs(h4[-1] - h4[-2])
+            if err <= tol * abs(gamma):
+                return gamma, err
+    raise AccuracyError("eigenvalue did not stabilize to tol=%g" % tol,
+                        value=gamma, error=err)
+
+
 def sl_eigen_1d(problem, tol=DEFAULT_TOL, n_samples=DEFAULT_GRID):
     """Smallest eigenvalue with positive eigenfunction, by Richardson
     extrapolation of the FD scheme.
@@ -220,23 +241,7 @@ def sl_eigen_1d(problem, tol=DEFAULT_TOL, n_samples=DEFAULT_GRID):
     Dirichlet walls.  The samples are the FD eigenfunctions on n_samples
     and 2 n_samples intervals, extrapolated in h^2.
     """
-    if not (1e-12 < tol < 1e-2):
-        raise DomainError("tol must lie in (1e-12, 1e-2)")
-    lam, h2, h4 = [], [], []     # FD values, extrapolants in h^2, in h^4
-    for n in _FD_INTERVALS:
-        lam.append(_fd_lowest(problem, n))
-        if len(lam) > 1:
-            h2.append((4.0 * lam[-1] - lam[-2]) / 3.0)
-        if len(h2) > 1:
-            h4.append((16.0 * h2[-1] - h2[-2]) / 15.0)
-        if len(h4) > 1:
-            gamma, err = h4[-1], abs(h4[-1] - h4[-2])
-            if err <= tol * abs(gamma):
-                break
-    else:
-        raise AccuracyError("eigenvalue did not stabilize to tol=%g" % tol,
-                            value=gamma, error=err)
-
+    gamma, err = _extrapolated_lowest(problem, tol)
     theta = np.linspace(problem.a, problem.b, n_samples + 1)
     values = (4.0 * _fd_eigenfunction(problem, 2 * n_samples)[::2]
               - _fd_eigenfunction(problem, n_samples)) / 3.0
@@ -274,7 +279,7 @@ def gamma_first_eigenvalue(spec, tol=DEFAULT_TOL):
     if spec.k == 2:
         return mu
     for j in range(2, spec.k):
-        mu = sl_eigen_1d(_stage_problem(spec, j, mu), tol=tol).gamma
+        mu, _ = _extrapolated_lowest(_stage_problem(spec, j, mu), tol)
     return mu
 
 

@@ -227,6 +227,7 @@ def test_verify_equivalence_rejects_empty_family(capsys, n):
     (("exponents", "--N", "3", "--k", "2", "--gamma", "nan"), "gamma must be finite"),
     (("verify", "heat", "--R", "inf"), "R must be finite"),
     (("verify", "harmonicity", "--alpha1", "nan"), "alpha must be finite"),
+    (("verify", "harmonicity", "--alpha1", "0"), "alpha must be finite and > 0"),
 ])
 def test_non_finite_flags_exit_2(capsys, monkeypatch, argv, message):
     # each used to hang, fail only while serializing NaN or raise a traceback

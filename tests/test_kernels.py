@@ -155,6 +155,18 @@ class TestF:
         ref = 2.0 * math.pi * quad(lambda r: r * (1.0 + r * r) ** -3.0, 0, np.inf)[0]
         assert abs(v - ref) < 1e-4 * ref
 
+    @pytest.mark.parametrize("z, nu, q, tau", [((8.0, 0.0), 3.0, 1.5, 0.5),
+                                               ((12.0, 0.0), 2.5, 1.7, 1.0)])
+    def test_m2_off_centre_tail_bound(self, z, nu, q, tau):
+        # F over R^2 is translation invariant: one atom anywhere gives the
+        # radial closed form 2 pi tau^{2-nuq} / (nuq - 2); the reported
+        # error must cover the square cut off around the off-centre atom
+        mu = DiscreteMeasure(2, [(z, 1.0)])
+        v, e = F_nu_m(tau, mu, KernelParams(nu=nu, m=2, q=q),
+                      quad=QuadratureSpec(rtol=1e-8), truncated=False)
+        ref = 2.0 * math.pi * tau ** (2.0 - nu * q) / (nu * q - 2.0)
+        assert abs(v - ref) <= e
+
 
 def test_kernel_table_matches_atom_loop():
     # the blocked in-place table must equal the plain per-atom expression
