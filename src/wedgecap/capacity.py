@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gamma, gammainc, gammaln
+from scipy.special import erfc, gammainc, gammaln
 
 from ._quad import gauss_legendre, geometric_edges, integrate_rows, merge_edges
 from .errors import (ConfigurationError, DomainError, SingularityError,
@@ -91,11 +91,11 @@ def _verdict_from_history(history, theta):
 # Bessel kernel
 
 
-def _subordinate(rows, c, u_lo):
-    """Each row's integral of rows(u, log_w) over u = log t in [u_lo, 9] on
-    uniform panels; log_w = c u - e^u is the log of the Gamma weight
-    t^c e^{-t} dt/t, below e^{-8000} past u = 9."""
-    vals, _ = integrate_rows(lambda u: rows(u, c * u - np.exp(u)),
+def _subordinate(rows, c, u_lo, log_norm):
+    """Each row's integral of rows(u, log_w) over u = log t in [u_lo, 9];
+    log_w = log_norm + c u - e^u is the log of the normalized Gamma weight,
+    in range for large c where its factors are not, and < -8000 past u = 9."""
+    vals, _ = integrate_rows(lambda u: rows(u, log_norm + c * u - np.exp(u)),
                              np.linspace(u_lo, 9.0, 25), rtol=1e-10)
     return vals
 
@@ -113,12 +113,12 @@ def bessel_kernel_radial(r, alpha, ell):
     if np.any(r < 0.0):
         raise DomainError("radius must be >= 0")
     out = np.empty(r.size)
-    pref = math.exp(-0.5 * ell * math.log(4.0 * math.pi) - gammaln(0.5 * alpha))
+    log_norm = -0.5 * ell * math.log(4.0 * math.pi) - gammaln(0.5 * alpha)
     zero = r == 0.0
     if np.any(zero):
         if alpha <= ell:
             raise SingularityError("G_alpha singular at 0 for alpha <= ell")
-        out[zero] = pref * math.exp(gammaln(0.5 * (alpha - ell)))
+        out[zero] = math.exp(log_norm + gammaln(0.5 * (alpha - ell)))
     pos = ~zero
     if np.any(pos):
         b2 = (r[pos] ** 2 / 4.0)[:, None]
@@ -127,7 +127,7 @@ def bessel_kernel_radial(r, alpha, ell):
         def rows(u, log_w):
             return np.exp(log_w[None, :] - b2 * np.exp(-u)[None, :])
 
-        out[pos] = pref * _subordinate(rows, 0.5 * (alpha - ell), u_lo)
+        out[pos] = _subordinate(rows, 0.5 * (alpha - ell), u_lo, log_norm)
     return out if out.size > 1 else float(out[0])
 
 
@@ -162,7 +162,8 @@ def _cell_matrix(targets, centers, h, alpha):
         s = 0.5 * np.exp(-0.5 * u)         # 1 / (2 sqrt t)
         return np.exp(log_w) * (erfc(np.outer(a, s)) - erfc(np.outer(b, s)))
 
-    vals = (0.5 / gamma(0.5 * alpha) * _subordinate(rows, 0.5 * alpha, u_lo)
+    vals = (_subordinate(rows, 0.5 * alpha, u_lo,
+                         math.log(0.5) - gammaln(0.5 * alpha))
             + 0.5 * (1.0 - np.sign(a)) * gammainc(0.5 * alpha, math.exp(u_lo)))
     return vals[inv].reshape(d.shape)
 
@@ -275,7 +276,7 @@ def _simplex_project(v):
     return np.maximum(v - theta, 0.0)
 
 
-def _J_fixed_grid(points, w, report, q, R, eps, n_tau=160, n_y=24):
+def _J_fixed_grid(points, w, report, q, R, eps):
     """J and its weight-gradient on a fixed deterministic quadrature grid.
 
     Fixed panels keep J(w) smooth during optimization; the reported

@@ -212,6 +212,8 @@ def _cmd_classify(args):
                                                   tol=args.tol).to_dict()
     if args.measure:
         raw = _read_json(args.measure)
+        if not isinstance(raw, dict):
+            raise GeometryError("measure map: expected a JSON object")
         mu = {sid: measure_from_dict(doc) for sid, doc in raw.items()}
         payload["good_measure"] = good_measure_check(poly, mu, args.q,
                                                      tol=args.tol).to_dict()

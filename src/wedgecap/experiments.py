@@ -26,8 +26,8 @@ from .errors import AnomalyError, ConfigurationError, DomainError
 from .exponents import _require_q, capacity_index_s, critical_exponents
 from .geometry import DiscreteMeasure, dirac
 from .kernels import (DEFAULT_QUAD, KernelParams, M_nu_s, QuadratureSpec,
-                      _F_outside_m1, h_sigma_j, params_from_report,
-                      reduced_I_ladder)
+                      _F_outside_m1, _tau_ladder, h_sigma_j,
+                      params_from_report, reduced_I_ladder)
 
 DEFAULT_SEED = 42
 
@@ -163,16 +163,10 @@ def dichotomy_experiment(N, k, gamma, q, eps_grid=None, R=1.0, quad=None):
     def integrand(r_nodes):
         return (r_nodes ** rpow * slice_T(r_nodes))[None, :]
 
-    I_vals = []
-    for eps in eps_grid:
-        edges = merge_edges(eps, R, geometric_edges(eps, R, 6),
-                            np.linspace(eps, R, 9))
-        v, _ = integrate_rows(integrand, edges, rtol=quad.rtol)
-        I_vals.append(float(v[0]))
+    I_vals, _ = _tau_ladder(integrand, eps_grid, R, None, quad)
     slope_I, _, r2_I, se_I = fit_loglog(eps_grid, I_vals)
 
-    w_vals = np.array([float(integrand(np.array([e]))[0, 0]) for e in eps_grid])
-    slope_w, _, r2_w, se_w = fit_loglog(eps_grid, w_vals)
+    slope_w, _, r2_w, se_w = fit_loglog(eps_grid, integrand(np.array(eps_grid))[0])
     divergent = bool(slope_w <= -1.0)
 
     metrics = {
@@ -183,7 +177,7 @@ def dichotomy_experiment(N, k, gamma, q, eps_grid=None, R=1.0, quad=None):
         "verdict": "divergent" if divergent else "convergent",
         "q_c": rep.q_c,
     }
-    rows = [{"params": {"eps": e}, "metric": "I_eps", "value": v}
+    rows = [{"params": {"eps": e}, "metric": "I_eps", "value": float(v)}
             for e, v in zip(eps_grid, I_vals)]
     tolerances = {"slope_rtol": DICHOTOMY_SLOPE_RTOL,
                   "flat_atol": DICHOTOMY_FLAT_ATOL,
@@ -468,8 +462,9 @@ class HeatLift:
     The orthonormal type-I DST is its own inverse and diagonalizes the FD
     Laplacian: -Laplacian has eigenvalues (4/h^2) sin^2(j pi / 2n), 0 < j < n
     (G. Strang, SIAM Review 41, 1999).  So w, w_t and w_tt are exact in t
-    for the semi-discrete system at one O(n log n) transform each, and the
-    discrete maximum principle holds to roundoff.  H(x', x'') = w(|x'|^2, x'').
+    for the semi-discrete system, and the discrete maximum principle holds
+    to roundoff.  A 1-D array of times costs one batched transform, one row
+    per time.  The lift is H(x', x'') = w(|x'|^2, x'').
     """
 
     def __init__(self, eta_fn, R, n=1024):
@@ -489,20 +484,20 @@ class HeatLift:
         self.lam = 4.0 / self.h ** 2 * np.sin(0.5 * math.pi / n * np.arange(1, n)) ** 2
         self.c = dst(self.eta[1:-1], type=1, norm="ortho")
 
-    def _synthesize(self, g):
-        return np.pad(dst(g * self.c, type=1, norm="ortho"), 1)
+    def _at(self, t, order):
+        """d^order w / dt^order at a time, or one row per time of a 1-D array."""
+        g = (-self.lam) ** order * np.exp(-np.multiply.outer(t, self.lam))
+        rows = dst(g * self.c, type=1, norm="ortho", axis=-1)
+        return np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(1, 1)])
 
     def w(self, t):
-        return self._synthesize(np.exp(-self.lam * t))
+        return self._at(t, 0)
 
     def wt(self, t):
-        return self._synthesize(-self.lam * np.exp(-self.lam * t))
+        return self._at(t, 1)
 
     def wtt(self, t):
-        return self._synthesize(self.lam ** 2 * np.exp(-self.lam * t))
-
-    def H(self, y):
-        return self.w(y * y)
+        return self._at(t, 2)
 
 
 def _cos2_bump(center, width):
@@ -561,13 +556,10 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8, edge_dim=1, n_solve=1024,
 
     # (a) maximum principle + exact initial trace
     t_samples = np.concatenate([[0.0], np.geomspace(1e-6, R * R, 60)])
-    overshoot = 0.0
-    eta_max = float(np.max(lift.eta))
-    for t in t_samples:
-        wv = lift.w(t)
-        overshoot = max(overshoot, float(np.max(wv) - eta_max), float(-np.min(wv)))
-    init_err = float(np.max(np.abs(lift.w(0.0) - lift.eta)))
-    overshoot = max(overshoot, init_err)
+    W = lift.w(t_samples)
+    init_err = float(np.max(np.abs(W[0] - lift.eta)))
+    overshoot = max(0.0, float(np.max(W) - np.max(lift.eta)),
+                    float(-np.min(W)), init_err)
 
     # (b) Laplacian identity at three FD resolutions
     resid = []
@@ -578,52 +570,46 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8, edge_dim=1, n_solve=1024,
             raise ConfigurationError("h_grid entries must be multiples of the "
                                      "solver step")
         ys = np.arange(0.15 * R, 0.7 * R, h)
+        y, t = ys[:, None], ys * ys
         cols = np.arange(stride, x.size - stride, stride)
-        worst = 0.0
-        for y in ys:
-            w0 = lift.w(y * y)
-            wp = lift.w((y + h) ** 2)
-            wm = lift.w((y - h) ** 2)
-            lhs = ((wp - 2.0 * w0 + wm) / h ** 2
-                   + (k - 1.0) / y * (wp - wm) / (2.0 * h))
-            lhs = lhs[cols] + (w0[cols + stride] - 2.0 * w0[cols]
-                               + w0[cols - stride]) / h ** 2
-            rhs = 4.0 * y * y * lift.wtt(y * y)[cols] \
-                + (2.0 * k + 1.0) * lift.wt(y * y)[cols]
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        resid.append(worst)
+        w0, wp, wm = lift.w(t), lift.w((ys + h) ** 2), lift.w((ys - h) ** 2)
+        lhs = ((wp - 2.0 * w0 + wm) / h ** 2
+               + (k - 1.0) / y * (wp - wm) / (2.0 * h))
+        lhs = lhs[:, cols] + (w0[:, cols + stride] - 2.0 * w0[:, cols]
+                              + w0[:, cols - stride]) / h ** 2
+        rhs = 4.0 * y * y * lift.wtt(t)[:, cols] \
+            + (2.0 * k + 1.0) * lift.wt(t)[:, cols]
+        resid.append(float(np.max(np.abs(lhs - rhs))))
     orders = [math.log2(resid[i] / resid[i + 1]) for i in range(len(resid) - 1)]
 
     # (c) gradient functional vs fractional edge norm, over a bump family
     family = [(0.0, R / 4.0), (0.0, R / 6.0), (R / 8.0, R / 8.0),
               (-R / 8.0, R / 6.0), (R / 16.0, R / 4.0)]
     ys = np.arange(0.05 * R, 0.72 * R, R / 64.0)
+    y, t = ys[:, None], ys * ys
     cols = np.arange(1, x.size - 1)
-    psi = _cutoff_profile(ys / R)
-    dpsi = np.gradient(_cutoff_profile(np.abs(ys) / R), ys)
+    psi = _cutoff_profile(ys / R)[:, None]
+    dpsi = np.gradient(_cutoff_profile(np.abs(ys) / R), ys)[:, None]
     rho_R = np.cos(0.5 * math.pi * x[cols] / R)
     drho_R = -0.5 * math.pi / R * np.sin(0.5 * math.pi * x[cols] / R)
+    rho_A = y ** kappa_plus * psi
+    rho = rho_A * rho_R
+    drho_y = (kappa_plus * y ** (kappa_plus - 1.0) * psi
+              + y ** kappa_plus * dpsi) * rho_R
+    drho_x = rho_A * drho_R
     ratios = []
     for center, width in family:
         lf = HeatLift(_cos2_bump(center, width), R, n=n_solve)
-        Lq = 0.0
-        for iy, y in enumerate(ys):
-            t = y * y
-            w0, wt, wtt = lf.w(t), lf.wt(t), lf.wtt(t)
-            lapH = 4.0 * t * wtt[cols] + (2.0 * k + 1.0) * wt[cols]
-            dyH = 2.0 * y * wt[cols]
-            dxH = (w0[cols + 1] - w0[cols - 1]) / (2.0 * h_s)
-            rho_A = y ** kappa_plus * psi[iy]
-            rho = rho_A * rho_R
-            drho_y = (kappa_plus * y ** (kappa_plus - 1.0) * psi[iy]
-                      + y ** kappa_plus * dpsi[iy]) * rho_R
-            drho_x = rho_A * drho_R
-            grad_term = np.abs(drho_y * dyH + drho_x * dxH)
-            Lval = (np.maximum(rho, 0.0) ** (1.0 / qp) * np.abs(lapH)
-                    + 2.0 * np.maximum(rho, 1e-300) ** (-1.0 / q) * grad_term)
-            Lq += float(np.sum(Lval ** qp) * h_s * (R / 64.0)) * y ** (k - 1.0)
-        eta_norm = besov_pos_norm(lf.eta, x, s, qp)
-        ratios.append(Lq ** (1.0 / qp) / eta_norm)
+        w0, wt, wtt = lf.w(t), lf.wt(t)[:, cols], lf.wtt(t)[:, cols]
+        lapH = 4.0 * t[:, None] * wtt + (2.0 * k + 1.0) * wt
+        dyH = 2.0 * y * wt
+        dxH = (w0[:, cols + 1] - w0[:, cols - 1]) / (2.0 * h_s)
+        grad_term = np.abs(drho_y * dyH + drho_x * dxH)
+        Lval = (np.maximum(rho, 0.0) ** (1.0 / qp) * np.abs(lapH)
+                + 2.0 * np.maximum(rho, 1e-300) ** (-1.0 / q) * grad_term)
+        terms = np.sum(Lval ** qp, axis=1) * h_s * (R / 64.0) * ys ** (k - 1.0)
+        Lq = float(np.cumsum(terms)[-1])   # in y order; np.sum would pair rows
+        ratios.append(Lq ** (1.0 / qp) / besov_pos_norm(lf.eta, x, s, qp))
     ratio_spread = max(ratios) / min(ratios)
 
     # (d) |Delta zeta| <= c rho^R rho_A^R as a finite-sample sup-ratio
@@ -632,25 +618,23 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8, edge_dim=1, n_solve=1024,
     for frac in sorted(h_grid, reverse=True)[-2:]:
         h = frac * R
         stride = int(round(h / h_s))
-        ys2 = np.arange(max(0.1 * R, 2.0 * h), 0.7 * R, h)
+        y = np.arange(max(0.1 * R, 2.0 * h), 0.7 * R, h)[:, None]
         cols2 = np.arange(stride, x.size - stride, stride)
-        worst = 0.0
-        for y in ys2:
-            def zeta_slice(yv):
-                val = lift.w(yv * yv) ** qp
-                return (yv ** kappa_plus
-                        * _cutoff_profile(np.array([yv / R]))[0] * val)
-            z0, zp, zm = zeta_slice(y), zeta_slice(y + h), zeta_slice(y - h)
-            lap = ((zp - 2.0 * z0 + zm) / h ** 2
-                   + (k - 1.0) / y * (zp - zm) / (2.0 * h)
-                   - gamma_open / y ** 2 * z0)
-            lap = lap[cols2] + (z0[cols2 + stride] - 2.0 * z0[cols2]
-                                + z0[cols2 - stride]) / h ** 2
-            dom = (np.cos(0.5 * math.pi * x[cols2] / R)
-                   * y ** kappa_plus * _cutoff_profile(np.array([y / R]))[0])
-            mask = dom > 1e-8 * np.max(dom)
-            worst = max(worst, float(np.max(np.abs(lap[mask]) / dom[mask])))
-        sup_ratios.append(worst)
+
+        def zeta_slice(yv):
+            val = lift.w((yv * yv)[:, 0]) ** qp
+            return yv ** kappa_plus * _cutoff_profile(yv / R) * val
+
+        z0, zp, zm = zeta_slice(y), zeta_slice(y + h), zeta_slice(y - h)
+        lap = ((zp - 2.0 * z0 + zm) / h ** 2
+               + (k - 1.0) / y * (zp - zm) / (2.0 * h)
+               - gamma_open / y ** 2 * z0)
+        lap = lap[:, cols2] + (z0[:, cols2 + stride] - 2.0 * z0[:, cols2]
+                               + z0[:, cols2 - stride]) / h ** 2
+        dom = (np.cos(0.5 * math.pi * x[cols2] / R)
+               * y ** kappa_plus * _cutoff_profile(y / R))
+        mask = dom > 1e-8 * np.max(dom, axis=1, keepdims=True)
+        sup_ratios.append(float(np.max(np.abs(lap[mask]) / dom[mask])))
     zeta_growth = sup_ratios[-1] / sup_ratios[0] if sup_ratios[0] > 0 else np.inf
 
     metrics = {

@@ -24,6 +24,7 @@ theta_1 = 0) is a documented choice; nothing downstream depends on it
 because all kernels only see |x''-z|.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -375,6 +376,8 @@ class SetPiece:
         object.__setattr__(self, "points",
                            tuple(tuple(float(v) for v in np.atleast_1d(p))
                                  for p in self.points))
+        if self.kind == "grid" and not self.points:
+            raise GeometryError("grid piece needs at least one point")
 
     def to_dict(self):
         d = {"stratum": self.stratum, "kind": self.kind}
@@ -458,54 +461,54 @@ def dumps(obj, indent=2):
     return _serialize(obj, indent, 0)
 
 
-def _req(d, key, ctx):
+def _req(d, key, ctx, kind=object):
+    if not isinstance(d, dict):
+        raise GeometryError("%s: expected a JSON object" % ctx)
     if key not in d:
         raise GeometryError("%s: missing field %r" % (ctx, key))
+    if not isinstance(d[key], kind):
+        raise GeometryError("%s: field %r must be a %s" % (ctx, key, kind.__name__))
     return d[key]
 
 
+def _parser(ctx):
+    """Report a wrongly typed or shaped field of a document as GeometryError."""
+    def wrap(parse):
+        @functools.wraps(parse)
+        def parse_checked(d, *args, **kwargs):
+            try:
+                return parse(d, *args, **kwargs)
+            except GeometryError:
+                raise
+            except (TypeError, ValueError, KeyError, OverflowError) as exc:
+                raise GeometryError("%s: malformed field (%s)" % (ctx, exc)) from None
+        return parse_checked
+    return wrap
+
+
+@_parser("wedge")
 def wedge_from_dict(d, allow_pole=False):
-    try:
-        N = int(_req(d, "N", "wedge"))
-        k = int(_req(d, "k", "wedge"))
-        alpha1 = _req(d, "alpha1", "wedge")
-        alpha1 = None if alpha1 is None else float(alpha1)
-        intervals = tuple((float(a), float(b)) for a, b in d.get("intervals", []))
-    except (TypeError, ValueError) as exc:
-        raise GeometryError("wedge: malformed field (%s)" % exc) from None
+    N = int(_req(d, "N", "wedge"))
+    k = int(_req(d, "k", "wedge"))
+    alpha1 = _req(d, "alpha1", "wedge")
+    alpha1 = None if alpha1 is None else float(alpha1)
+    intervals = tuple((float(a), float(b)) for a, b in d.get("intervals", []))
     return validate_wedge(WedgeSpec(N=N, k=k, alpha1=alpha1, intervals=intervals,
                                     allow_pole=allow_pole))
 
 
+@_parser("measure")
 def measure_from_dict(d):
-    try:
-        m = int(_req(d, "m", "measure"))
-        atoms = [(a["z"], a["w"]) for a in _req(d, "atoms", "measure")]
-    except (TypeError, KeyError, ValueError) as exc:
-        raise GeometryError("measure: malformed field (%s)" % exc) from None
-    return DiscreteMeasure(m, atoms)
+    m = int(_req(d, "m", "measure"))
+    return DiscreteMeasure(m, [(a["z"], a["w"])
+                               for a in _req(d, "atoms", "measure", list)])
 
 
+@_parser("polyhedron")
 def polyhedron_from_dict(d):
     strata = []
-    raw = _req(d, "strata", "polyhedron")
-    N = d.get("N")
-    if N is None:
-        for s in raw:
-            op = s.get("opening")
-            if isinstance(op, dict) and "N" in op:
-                N = int(op["N"])
-                break
-        if N is None:
-            raise GeometryError("polyhedron: ambient dimension not recoverable; "
-                                "add an \"N\" field or a wedge opening")
-    N = int(N)
-    for s in raw:
-        try:
-            sid = str(_req(s, "id", "stratum"))
-            k = int(_req(s, "k", "stratum"))
-        except (TypeError, ValueError) as exc:
-            raise GeometryError("stratum: malformed field (%s)" % exc) from None
+    for s in _req(d, "strata", "polyhedron", list):
+        sid = str(_req(s, "id", "stratum"))
         op = s.get("opening")
         if op is None:
             opening = None
@@ -515,18 +518,21 @@ def polyhedron_from_dict(d):
             opening = wedge_from_dict(op)
         else:
             raise GeometryError("stratum %r: opening must be wedge|{'gamma'}|null" % sid)
-        strata.append(Stratum(id=sid, k=k, opening=opening))
-    return PolyhedronSpec(N=N, strata=tuple(strata))
+        strata.append(Stratum(id=sid, k=int(_req(s, "k", "stratum")), opening=opening))
+    N = d.get("N")
+    wedge_N = [s.opening.N for s in strata if isinstance(s.opening, WedgeSpec)]
+    if N is None and not wedge_N:
+        raise GeometryError("polyhedron: ambient dimension not recoverable; "
+                            "add an \"N\" field or a wedge opening")
+    return PolyhedronSpec(N=int(wedge_N[0] if N is None else N), strata=tuple(strata))
 
 
+@_parser("set")
 def set_from_dict(d):
     pieces = []
-    for p in _req(d, "pieces", "set"):
-        try:
-            stratum = str(_req(p, "stratum", "set piece"))
-            kind = str(_req(p, "kind", "set piece"))
-        except (TypeError, ValueError) as exc:
-            raise GeometryError("set piece: malformed field (%s)" % exc) from None
+    for p in _req(d, "pieces", "set", list):
+        stratum = str(_req(p, "stratum", "set piece"))
+        kind = str(_req(p, "kind", "set piece"))
         if kind == "point":
             pieces.append(SetPiece(stratum=stratum, kind=kind,
                                    z=_req(p, "z", "point piece")))
@@ -537,8 +543,7 @@ def set_from_dict(d):
                                    z=p.get("z")))
         elif kind == "grid":
             pieces.append(SetPiece(stratum=stratum, kind=kind,
-                                   points=tuple(_req(p, "points", "grid piece"))))
+                                   points=tuple(_req(p, "points", "grid piece", list))))
         else:
             raise GeometryError("set piece kind %r not one of point|ball|grid" % kind)
     return CompactSetDescription(pieces=tuple(pieces))
-

@@ -311,7 +311,9 @@ def F_nu_m(tau, mu, params, quad=None, truncated=True):
     """L^q integral over R^m (or the ball |y| < R) of the inner kernel sum.
 
     tau may be a scalar or an array; all values share one adaptively
-    refined panel set.  Returns (values, errors) with tau's shape.
+    refined panel set.  Returns (values, errors) with tau's shape.  For
+    m = 2 the error covers the outer y1-quadrature and, on the full plane,
+    the tail bound, but not the error of the inner y2-solves.
     """
     quad = quad or DEFAULT_QUAD
     tau_arr = np.atleast_1d(np.asarray(tau, float))

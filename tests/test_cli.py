@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wedgecap.cli import main
 from wedgecap.geometry import dumps
@@ -15,6 +18,10 @@ def run_cli(capsys, *argv):
 
 
 QUARTER = ("--N", "3", "--k", "2", "--alpha1", "1.5707963267948966")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMO = {"--poly": os.path.join(ROOT, "demos", "cube.json"),
+        "--set": os.path.join(ROOT, "demos", "vertex_set.json"),
+        "--measure": os.path.join(ROOT, "demos", "edge_measure.json")}
 
 CUBE = {
     "N": 3,
@@ -236,3 +243,94 @@ def test_non_finite_flags_exit_2(capsys, monkeypatch, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def classify_argv(flag, path):
+    """classify --q 1.7 on the demos/ inputs, with ``path`` as the ``flag`` file."""
+    files = dict(DEMO, **{flag: path})
+    return ["classify", "--q", "1.7"] + [x for kv in files.items() for x in kv]
+
+
+@pytest.mark.parametrize("command, flag, doc, message", [
+    ("capacity", "--set", 5, "expected a JSON object"),
+    ("capacity", "--set", {"pieces": 5}, "'pieces' must be a list"),
+    ("capacity", "--set", {"pieces": [{"stratum": "edge", "kind": "grid",
+                                       "points": 5}]}, "'points' must be a list"),
+    ("capacity", "--set", {"pieces": [{"stratum": "edge", "kind": "grid",
+                                       "points": []}]},
+     "grid piece needs at least one point"),
+    ("classify", "--set", 5, "expected a JSON object"),
+    ("classify", "--set", {"pieces": 5}, "'pieces' must be a list"),
+    ("classify", "--set", {"pieces": [{"stratum": "edge", "kind": "grid",
+                                       "points": 5}]}, "'points' must be a list"),
+    ("classify", "--poly", 5, "expected a JSON object"),
+    ("classify", "--poly", {"strata": 5}, "'strata' must be a list"),
+    ("classify", "--measure", 5, "expected a JSON object"),
+])
+def test_malformed_documents_exit_2(tmp_path, capsys, command, flag, doc, message):
+    # each used to raise a traceback (exit 1, the usage-error code)
+    path = write(tmp_path, "doc.json", doc)
+    if command == "capacity":
+        argv = ["capacity", "--set", path, "--alpha", "0.6", "--p", "2"]
+    else:
+        argv = classify_argv(flag, path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+_WIRE_KEYS = ("N", "k", "id", "opening", "gamma", "alpha1", "intervals", "strata",
+              "pieces", "stratum", "kind", "z", "radius", "dim", "points", "m",
+              "atoms", "w", "point", "ball", "grid", "face", "edge", "vertex")
+_SCALARS = (st.none() | st.booleans() | st.integers(-5, 5)
+            | st.integers(-10 ** 400, 10 ** 400)
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from(_WIRE_KEYS) | st.text(max_size=4))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_WIRE_KEYS) | st.text(max_size=4),
+                                     inner, max_size=5)),
+    max_leaves=24)
+_VALUES = _JSON | st.floats(-1.0, 13.0)   # plus plausible angles and exponents
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key in (doc if isinstance(doc, dict) else range(len(doc))):
+            yield from _paths(doc[key], prefix + (key,))
+
+
+def _mutated(doc, data):
+    """The document with one or two of its values replaced or deleted."""
+    for _ in range(data.draw(st.integers(1, 2))):
+        paths = list(_paths(doc))[1:]
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.integers(0, 3)):
+            parent[path[-1]] = data.draw(_VALUES)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data(), flag=st.sampled_from(sorted(DEMO)))
+def test_classify_fuzzed_documents_never_raise(tmp_path, data, flag):
+    # classify reaches analytic verdicts only, so any document is cheap
+    with open(DEMO[flag], encoding="utf-8") as fh:
+        demo = json.load(fh)
+    doc = _mutated(demo, data) if data.draw(st.integers(0, 3)) else data.draw(_JSON)
+    path = write(tmp_path, "fuzz.json", doc)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(classify_argv(flag, path))
+    assert code in (0, 2, 3)

@@ -204,6 +204,15 @@ class TestHeatLiftOracle:
             assert np.max(np.abs(du[1:-1] - lap(u))) <= 1e-14 * scale
             assert du[0] == 0.0 and du[-1] == 0.0
 
+    def test_time_array_rows_are_scalar_calls(self):
+        lift = HeatLift(_skewed_bump, 4.0, n=256)
+        ts = np.array([0.0, 1e-3, 0.1, 2.0])
+        for method in (lift.w, lift.wt, lift.wtt):
+            rows = method(ts)
+            assert rows.shape == (4, lift.n + 1)
+            for i, t in enumerate(ts):
+                assert np.array_equal(rows[i], method(t))
+
     def test_initial_value_is_eta(self):
         lift = HeatLift(_skewed_bump, 4.0)
         assert np.max(np.abs(lift.w(0.0) - lift.eta)) <= 1e-14
