@@ -23,6 +23,7 @@ import numpy as np
 from .errors import AccuracyError
 
 _TINY = 1e-300
+_MAX_PANELS = 4096   # refinement budget; exceeding it raises AccuracyError
 
 
 @lru_cache(maxsize=32)
@@ -83,7 +84,7 @@ def _row_sums(f, a, b):
     return hi, lo
 
 
-def _refine(f, edges, rtol, max_panels):
+def _refine(f, edges, rtol):
     """The refinement engine behind :func:`integrate_rows` and
     :func:`integrate_partials`.
 
@@ -105,7 +106,7 @@ def _refine(f, edges, rtol, max_panels):
         scale = np.maximum(np.abs(vals), _TINY)
         if np.all(errs <= rtol * scale):
             return a, hi, vals, errs
-        if a.size >= max_panels:
+        if a.size >= _MAX_PANELS:
             raise AccuracyError(
                 "quadrature stalled at %d panels (worst relative error %.3g, target %.3g)"
                 % (a.size, float(np.max(errs / scale)), rtol),
@@ -114,7 +115,7 @@ def _refine(f, edges, rtol, max_panels):
         order_idx = np.argsort(pe, kind="stable")[::-1]
         csum = np.cumsum(pe[order_idx])
         ncut = int(np.searchsorted(csum, 0.5 * csum[-1])) + 1
-        ncut = min(ncut, max(1, max_panels - a.size))
+        ncut = min(ncut, max(1, _MAX_PANELS - a.size))
         sel = np.zeros(a.size, bool)
         sel[order_idx[:ncut]] = True
         am, bm = a[sel], b[sel]
@@ -131,7 +132,7 @@ def _refine(f, edges, rtol, max_panels):
         hi, lo = hi[:, perm], lo[:, perm]
 
 
-def integrate_rows(f, edges, rtol=1e-8, max_panels=4096):
+def integrate_rows(f, edges, rtol=1e-8):
     """Integrate every row of a vectorized integrand family over one interval.
 
     Parameters
@@ -142,30 +143,29 @@ def integrate_rows(f, edges, rtol=1e-8, max_panels=4096):
     edges : array_like
         Initial panel edges; singular or peaked locations should appear here.
     rtol : float
-        Target relative error for every row.
-    max_panels : int
-        Refinement budget.  Exceeding it raises :class:`AccuracyError`
-        carrying the best values and error estimates.
+        Target relative error for every row.  Exceeding the budget of
+        ``_MAX_PANELS`` panels raises :class:`AccuracyError` carrying the
+        best values and error estimates.
 
     Returns
     -------
     (values, errors) : ndarray, ndarray of shape (nrows,)
     """
-    _, _, vals, errs = _refine(f, edges, rtol, max_panels)
+    _, _, vals, errs = _refine(f, edges, rtol)
     return vals, errs
 
 
-def integrate(f, edges, rtol=1e-8, max_panels=4096):
+def integrate(f, edges, rtol=1e-8):
     """Single-integrand version of :func:`integrate_rows`.
 
     Returns ``(value, error_estimate)`` as floats.
     """
     vals, errs = integrate_rows(lambda x: np.asarray(f(x), float)[None, :],
-                                edges, rtol=rtol, max_panels=max_panels)
+                                edges, rtol=rtol)
     return float(vals[0]), float(errs[0])
 
 
-def integrate_partials(f, edges, cuts, rtol=1e-8, max_panels=4096):
+def integrate_partials(f, edges, cuts, rtol=1e-8):
     """One adaptive solve, many nested tails: integrals over [cut, edges[-1]].
 
     Every cut must appear among the initial edges, so panels never
@@ -179,7 +179,7 @@ def integrate_partials(f, edges, cuts, rtol=1e-8, max_panels=4096):
     for c in cuts:
         if not np.any(np.isclose(edges, c, rtol=0.0, atol=1e-15 * max(abs(c), 1.0))):
             raise ValueError("every cut must be an initial panel edge")
-    a, hi, _, errs = _refine(f, edges, rtol, max_panels)
+    a, hi, _, errs = _refine(f, edges, rtol)
     vals = np.array([hi[0, a >= c - 1e-15 * max(abs(c), 1.0)].sum() for c in cuts])
     return vals, float(errs[0])
 

@@ -34,7 +34,7 @@ from ._quad import gauss_legendre, geometric_edges, integrate_rows, merge_edges
 from .errors import (ConfigurationError, DomainError, SingularityError,
                      SolverError)
 from .geometry import DiscreteMeasure
-from .kernels import DEFAULT_QUAD, M_nu_s, params_from_report
+from .kernels import M_nu_s, params_from_report
 
 # pre-declared verdict thresholds for the extrapolated refinement fit
 FIT_RESIDUAL_TOL = 0.05     # relative misfit above which no verdict is issued
@@ -215,7 +215,7 @@ def _dual_ascent(A, h, p, gap_tol=1e-6, max_iter=20000):
 
 
 def bessel_capacity(points, alpha, p, resolution=0.05, levels=4,
-                    dilation_radii=3.0, gap_tol=1e-6):
+                    dilation_radii=3.0):
     """Discretized Bessel capacity of a finite point set K in R^1.
 
     Source grid: K dilated by ``dilation_radii`` kernel effective radii,
@@ -256,7 +256,7 @@ def bessel_capacity(points, alpha, p, resolution=0.05, levels=4,
         if centers.size == 0:
             raise ConfigurationError("empty source grid")
         A = _cell_matrix(pts, centers, h, alpha)   # cell integrals of the kernel
-        value, gap, iters, _ = _dual_ascent(A, h, p, gap_tol=gap_tol)
+        value, gap, iters, _ = _dual_ascent(A, h, p)
         history.append((h, value))
     verdict, limit = _verdict_from_history(history, alpha * p - 1.0)
     return CapacityResult(float(value), resolution, tuple(history), verdict,
@@ -310,18 +310,17 @@ def _J_fixed_grid(points, w, report, q, R, eps):
     return J, grad
 
 
-def rho_capacity(points, report, q, R=None, quad=None, eps=1e-2,
-                 levels=4, gap_tol=1e-6, max_iter=2000):
+def rho_capacity(points, report, q, R=None, levels=4):
     """Sup-mass capacity of a finite edge set under the weighted functional.
 
     Maximizing mass(mu)^q subject to J(mu) = 1 reduces, because J is
     q-homogeneous, to sup mass/J^{1/q} over the weight simplex, i.e. to
     minimizing J there; the value is 1/min J.  The constraint functional
     is the cutoff-regularized admissibility aggregate, and the history
-    tracks the cutoff ladder: supercritical configurations drive the
-    value to zero as the cutoff shrinks.
+    tracks the cutoff ladder 1e-2 / 2^level: supercritical configurations
+    drive the value to zero as the cutoff shrinks.
     """
-    quad = quad or DEFAULT_QUAD
+    eps, gap_tol, max_iter = 1e-2, 1e-6, 2000   # cutoff, Frank-Wolfe gap, budget
     pts = np.atleast_2d(np.asarray(points, float))
     if pts.size == 0:
         hist = tuple((eps / 2.0 ** i, 0.0) for i in range(levels))
@@ -364,9 +363,9 @@ def rho_capacity(points, report, q, R=None, quad=None, eps=1e-2,
                                   gap=fw_gap)
         mu = DiscreteMeasure(report.m, [(z, wi) for z, wi in zip(pts, w)])
         params = params_from_report(report, q, R=R)
-        J_star, _ = M_nu_s(mu, params, quad=quad, eps=e_lev)
+        J_star, _ = M_nu_s(mu, params, eps=e_lev)
         # built-in homogeneity check: the objective is weight-scale invariant
-        J_double, _ = M_nu_s(mu.scaled(2.0), params, quad=quad, eps=e_lev)
+        J_double, _ = M_nu_s(mu.scaled(2.0), params, eps=e_lev)
         obj1 = mu.mass / J_star ** (1.0 / q)
         obj2 = 2.0 * mu.mass / J_double ** (1.0 / q)
         if abs(obj1 - obj2) > 1e-8 * max(abs(obj1), 1e-300):

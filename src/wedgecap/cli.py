@@ -11,11 +11,13 @@ verify      named experiment -> experiment report
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 numerical
 error.  Angles are radians; floats are echoed at 17 significant digits.
-Identical invocation and seed produce byte-identical output files (the
-wall-clock runtime is therefore not part of serialized reports).
+Each command accepts only the flags it reads; ``--format csv`` exists for
+capacity and verify.  Identical invocations produce byte-identical output
+files (the wall-clock runtime is therefore not part of serialized reports).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,14 +58,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(p):
+def _command(sub, name, help, formats=False):
+    """A subcommand parser with --out and, for table-shaped results, --format."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-8)
+    if formats:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+    return p
 
 
-def _add_wedge_flags(p):
+def _add_gamma_flags(p):
     p.add_argument("--N", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--alpha1", type=float)
@@ -71,28 +75,29 @@ def _add_wedge_flags(p):
                    metavar="a,b", help="angular interval, repeatable")
     p.add_argument("--gamma", type=float,
                    help="opening eigenvalue supplied directly")
+    p.add_argument("--tol", type=float, default=1e-8)
 
 
+@functools.cache
 def _build_parser():
     ap = _Parser(prog="wedgecap", description=__doc__,
                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command")
 
-    p = sub.add_parser("exponents", help="critical exponents of one stratum")
-    _add_wedge_flags(p)
+    p = _command(sub, "exponents", "critical exponents of one stratum")
+    _add_gamma_flags(p)
     p.add_argument("--q", type=float)
-    _add_common(p)
 
-    p = sub.add_parser("classify", help="verdicts for a polyhedron")
+    p = _command(sub, "classify", "verdicts for a polyhedron")
     p.add_argument("--poly", required=True, help="polyhedron JSON file")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--set", dest="set_path", help="compact set JSON file")
     p.add_argument("--measure", help="per-stratum measure JSON file "
                    "({stratum id: measure})")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-8)
 
-    p = sub.add_parser("kernel", help="kernel functionals of a measure")
+    p = _command(sub, "kernel", "kernel functionals of a measure")
     p.add_argument("--measure", required=True)
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -103,36 +108,43 @@ def _build_parser():
     p.add_argument("--R", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--eps", type=float, default=0.0)
-    _add_common(p)
 
-    p = sub.add_parser("besov", help="negative-order Besov proxy of a measure")
+    p = _command(sub, "besov", "negative-order Besov proxy of a measure")
     p.add_argument("--measure", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--eps", type=float, default=1e-2)
-    _add_common(p)
 
-    p = sub.add_parser("capacity", help="Bessel capacity of set pieces")
+    p = _command(sub, "capacity", "Bessel capacity of set pieces", formats=True)
     p.add_argument("--set", dest="set_path", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--ell", type=int, help="ambient dimension override")
     p.add_argument("--resolution", type=float, default=0.02)
-    _add_common(p)
 
-    p = sub.add_parser("verify", help="run a named experiment")
-    p.add_argument("name", choices=("dichotomy", "equivalence", "remainder",
-                                    "harmonicity", "heat"))
-    _add_wedge_flags(p)
+    verify = sub.add_parser("verify", help="run a named experiment")
+    verify = verify.add_subparsers(dest="name", required=True)
+    p = _command(verify, "dichotomy", "cutoff scaling at q_c", formats=True)
+    _add_gamma_flags(p)
+    p.add_argument("--q", type=float, default=1.8)
+    p = _command(verify, "equivalence", "aggregate vs Besov proxy", formats=True)
+    _add_gamma_flags(p)
     p.add_argument("--q", type=float, default=1.8)
     p.add_argument("--R", type=float, default=8.0)
-    p.add_argument("--target", default="v_A")
+    p.add_argument("--n-measures", type=int, default=20)
+    p.add_argument("--seed", type=int, default=42)
+    p = _command(verify, "remainder", "truncation remainder", formats=True)
     p.add_argument("--nu", type=float, default=3.0)
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--j", type=int, default=2)
-    p.add_argument("--n-measures", type=int, default=20)
-    _add_common(p)
+    p.add_argument("--q", type=float, default=1.8)
+    p = _command(verify, "harmonicity", "wedge-profile harmonicity", formats=True)
+    p.add_argument("--alpha1", type=float, default=0.5 * np.pi)
+    p.add_argument("--target", default="v_A")
+    p = _command(verify, "heat", "heat-semigroup lifting", formats=True)
+    p.add_argument("--q", type=float, default=1.8)
+    p.add_argument("--R", type=float, default=8.0)
     return ap
 
 
@@ -168,13 +180,7 @@ def _emit(args, payload, csv_rows=None):
            "config": {k: v for k, v in sorted(vars(args).items())
                       if k not in ("out",) and not k.startswith("_")},
            "result": payload}
-    if args.format == "csv":
-        if csv_rows is None:
-            raise ConfigurationError("csv output is only available for "
-                                     "verify reports and capacity histories")
-        text = csv_rows
-    else:
-        text = dumps(doc) + "\n"
+    text = dumps(doc) + "\n" if csv_rows is None else csv_rows
     if args.out:
         d = os.path.dirname(os.path.abspath(args.out)) or "."
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".wedgecap-")
@@ -299,8 +305,7 @@ def _cmd_verify(args):
         rep = _exp.remainder_experiment(nu=args.nu, sigma=args.sigma,
                                         m=args.m, j=args.j, q=args.q)
     elif name == "harmonicity":
-        alpha = 0.5 * np.pi if args.alpha1 is None else args.alpha1
-        rep = _exp.harmonicity_experiment(target=args.target, alpha=alpha)
+        rep = _exp.harmonicity_experiment(target=args.target, alpha=args.alpha1)
     else:
         _, rep = _exp.heat_lifting(R=args.R, q=args.q)
     return _emit(args, rep.to_dict(),

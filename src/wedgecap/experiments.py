@@ -47,6 +47,12 @@ HEAT_ORDER_BAND = (1.7, 2.3)
 HEAT_RATIO_SPREAD_MAX = 100.0
 HEAT_ZETA_GROWTH_MAX = 1.5
 
+# fixed experiment settings, echoed in the reports
+EQUIV_EPS = 1e-2                 # matched inner cutoff of both functionals
+HARMONIC_H_GRID = (0.02, 0.01, 0.005, 0.0025)
+HEAT_N_SOLVE = 1024              # grid intervals of the heat solver on (-R, R)
+HEAT_H_GRID = (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0)   # FD steps over R
+
 
 @dataclass
 class ExperimentReport:
@@ -120,11 +126,11 @@ def measure_family(m, R, n_measures=20, seed=DEFAULT_SEED,
 # point-singularity dichotomy
 
 
-def dichotomy_experiment(N, k, gamma, q, eps_grid=None, R=1.0, quad=None):
+def dichotomy_experiment(N, k, gamma, q, eps_grid=None):
     """Cutoff scaling of the admissibility integral of a unit edge atom.
 
     The radially reduced integrand is w(r) = r^{(q+1)kappa+ + k - 1} T(r)
-    with T the cross-edge slice; the full integral I(eps) over r > eps
+    with T the cross-edge slice; the integral I(eps) over eps < r < 1
     diverges as eps -> 0 exactly when the boundary exponent
     e = q(2-N-kappa+) + kappa+ + N - 1 satisfies e + 1 <= 0, i.e. q >= q_c.
 
@@ -135,7 +141,7 @@ def dichotomy_experiment(N, k, gamma, q, eps_grid=None, R=1.0, quad=None):
     within 0.01 of the critical q.
     """
     t0 = time.perf_counter()
-    quad = quad or DEFAULT_QUAD
+    quad, R = DEFAULT_QUAD, 1.0   # R: outer radius of I(eps)
     _require_q(q)
     rep = critical_exponents(N, k, gamma)
     kp = rep.kappa_plus
@@ -212,14 +218,14 @@ def _dichotomy_params(N, k, gamma, q, R):
 
 
 def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
-                           seed=DEFAULT_SEED, eps=1e-2, R_grid=(4.0, 8.0, 16.0),
-                           quad=None, family=None):
+                           seed=DEFAULT_SEED, R_grid=(4.0, 8.0, 16.0)):
     """Ratio statistics of the weighted aggregate against the Besov proxy.
 
     In the capacity window atomic measures make both functionals diverge
     at the same cutoff rate, so the comparison is made between their
-    regularizations at one matched inner cutoff ``eps``.  Checks: (a)
-    exact q-homogeneity of both sides under mu -> 2 mu, (b) bounded
+    regularizations at one matched inner cutoff EQUIV_EPS (quadrature
+    rtol 1e-4).  Checks: (a) exact q-homogeneity of both sides under
+    mu -> 2 mu, (b) bounded
     ratio spread across the seeded family, (c) growth of the largest
     ratio in the truncation radius no faster than R^{(s+nu-m)q+1}.
 
@@ -228,7 +234,7 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
     converge); a mismatch is an anomaly and raises.
     """
     t0 = time.perf_counter()
-    quad = quad or QuadratureSpec(rtol=1e-4)   # the declared quadrature tol
+    quad, eps = QuadratureSpec(rtol=1e-4), EQUIV_EPS
     rep = critical_exponents(N, k, gamma)
     if not rep.in_capacity_regime(q):
         raise ConfigurationError("equivalence experiment needs q_c <= q < q_c_star")
@@ -237,8 +243,7 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
     qp = q / (q - 1.0)
     growth_bound = (s + rep.nu - m) * q + 1.0
 
-    fam = (list(family) if family is not None
-           else measure_family(m, R, n_measures=n_measures, seed=seed))
+    fam = measure_family(m, R, n_measures=n_measures, seed=seed)
     if not fam:
         raise DomainError("n_measures must be >= 1")
     if any(mu.support_radius() > 0.5 * min(R_grid) for mu in fam):
@@ -312,8 +317,7 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
 # truncation remainder scaling
 
 
-def remainder_experiment(nu, sigma, m, j, q, mu=None, R_grid=(2.0, 4.0, 8.0, 16.0),
-                         quad=None):
+def remainder_experiment(nu, sigma, m, j, q, mu=None, R_grid=(2.0, 4.0, 8.0, 16.0)):
     """Truncation error of the reduced aggregate against its power bound.
 
     Delta(R) = integral_R^inf F h dtau + integral_0^R (F - F^R) h dtau,
@@ -322,7 +326,7 @@ def remainder_experiment(nu, sigma, m, j, q, mu=None, R_grid=(2.0, 4.0, 8.0, 16.
     (sigma+1-nu)q + m + j - 1 (+0.1 slack) and Delta must be nonincreasing.
     """
     t0 = time.perf_counter()
-    quad = quad or DEFAULT_QUAD
+    quad = DEFAULT_QUAD
     if m != 1:
         raise ConfigurationError("remainder experiment implemented for m = 1")
     mu = mu if mu is not None else dirac(1)
@@ -387,9 +391,9 @@ def _wedge_points(alpha, h_max):
     return pts[dist > 10.0 * h_max]
 
 
-def harmonicity_experiment(target="v_A", alpha=math.pi / 2, N=3,
-                           h_grid=(0.02, 0.01, 0.005, 0.0025)):
-    """Second-order decay of the discrete Laplacian on the wedge profiles.
+def harmonicity_experiment(target="v_A", alpha=math.pi / 2):
+    """Second-order decay of the discrete Laplacian on the wedge profiles
+    of the N = 3, k = 2 wedge, at the steps HARMONIC_H_GRID.
 
     target 'v_A' is the homogeneous positive profile |x'|^kappa
     sin(kappa theta_1); 'martin' is the edge kernel with pole at the
@@ -397,12 +401,10 @@ def harmonicity_experiment(target="v_A", alpha=math.pi / 2, N=3,
     epsilon; all others must show order-2 decay of the residual.
     """
     t0 = time.perf_counter()
-    if N != 3:
-        raise ConfigurationError("harmonicity experiment implemented for N = 3, k = 2")
     if not 0.0 < alpha < math.inf:
         raise DomainError("alpha must be finite and > 0")
     kappa = math.pi / alpha
-    nu = N - 2.0 + 2.0 * kappa
+    nu = 1.0 + 2.0 * kappa   # N - 2 + 2 kappa
 
     def v_A(x):
         rp = np.hypot(x[..., 0], x[..., 1])
@@ -418,7 +420,7 @@ def harmonicity_experiment(target="v_A", alpha=math.pi / 2, N=3,
     else:
         raise ConfigurationError("target must be v_A|martin")
 
-    h_grid = tuple(sorted(h_grid, reverse=True))
+    h_grid = HARMONIC_H_GRID
     pts = _wedge_points(alpha, h_grid[0])
     residuals = []
     for h in h_grid:
@@ -444,7 +446,7 @@ def harmonicity_experiment(target="v_A", alpha=math.pi / 2, N=3,
     rows = [{"params": {"h": h}, "metric": "residual", "value": r}
             for h, r in zip(h_grid, residuals)]
     return ExperimentReport("harmonicity",
-                            {"target": target, "alpha": alpha, "N": N,
+                            {"target": target, "alpha": alpha, "N": 3,
                              "h_grid": list(h_grid)},
                             metrics,
                             {"order_band": list(HARMONIC_ORDER_BAND),
@@ -518,10 +520,10 @@ def _cutoff_profile(u):
     return out
 
 
-def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8, edge_dim=1, n_solve=1024,
-                 h_grid=(1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0), eta_fn=None):
+def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
     """Lift boundary bumps through the heat flow and check the estimates.
 
+    The edge has dimension N - k = 1; the primary bump is cos^2 of width R/2.
     (a) the maximum principle 0 <= H <= max eta holds to roundoff;
     (b) the chain-rule Laplacian identity
         Delta H = 4 y^2 w_tt + (2k+1) w_t   (t = y^2)
@@ -536,8 +538,6 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8, edge_dim=1, n_solve=1024,
     Returns (lift, report) where lift is the HeatLift of the primary bump.
     """
     t0 = time.perf_counter()
-    if edge_dim != 1:
-        raise ConfigurationError("heat lifting implemented at desk scale N-k = 1")
     qp = q / (q - 1.0)
     s = capacity_index_s(k, kappa_plus, q)
     if not (0.0 < s < 2.0):
@@ -545,12 +545,7 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8, edge_dim=1, n_solve=1024,
             "edge index s = 2-(k+kappa_plus)/q' = %.6g is outside (0, 2); "
             "pick q inside the capacity window of this opening" % s)
 
-    lift = HeatLift(eta_fn or _cos2_bump(0.0, R / 2.0), R, n=n_solve)
-    if np.min(lift.eta) < 0.0 or np.max(lift.eta) > 1.0:
-        raise DomainError("eta must take values in [0, 1]")
-    outside = np.abs(lift.x) > 0.5 * R
-    if np.any(np.abs(lift.eta[outside]) > 0.0):
-        raise DomainError("eta must be supported in B_{R/2}")
+    lift = HeatLift(_cos2_bump(0.0, R / 2.0), R, n=HEAT_N_SOLVE)
     x = lift.x
     h_s = lift.h
 
@@ -563,12 +558,9 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8, edge_dim=1, n_solve=1024,
 
     # (b) Laplacian identity at three FD resolutions
     resid = []
-    for frac in sorted(h_grid, reverse=True):
+    for frac in HEAT_H_GRID:
         h = frac * R
         stride = int(round(h / h_s))
-        if abs(stride * h_s - h) > 1e-12 * h:
-            raise ConfigurationError("h_grid entries must be multiples of the "
-                                     "solver step")
         ys = np.arange(0.15 * R, 0.7 * R, h)
         y, t = ys[:, None], ys * ys
         cols = np.arange(stride, x.size - stride, stride)
@@ -599,7 +591,7 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8, edge_dim=1, n_solve=1024,
     drho_x = rho_A * drho_R
     ratios = []
     for center, width in family:
-        lf = HeatLift(_cos2_bump(center, width), R, n=n_solve)
+        lf = HeatLift(_cos2_bump(center, width), R, n=HEAT_N_SOLVE)
         w0, wt, wtt = lf.w(t), lf.wt(t)[:, cols], lf.wtt(t)[:, cols]
         lapH = 4.0 * t[:, None] * wtt + (2.0 * k + 1.0) * wt
         dyH = 2.0 * y * wt
@@ -615,7 +607,7 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8, edge_dim=1, n_solve=1024,
     # (d) |Delta zeta| <= c rho^R rho_A^R as a finite-sample sup-ratio
     gamma_open = kappa_plus ** 2 + (k - 2.0) * kappa_plus
     sup_ratios = []
-    for frac in sorted(h_grid, reverse=True)[-2:]:
+    for frac in HEAT_H_GRID[-2:]:
         h = frac * R
         stride = int(round(h / h_s))
         y = np.arange(max(0.1 * R, 2.0 * h), 0.7 * R, h)[:, None]
@@ -650,10 +642,10 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8, edge_dim=1, n_solve=1024,
               and ratio_spread <= HEAT_RATIO_SPREAD_MAX
               and zeta_growth <= HEAT_ZETA_GROWTH_MAX)
     rows = [{"params": {"h": f * R}, "metric": "identity_residual", "value": r}
-            for f, r in zip(sorted(h_grid, reverse=True), resid)]
+            for f, r in zip(HEAT_H_GRID, resid)]
     report = ExperimentReport("heat_lifting",
                               {"R": R, "k": k, "kappa_plus": kappa_plus, "q": q,
-                               "edge_dim": edge_dim, "n_solve": n_solve},
+                               "edge_dim": 1, "n_solve": HEAT_N_SOLVE},
                               metrics,
                               {"overshoot_max": HEAT_OVERSHOOT_MAX,
                                "order_band": list(HEAT_ORDER_BAND),

@@ -58,7 +58,10 @@ def kappa_roots(N, lambda_A):
 
 
 def q_c_from_kappa(N, kappa_plus):
-    return (kappa_plus + N) / (kappa_plus + N - 2.0)
+    den = kappa_plus + N - 2.0
+    if not den > 0.0:
+        raise DomainError("q_c needs kappa_plus + N - 2 > 0 (got %.3g)" % den)
+    return (kappa_plus + N) / den
 
 
 def cone_q_c_direct(N, lambda_A):
@@ -84,8 +87,8 @@ def absorption_coefficient(N, q):
     return t * (t * q - N)   # 2q/(q-1) = t*q
 
 
-def identity_check(N, lambda_A, rtol=1e-10):
-    """True iff a_{N, q_c} == lambda_A to rtol, with q_c derived from lambda_A.
+def identity_check(N, lambda_A):
+    """True iff a_{N, q_c} == lambda_A to 1e-10, with q_c derived from lambda_A.
 
     An algebraic identity equivalent to kappa_plus (kappa_plus + N - 2)
     = lambda_A; it pins the point criticality threshold to the absorption
@@ -94,7 +97,7 @@ def identity_check(N, lambda_A, rtol=1e-10):
     kp, _ = kappa_roots(N, lambda_A)
     qc = q_c_from_kappa(N, kp)
     a = absorption_coefficient(N, qc)
-    return abs(a - lambda_A) <= rtol * abs(lambda_A)
+    return abs(a - lambda_A) <= 1e-10 * abs(lambda_A)
 
 
 @dataclass(frozen=True)

@@ -421,9 +421,9 @@ def _float17(x):
     return format(x, ".17g")
 
 
-def _serialize(obj, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _serialize(obj, level):
+    pad = " " * (2 * level)
+    pad_in = " " * (2 * (level + 1))
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -439,26 +439,27 @@ def _serialize(obj, indent, level):
             return "{}"
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
         body = ",\n".join("%s%s: %s" % (pad_in, json.dumps(str(k)),
-                                        _serialize(v, indent, level + 1))
+                                        _serialize(v, level + 1))
                           for k, v in items)
         return "{\n%s\n%s}" % (body, pad)
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        body = ",\n".join(pad_in + _serialize(v, indent, level + 1) for v in obj)
+        body = ",\n".join(pad_in + _serialize(v, level + 1) for v in obj)
         return "[\n%s\n%s]" % (body, pad)
     if hasattr(obj, "item"):   # numpy scalars
-        return _serialize(obj.item(), indent, level)
+        return _serialize(obj.item(), level)
     raise GeometryError("cannot serialize %r" % type(obj))
 
 
-def dumps(obj, indent=2):
-    """JSON text with keys sorted and floats at 17 significant digits.
+def dumps(obj):
+    """JSON text with keys sorted, two-space indents and floats at 17
+    significant digits.
 
     The standard encoder pins float formatting to the shortest repr, so
     this small serializer owns the wire format instead.
     """
-    return _serialize(obj, indent, 0)
+    return _serialize(obj, 0)
 
 
 def _req(d, key, ctx, kind=object):
@@ -486,20 +487,28 @@ def _parser(ctx):
     return wrap
 
 
+def _req_int(d, key, ctx):
+    """An integer field; a boolean or a number with a fraction is an error."""
+    v = _req(d, key, ctx)
+    if isinstance(v, bool) or not (isinstance(v, int)
+                                   or isinstance(v, float) and v.is_integer()):
+        raise GeometryError("%s: field %r must be an integer (got %r)" % (ctx, key, v))
+    return int(v)
+
+
 @_parser("wedge")
-def wedge_from_dict(d, allow_pole=False):
-    N = int(_req(d, "N", "wedge"))
-    k = int(_req(d, "k", "wedge"))
+def wedge_from_dict(d):
+    N = _req_int(d, "N", "wedge")
+    k = _req_int(d, "k", "wedge")
     alpha1 = _req(d, "alpha1", "wedge")
     alpha1 = None if alpha1 is None else float(alpha1)
     intervals = tuple((float(a), float(b)) for a, b in d.get("intervals", []))
-    return validate_wedge(WedgeSpec(N=N, k=k, alpha1=alpha1, intervals=intervals,
-                                    allow_pole=allow_pole))
+    return validate_wedge(WedgeSpec(N=N, k=k, alpha1=alpha1, intervals=intervals))
 
 
 @_parser("measure")
 def measure_from_dict(d):
-    m = int(_req(d, "m", "measure"))
+    m = _req_int(d, "m", "measure")
     return DiscreteMeasure(m, [(a["z"], a["w"])
                                for a in _req(d, "atoms", "measure", list)])
 
@@ -518,13 +527,14 @@ def polyhedron_from_dict(d):
             opening = wedge_from_dict(op)
         else:
             raise GeometryError("stratum %r: opening must be wedge|{'gamma'}|null" % sid)
-        strata.append(Stratum(id=sid, k=int(_req(s, "k", "stratum")), opening=opening))
+        strata.append(Stratum(id=sid, k=_req_int(s, "k", "stratum"), opening=opening))
     N = d.get("N")
     wedge_N = [s.opening.N for s in strata if isinstance(s.opening, WedgeSpec)]
     if N is None and not wedge_N:
         raise GeometryError("polyhedron: ambient dimension not recoverable; "
                             "add an \"N\" field or a wedge opening")
-    return PolyhedronSpec(N=int(wedge_N[0] if N is None else N), strata=tuple(strata))
+    N = wedge_N[0] if N is None else _req_int(d, "N", "polyhedron")
+    return PolyhedronSpec(N=N, strata=tuple(strata))
 
 
 @_parser("set")
@@ -539,7 +549,7 @@ def set_from_dict(d):
         elif kind == "ball":
             pieces.append(SetPiece(stratum=stratum, kind=kind,
                                    radius=float(_req(p, "radius", "ball piece")),
-                                   dim=int(_req(p, "dim", "ball piece")),
+                                   dim=_req_int(p, "dim", "ball piece"),
                                    z=p.get("z")))
         elif kind == "grid":
             pieces.append(SetPiece(stratum=stratum, kind=kind,

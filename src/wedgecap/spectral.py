@@ -155,12 +155,6 @@ def _smallest_singular_value(off, n):
                                   tol=_BISECT_ABSTOL)[0])
 
 
-def _fd_lowest(problem, n):
-    """Lowest FD eigenvalue on n intervals."""
-    off, shift, _, _ = _fd_golub_kahan(problem, n)
-    return _smallest_singular_value(off, n) ** 2 + shift
-
-
 def _fd_eigenfunction(problem, n):
     """Samples of the lowest FD eigenfunction on linspace(a, b, n + 1),
     positive inside, with unit trapezoidal integral.
@@ -197,7 +191,8 @@ def sl_eigen_fd(problem, n=2000):
     a wall moved inside.  The error is O(h^2), also at a pole.  This is
     one level of :func:`sl_eigen_1d`'s extrapolation.
     """
-    return _fd_lowest(problem, n)
+    off, shift, _, _ = _fd_golub_kahan(problem, n)
+    return _smallest_singular_value(off, n) ** 2 + shift
 
 
 def _extrapolated_lowest(problem, tol):
@@ -208,7 +203,7 @@ def _extrapolated_lowest(problem, tol):
         raise DomainError("tol must lie in (1e-12, 1e-2)")
     lam, h2, h4 = [], [], []     # FD values, extrapolants in h^2, in h^4
     for n in _FD_INTERVALS:
-        lam.append(_fd_lowest(problem, n))
+        lam.append(sl_eigen_fd(problem, n))
         if len(lam) > 1:
             h2.append((4.0 * lam[-1] - lam[-2]) / 3.0)
         if len(h2) > 1:
@@ -221,7 +216,7 @@ def _extrapolated_lowest(problem, tol):
                         value=gamma, error=err)
 
 
-def sl_eigen_1d(problem, tol=DEFAULT_TOL, n_samples=DEFAULT_GRID):
+def sl_eigen_1d(problem, tol=DEFAULT_TOL):
     """Smallest eigenvalue with positive eigenfunction, by Richardson
     extrapolation of the FD scheme.
 
@@ -232,19 +227,17 @@ def sl_eigen_1d(problem, tol=DEFAULT_TOL, n_samples=DEFAULT_GRID):
         Relative eigenvalue tolerance in (1e-12, 1e-2).  The FD eigenvalue
         on n = 32, 64, ..., 4096 intervals is extrapolated in h^2, then
         h^4; two consecutive h^4 extrapolants must agree to tol.
-    n_samples : int
-        Uniform sample count of the returned eigenfunction.
 
     Returns
     -------
     EigenResult with max-normalized samples, f > 0 inside, f = 0 at
-    Dirichlet walls.  The samples are the FD eigenfunctions on n_samples
-    and 2 n_samples intervals, extrapolated in h^2.
+    Dirichlet walls.  The samples are the FD eigenfunctions on
+    DEFAULT_GRID and 2 DEFAULT_GRID intervals, extrapolated in h^2.
     """
     gamma, err = _extrapolated_lowest(problem, tol)
-    theta = np.linspace(problem.a, problem.b, n_samples + 1)
-    values = (4.0 * _fd_eigenfunction(problem, 2 * n_samples)[::2]
-              - _fd_eigenfunction(problem, n_samples)) / 3.0
+    theta = np.linspace(problem.a, problem.b, DEFAULT_GRID + 1)
+    values = (4.0 * _fd_eigenfunction(problem, 2 * DEFAULT_GRID)[::2]
+              - _fd_eigenfunction(problem, DEFAULT_GRID)) / 3.0
     if not np.all(values[1:-1] > 0.0):
         raise AccuracyError("extrapolated eigenfunction is not positive inside",
                             value=gamma, error=err)
@@ -264,6 +257,15 @@ def _stage_problem(spec, j, mu):
                      bc_b="bounded" if b == PI else "dirichlet")
 
 
+def _arc_eigenvalue(spec):
+    """(pi/alpha1)^2, the first Dirichlet eigenvalue of the arc (0, alpha1)."""
+    try:
+        return (PI / spec.alpha1) ** 2
+    except OverflowError:
+        raise DomainError("alpha1 = %.3g is too small: (pi/alpha1)^2 overflows"
+                          % spec.alpha1) from None
+
+
 @lru_cache(maxsize=256)
 def gamma_first_eigenvalue(spec, tol=DEFAULT_TOL):
     """First Dirichlet eigenvalue of the opening A on S^{k-1}.
@@ -275,7 +277,7 @@ def gamma_first_eigenvalue(spec, tol=DEFAULT_TOL):
     validate_wedge(spec)
     if not (2 <= spec.k <= spec.N):
         raise DomainError("gamma is defined for 2 <= k <= N")
-    mu = (PI / spec.alpha1) ** 2
+    mu = _arc_eigenvalue(spec)
     if spec.k == 2:
         return mu
     for j in range(2, spec.k):
@@ -284,26 +286,26 @@ def gamma_first_eigenvalue(spec, tol=DEFAULT_TOL):
 
 
 @lru_cache(maxsize=64)
-def _opening_chain(spec, tol):
+def _opening_chain(spec):
     """gamma plus the per-coordinate factors of the first eigenfunction."""
     validate_wedge(spec)
-    mu = (PI / spec.alpha1) ** 2
+    mu = _arc_eigenvalue(spec)
     kappa1 = PI / spec.alpha1
     factors = [None]                       # placeholder for the theta_1 factor
     for j in range(2, spec.k):
-        res = sl_eigen_1d(_stage_problem(spec, j, mu), tol=tol)
+        res = sl_eigen_1d(_stage_problem(spec, j, mu))
         mu = res.gamma
         factors.append(CubicSpline(res.theta, res.values))
     return mu, kappa1, tuple(factors)
 
 
-def opening_eigenfunction_factors(spec, tol=DEFAULT_TOL):
+def opening_eigenfunction_factors(spec):
     """Per-angle 1-D factors f_1..f_{k-1} of the opening eigenfunction.
 
     f_1(t) = sin(kappa1 t) exactly; later factors are spline interpolants
     of the chain stages, all max-normalized.
     """
-    gamma, kappa1, factors = _opening_chain(spec, tol)
+    gamma, kappa1, factors = _opening_chain(spec)
 
     def f1(t):
         return math.sin(kappa1 * t)
@@ -311,7 +313,7 @@ def opening_eigenfunction_factors(spec, tol=DEFAULT_TOL):
     return gamma, (f1,) + factors[1:]
 
 
-def omega_SA(spec, gamma, kappa_plus, sigma, tol=DEFAULT_TOL):
+def omega_SA(spec, gamma, kappa_plus, sigma):
     """First eigenfunction of the wedge's spherical section, max-normalized.
 
     omega(sigma) = (sin theta_{N-1} ... sin theta_k)^{kappa_plus}
@@ -340,7 +342,7 @@ def omega_SA(spec, gamma, kappa_plus, sigma, tol=DEFAULT_TOL):
         if not (0.0 <= sigma[ell - 1] <= PI):
             raise DomainError("theta_%d outside [0, pi]" % ell)
 
-    g_chain, factors = opening_eigenfunction_factors(spec, tol=tol)
+    g_chain, factors = opening_eigenfunction_factors(spec)
     value = factors[0](theta1)
     for j in range(2, k):
         value *= float(factors[j - 1](sigma[j - 1]))
@@ -350,10 +352,10 @@ def omega_SA(spec, gamma, kappa_plus, sigma, tol=DEFAULT_TOL):
     return pref ** kappa_plus * value if pref > 0.0 else 0.0
 
 
-def opening_eigenfunction(spec, tol=DEFAULT_TOL):
+def opening_eigenfunction(spec):
     """Eigenfunction of the opening as a callable on unit vectors of R^k."""
     validate_wedge(spec)
-    gamma, factors = opening_eigenfunction_factors(spec, tol=tol)
+    gamma, factors = opening_eigenfunction_factors(spec)
     k = spec.k
 
     def phi(v):

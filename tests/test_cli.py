@@ -235,6 +235,10 @@ def test_verify_equivalence_rejects_empty_family(capsys, n):
     (("verify", "heat", "--R", "inf"), "R must be finite"),
     (("verify", "harmonicity", "--alpha1", "nan"), "alpha must be finite"),
     (("verify", "harmonicity", "--alpha1", "0"), "alpha must be finite and > 0"),
+    # kappa_plus + N - 2 rounds to 0 (was a ZeroDivisionError)
+    (("exponents", "--N", "2", "--k", "2", "--gamma", "1e-300"), "kappa_plus + N - 2 > 0"),
+    (("exponents", "--N", "2", "--k", "2", "--alpha1", "2e-259"),
+     "(pi/alpha1)^2 overflows"),   # was an OverflowError
 ])
 def test_non_finite_flags_exit_2(capsys, monkeypatch, argv, message):
     # each used to hang, fail only while serializing NaN or raise a traceback
@@ -243,6 +247,55 @@ def test_non_finite_flags_exit_2(capsys, monkeypatch, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "heat", "--nu", "3"),
+    ("verify", "remainder", "--R", "4"),
+    ("verify", "harmonicity", "--seed", "1"),
+    ("kernel", "--measure", "tests/golden/measure.json", "--nu", "3", "--m", "1",
+     "--q", "1.8", "--tau", "0.5", "--tol", "1e-12"),
+    ("besov", "--measure", "tests/golden/measure.json", "--s", "0.25", "--q", "2.0",
+     "--seed", "7"),
+    ("capacity", "--set", "tests/golden/grid_set.json", "--alpha", "0.6", "--p", "2",
+     "--tol", "1e-3"),
+    ("exponents",) + QUARTER + ("--format", "csv"),
+])
+def test_unread_flags_are_usage_errors(capsys, monkeypatch, argv):
+    # each exited 0 with the flag ignored (the last exited 2)
+    monkeypatch.chdir(ROOT)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_config_echoes_only_accepted_flags(capsys):
+    code, out, _ = run_cli(capsys, "verify", "heat", "--q", "1.7")
+    assert code == 0
+    assert set(json.loads(out)["config"]) == {"command", "name", "q", "R", "format"}
+
+
+_REALS = st.floats() | st.floats(-1.0, 7.0) | st.sampled_from(
+    [0.0, -1.0, 5e-324, 1e-300, 1e-12, 1e-8, 0.5, 1.0, 1e300, math.inf, math.nan])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exponents_fuzzed_flags_never_raise(data):
+    # each numeric flag present with probability 3/4; found the tiny-gamma case
+    argv = ["exponents"]
+    for flag, values in (("--N", st.integers(0, 5)), ("--k", st.integers(0, 4)),
+                         ("--alpha1", _REALS), ("--gamma", _REALS), ("--q", _REALS),
+                         ("--tol", _REALS)):
+        if data.draw(st.integers(0, 3)):
+            argv.append("%s=%r" % (flag, data.draw(values)))
+    for a, b in data.draw(st.lists(st.tuples(_REALS, _REALS), max_size=2)):
+        argv.append("--interval=%r,%r" % (a, b))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
 
 
 def classify_argv(flag, path):
@@ -266,9 +319,25 @@ def classify_argv(flag, path):
     ("classify", "--poly", 5, "expected a JSON object"),
     ("classify", "--poly", {"strata": 5}, "'strata' must be a list"),
     ("classify", "--measure", 5, "expected a JSON object"),
+    ("classify", "--poly", {"N": 3.9, "strata": [
+        {"id": "edge", "k": 2.7,
+         "opening": {"N": 3, "k": 2, "alpha1": 1.5707963267948966}}]},
+     "'k' must be an integer"),
+    ("classify", "--poly", {"N": 3.9, "strata": []}, "'N' must be an integer"),
+    ("classify", "--poly", {"strata": [
+        {"id": "edge", "k": 2,
+         "opening": {"N": 3.2, "k": 2, "alpha1": 1.5707963267948966}}]},
+     "'N' must be an integer"),
+    ("classify", "--poly", {"N": True, "strata": []}, "'N' must be an integer"),
+    ("classify", "--measure", {"edge": {"m": 1.5, "atoms": [{"z": [0.25], "w": 1.0}]}},
+     "'m' must be an integer"),
+    ("capacity", "--set", {"pieces": [{"stratum": "edge", "kind": "ball",
+                                       "radius": 1.0, "dim": 0.5}]},
+     "'dim' must be an integer"),
 ])
 def test_malformed_documents_exit_2(tmp_path, capsys, command, flag, doc, message):
-    # each used to raise a traceback (exit 1, the usage-error code)
+    # the first ten used to raise a traceback (exit 1, the usage-error code);
+    # the integer fields after them were truncated by int() and exited 0
     path = write(tmp_path, "doc.json", doc)
     if command == "capacity":
         argv = ["capacity", "--set", path, "--alpha", "0.6", "--p", "2"]

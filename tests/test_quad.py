@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from wedgecap import _quad
 from wedgecap._quad import (_G8_W, _K17_W, _K17_X, fit_loglog, geometric_edges,
                             integrate, integrate_partials, integrate_rows,
                             merge_edges)
@@ -37,11 +38,12 @@ def test_rows_share_panels():
     assert np.all(np.abs(vals - ref) < 1e-7 * ref)
 
 
-def test_budget_exhaustion_raises_with_estimate():
+def test_budget_exhaustion_raises_with_estimate(monkeypatch):
     # a needle the budget cannot resolve at this tolerance
+    monkeypatch.setattr(_quad, "_MAX_PANELS", 8)
     f = lambda x: 1.0 / (1e-14 + x ** 2)
     with pytest.raises(AccuracyError) as exc:
-        integrate(f, [-1.0, 1.0], rtol=1e-12, max_panels=8)
+        integrate(f, [-1.0, 1.0], rtol=1e-12)
     assert exc.value.value is not None
 
 
