@@ -30,10 +30,10 @@ from .besov import besov_neg_proxy
 from .capacity import bessel_capacity, capacity_null_test
 from .classify import (classify_polyhedron, good_measure_check,
                        removable_check)
-from .errors import (AccuracyError, AnomalyError, BracketError,
-                     ConfigurationError, DivergenceError, DomainError,
-                     GeometryError, IncompleteEvidenceError, ResolutionError,
-                     SolverError, UnknownStratumError, WedgecapError)
+from .errors import (AccuracyError, AnomalyError, ConfigurationError,
+                     DivergenceError, DomainError, GeometryError,
+                     IncompleteEvidenceError, ResolutionError, SolverError,
+                     UnknownStratumError, WedgecapError)
 from .exponents import critical_exponents
 from .geometry import (WedgeSpec, dumps, measure_from_dict, polyhedron_from_dict,
                        set_from_dict, validate_wedge)
@@ -45,8 +45,7 @@ _VALIDATION_ERRORS = (GeometryError, ConfigurationError, DomainError,
                       ResolutionError, IncompleteEvidenceError,
                       UnknownStratumError, json.JSONDecodeError,
                       FileNotFoundError, KeyError, ValueError)
-_NUMERICAL_ERRORS = (AccuracyError, BracketError, DivergenceError, SolverError,
-                     AnomalyError)
+_NUMERICAL_ERRORS = (AccuracyError, DivergenceError, SolverError, AnomalyError)
 
 
 class _UsageError(Exception):
@@ -159,7 +158,14 @@ def _wedge_from_args(args):
                                     intervals=tuple(intervals)))
 
 
+def _check_tol(tol):
+    """--tol is read only where the spectral chain runs, so check it up front."""
+    if not (0.0 < tol < np.inf):
+        raise DomainError("tol must be finite and > 0")
+
+
 def _resolve_gamma(args):
+    _check_tol(args.tol)
     if args.N is None or args.k is None:
         raise ConfigurationError("--N and --k are required")
     if args.gamma is not None:
@@ -208,6 +214,7 @@ def _cmd_exponents(args):
 
 
 def _cmd_classify(args):
+    _check_tol(args.tol)
     poly = polyhedron_from_dict(_read_json(args.poly))
     verdicts = [v.to_dict() for v in classify_polyhedron(poly, args.q,
                                                          tol=args.tol)]

@@ -33,10 +33,6 @@ class SingularityError(DomainError):
     """Evaluation requested exactly at a kernel singularity."""
 
 
-class BracketError(WedgecapError, RuntimeError):
-    """Kept for callers that catch it: no solver brackets eigenvalues now."""
-
-
 class AccuracyError(WedgecapError, RuntimeError):
     """Quadrature did not reach the requested tolerance.
 

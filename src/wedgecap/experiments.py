@@ -243,12 +243,14 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
     qp = q / (q - 1.0)
     growth_bound = (s + rep.nu - m) * q + 1.0
 
+    # the family is drawn in B_{R/4}; M_nu_s needs it in B_{r/2} for the
+    # smallest truncation radius r
+    if not (0.0 < R <= 2.0 * min(R_grid)):
+        raise DomainError("R must be finite and in (0, %g], twice the smallest "
+                          "truncation radius" % (2.0 * min(R_grid)))
     fam = measure_family(m, R, n_measures=n_measures, seed=seed)
     if not fam:
         raise DomainError("n_measures must be >= 1")
-    if any(mu.support_radius() > 0.5 * min(R_grid) for mu in fam):
-        raise ConfigurationError("family must be supported in B_{R/2} for the "
-                                 "smallest truncation radius")
     params = {"N": N, "k": k, "gamma": gamma, "q": q, "R": R, "eps": eps,
               "seed": seed, "n_measures": len(fam)}
     tolerances = {"spread_max": EQUIV_SPREAD_MAX, "homog_rtol": EQUIV_HOMOG_RTOL,

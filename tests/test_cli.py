@@ -239,6 +239,21 @@ def test_verify_equivalence_rejects_empty_family(capsys, n):
     (("exponents", "--N", "2", "--k", "2", "--gamma", "1e-300"), "kappa_plus + N - 2 > 0"),
     (("exponents", "--N", "2", "--k", "2", "--alpha1", "2e-259"),
      "(pi/alpha1)^2 overflows"),   # was an OverflowError
+    # --tol was checked only where a chain stage ran: exit 0 echoing -5,
+    # or exit 2 on serializing NaN
+    (("exponents", "--N", "3", "--k", "2", "--alpha1", "1.5", "--tol", "-5"),
+     "tol must be finite and > 0"),
+    (("exponents", "--N", "3", "--k", "2", "--alpha1", "1.5", "--tol", "nan"),
+     "tol must be finite and > 0"),
+    (("classify", "--poly", "demos/cube.json", "--q", "1.7", "--tol", "inf"),
+     "tol must be finite and > 0"),
+    (("verify", "dichotomy") + QUARTER + ("--tol", "0"), "tol must be finite and > 0"),
+    (("verify", "equivalence") + QUARTER + ("--tol", "nan", "--n-measures", "1"),
+     "tol must be finite and > 0"),
+    # the family is drawn in B_{R/4} and must fit in B_{4/2}; the message
+    # named a "family" that callers cannot pass
+    (("verify", "equivalence") + QUARTER + ("--R", "16", "--n-measures", "2"),
+     "R must be finite and in (0, 8]"),
 ])
 def test_non_finite_flags_exit_2(capsys, monkeypatch, argv, message):
     # each used to hang, fail only while serializing NaN or raise a traceback

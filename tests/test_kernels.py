@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import wedgecap.kernels as kernels
+from wedgecap.besov import besov_neg_proxy
 from wedgecap.errors import (AccuracyError, DivergenceError, DomainError,
                              SingularityError)
+from wedgecap.experiments import measure_family
 from wedgecap.exponents import critical_exponents
 from wedgecap.geometry import DiscreteMeasure, dirac
 from wedgecap.kernels import (KernelParams, QuadratureSpec, F_nu_m, I_m_j,
@@ -284,7 +286,7 @@ def test_exhausted_ladder_widening_raises():
 
 @settings(max_examples=30, deadline=None)
 @given(a=st.floats(-0.5, 0.6), q=st.floats(1.6, 3.0),
-       log_eps=st.floats(-2.5, -1.0), rtol=st.sampled_from([1e-6, 1e-4]))
+       log_eps=st.floats(-2.5, -1.0), rtol=st.sampled_from([1e-8, 1e-6, 1e-4]))
 def test_dirac_ladder_within_reported_error(a, q, log_eps, rtol):
     # a unit atom on R^1 at nu = 2, sigma = s, j = 1 has the closed form
     # I(cut) = c(2q) Gamma(a, cut) with a = s q - q + 1 and
@@ -339,6 +341,26 @@ def test_ladder_widening_integrates_each_tau_once(monkeypatch):
     for c, v in zip(cutoffs, vals):
         ref, ref_err = reduced_I(dirac(1), p, quad=quad, eps=c)
         assert abs(v - ref) <= err + ref_err
+
+
+def test_equivalence_op_tau_work(monkeypatch):
+    # one criterion-6 op on a 6-atom member: the tau start grid is coarse
+    # and refined on demand (221 tau-nodes; 1037 with 6 log panels per
+    # decade and 9 uniform edges)
+    mu = next(mu for mu in measure_family(1, 8.0, n_measures=60, seed=42)
+              if mu.n_atoms == 6)
+    q, quad = 1.8, QuadratureSpec(rtol=1e-4)
+    nodes = []
+    F = kernels.F_nu_m
+
+    def recording(tau, *args, **kwargs):
+        nodes.append(np.size(tau))
+        return F(tau, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "F_nu_m", recording)
+    besov_neg_proxy(mu, QUARTER.s(q), q, eps=1e-2, quad=quad)
+    M_nu_s(mu, params_from_report(QUARTER, q, R=8.0), quad=quad, eps=1e-2)
+    assert sum(nodes) <= 300
 
 
 class TestAggregates:
