@@ -238,41 +238,48 @@ def _folded_integrand_m1(tau_arr, mu, params):
 
 
 def _widen(shell, tail_bound, vals, errs, Y, rtol):
-    """Extend integrals known up to Y to infinity, one shell at a time.
+    """Extend integrals known up to Y to infinity in one shell.
 
-    While the rigorous tail bound beyond Y is not negligible against the
-    smallest value, ``shell(Y, 2Y)`` -- per-row (values, errors) of the
-    integrand on that shell only -- is added to the running totals and Y
-    doubles.  The bound at the final Y lands in the error; a bound still
-    above ``0.3 rtol`` after 29 doublings raises :class:`AccuracyError`
-    carrying the totals.
+    The widening stops at the first doubling Y 2^n whose rigorous tail
+    bound is negligible against the smallest value known before widening
+    (the integrands are positive, so the values only grow), and
+    ``shell(edges)`` -- per-row (values, errors) of the integrand on
+    (Y, Y 2^n), given the doubling edges Y 2^k, k = 0..n -- is added to
+    the totals in one call.  The bound at Y 2^n lands in the error; a
+    bound still above ``0.3 rtol`` after 29 doublings raises
+    :class:`AccuracyError` carrying the totals.
     """
-    for doublings in range(30):   # Y grows at most 2^29-fold
-        tail = tail_bound(Y)
-        if tail <= 0.3 * rtol * float(np.min(np.abs(vals))) or tail < 1e-300:
-            return vals, errs + tail
-        if doublings < 29:
-            v, e = shell(Y, 2.0 * Y)
-            vals, errs = vals + v, errs + e
-            Y *= 2.0
+    def negligible(tail, vals):
+        return tail <= 0.3 * rtol * float(np.min(np.abs(vals))) or tail < 1e-300
+
+    doublings = Y * 2.0 ** np.arange(30)   # Y grows at most 2^29-fold
+    n = next((n for n, end in enumerate(doublings)
+              if negligible(tail_bound(end), vals)), 29)
+    if n:
+        v, e = shell(doublings[:n + 1])
+        vals, errs = vals + v, errs + e
+    tail = tail_bound(doublings[n])
+    if negligible(tail, vals):
+        return vals, errs + tail
     raise AccuracyError("tail bound %.3g beyond %.3g still above 0.3 rtol "
-                        "(rtol %.3g) after 29 doublings" % (tail, Y, rtol),
+                        "(rtol %.3g) after 29 doublings" % (tail, doublings[n], rtol),
                         value=vals, error=errs + tail)
 
 
 def _widen_m1(tau_arr, mu, params, quad, vals, errs, Y):
     """Extend a slice integral known on |y| < Y to the whole line.
 
-    Each shell Y < |y| < 2Y is integrated with both signs folded into one
-    call; the tail beyond Y is bounded by the power decay of the kernel.
+    The shell Y < |y| < Y 2^n is one call with both signs folded and one
+    panel per doubling, refined where the error estimate asks; the tail
+    beyond it is bounded by the power decay of the kernel.
     """
     nuq = params.nu * params.q
     zmax = mu.support_radius()
     amp = mu.n_atoms ** (params.q - 1.0) * float(np.sum(mu.weights ** params.q))
     folded = _folded_integrand_m1(tau_arr, mu, params)
 
-    def shell(lo, hi):
-        return integrate_rows(folded, np.linspace(lo, hi, 9), rtol=quad.rtol)
+    def shell(edges):
+        return integrate_rows(folded, edges, rtol=quad.rtol)
 
     def tail_bound(Y):
         return 2.0 * amp * (Y - zmax) ** (1.0 - nuq) / (nuq - 1.0)
@@ -342,7 +349,7 @@ def F_nu_m(tau, mu, params, quad=None, truncated=True):
 def _F_m1(tau_arr, mu, params, quad, truncated):
     tau_floor = float(np.min(tau_arr))
     # the ball |y| < R, or for the full line a core around the atoms that
-    # _widen_m1 extends shell by shell
+    # _widen_m1 extends in one shell
     Y = params.R if truncated else (mu.support_radius()
                                     + max(10.0, 4.0 * float(np.max(tau_arr))))
     atom = _atom_edges_m1(mu, -Y, Y, tau_floor)
@@ -358,7 +365,7 @@ def _F_outside_m1(tau_arr, mu, params, R, quad):
     """Slice integral restricted to |y| > R (the truncation deficit), m = 1."""
     Y = R + max(10.0, 10.0 * float(np.max(tau_arr)))
     vals, errs = integrate_rows(_folded_integrand_m1(tau_arr, mu, params),
-                                merge_edges(R, Y, geometric_edges(R, Y, 8)),
+                                merge_edges(R, Y, geometric_edges(R, Y, 1)),
                                 rtol=quad.rtol)
     return _widen_m1(tau_arr, mu, params, quad, vals, errs, Y)
 
@@ -460,8 +467,9 @@ def _tau_ladder(f, cutoffs, Y, tail_bound, quad):
     decomposition of (min cutoff, Y), so each value is the exact
     aggregate of the refined panels above its cutoff.  With
     ``tail_bound(Y)``, a rigorous bound on the integral beyond Y, the
-    range is widened shell by shell from max(Y, 2 * max cutoff) and each
-    shell is added to every value; with None, Y is the upper limit.
+    range is widened from max(Y, 2 * max cutoff) in one shell (see
+    :func:`_widen`) that is added to every value; with None, Y is the
+    upper limit.
     Returns (values in the order of ``cutoffs``, error).
     """
     if tail_bound is not None:
@@ -471,8 +479,8 @@ def _tau_ladder(f, cutoffs, Y, tail_bound, quad):
     if tail_bound is None:
         return vals, err
 
-    def shell(lo, hi):
-        return integrate_rows(f, _tau_edges(lo, hi), rtol=quad.rtol)
+    def shell(edges):
+        return integrate_rows(f, _tau_edges(edges[0], edges[-1]), rtol=quad.rtol)
 
     vals, errs = _widen(shell, tail_bound, vals, np.array([err]), Y, quad.rtol)
     return vals, float(errs[0])

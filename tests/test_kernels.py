@@ -207,7 +207,7 @@ def test_full_line_widening_evaluates_each_node_once(monkeypatch):
     monkeypatch.setattr(kernels, "integrate_rows", counting)
     tau = np.geomspace(1e-3, 20.0, 12)
     F_nu_m(tau, dirac(1), KernelParams(nu=2.0, m=1, q=1.8), truncated=False)
-    assert len(calls) >= 3   # the core solve and at least two widenings
+    assert len(calls) == 2   # the core solve and one widening
     nodes = np.concatenate(seen)
     assert np.unique(nodes).size == nodes.size
 
@@ -303,7 +303,7 @@ def test_dirac_ladder_within_reported_error(a, q, log_eps, rtol):
 
 
 def test_ladder_widening_integrates_each_tau_once(monkeypatch):
-    # the ladder solves (min cutoff, Y) once and adds each shell (Y, 2Y)
+    # the ladder solves (min cutoff, Y) once and adds one shell (Y, Y 2^n)
     # to every rung instead of re-solving the whole range per doubling
     p = KernelParams(nu=2.0, m=1, q=1.8, sigma=0.5, j=2)
     quad = QuadratureSpec(rtol=1e-6)
@@ -332,7 +332,7 @@ def test_ladder_widening_integrates_each_tau_once(monkeypatch):
                         spanning(kernels.integrate_partials))
     vals, err = reduced_I_ladder(dirac(1), p, cutoffs, quad=quad)
     monkeypatch.undo()
-    assert len(spans) >= 3   # the core solve and at least two widenings
+    assert len(spans) == 2   # the core solve and one widening
     spans.sort()
     assert spans[0][0] == min(cutoffs)
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))   # no overlap
@@ -361,6 +361,22 @@ def test_equivalence_op_tau_work(monkeypatch):
     besov_neg_proxy(mu, QUARTER.s(q), q, eps=1e-2, quad=quad)
     M_nu_s(mu, params_from_report(QUARTER, q, R=8.0), quad=quad, eps=1e-2)
     assert sum(nodes) <= 300
+
+
+def test_dirac_proxy_table_work(monkeypatch):
+    # every tail, in y and in tau, is widened in one coarse call (one y
+    # panel per doubling): 106 352 tau x y cells (324 836 with one call
+    # per doubling, 8 uniform y panels each)
+    cells = []
+    table = kernels._kernel_sum_m1
+
+    def recording(tau, y, mu, nu, q):
+        cells.append(np.size(tau) * np.size(y))
+        return table(tau, y, mu, nu, q)
+
+    monkeypatch.setattr(kernels, "_kernel_sum_m1", recording)
+    besov_neg_proxy(dirac(1), 0.7, 2.0, eps=2e-2)
+    assert sum(cells) <= 150_000
 
 
 class TestAggregates:

@@ -100,3 +100,42 @@ def test_rows_evaluate_17_nodes_per_panel():
     vals, _ = integrate_rows(f, np.linspace(0.0, 1.0, 6), rtol=1e-10)
     assert sizes == [17 * 5]
     assert abs(vals[0] - math.expm1(1.0)) < 1e-14
+
+
+def test_row_sums_exact_on_monomials():
+    # three rows x^d, x^(d+1), x^(d+2) at once on panels of different
+    # widths and offsets: the K17 matrix-vector sums are exact to degree
+    # 25 and the G8 sums to degree 15 on every panel, and on the widest
+    # panel the next even degree is not
+    a = np.array([-1.0, 0.0, 0.5, -2.0, 1.0])
+    b = np.array([0.0, 0.5, 2.0, 2.0, 3.0])
+    for rule, top in ((0, 25), (1, 15)):
+        for d in range(top):
+            degs = np.arange(d, d + 3)[:, None]
+            sums = _quad._row_sums(lambda x: x[None, :] ** degs, a, b)[rule]
+            assert sums.shape == (3, a.size)
+            ref = (b ** (degs + 1) - a ** (degs + 1)) / (degs + 1)
+            scale = (np.abs(b) ** (degs + 1) + np.abs(a) ** (degs + 1)) / (degs + 1)
+            exact = np.abs(sums - ref) <= 1e-13 * scale
+            assert np.all(exact[degs[:, 0] <= top])
+            assert not np.any(exact[degs[:, 0] == top + 1, 3])
+
+
+def test_determinism_multi_row():
+    taus = np.array([0.01, 0.3, 2.0])
+
+    def f(y):
+        return np.abs(y[None, :] - 0.3) ** -0.4 / (taus[:, None] ** 2 + y[None, :] ** 2)
+
+    edges = merge_edges(-5.0, 5.0, [0.3])
+    v1, e1 = integrate_rows(f, edges, rtol=1e-8)
+    v2, e2 = integrate_rows(f, edges, rtol=1e-8)
+    assert np.array_equal(v1, v2) and np.array_equal(e1, e2)
+
+
+def test_partials_reject_cut_off_the_edges():
+    f = lambda x: np.exp(-x)[None, :]
+    edges = np.linspace(0.0, 2.0, 5)
+    integrate_partials(f, edges, [0.5 + 1e-16], rtol=1e-10)   # within the tolerance
+    with pytest.raises(ValueError, match="initial panel edge"):
+        integrate_partials(f, edges, [0.5, 0.75], rtol=1e-10)
