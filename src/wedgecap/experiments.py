@@ -566,7 +566,9 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
         ys = np.arange(0.15 * R, 0.7 * R, h)
         y, t = ys[:, None], ys * ys
         cols = np.arange(stride, x.size - stride, stride)
-        w0, wp, wm = lift.w(t), lift.w((ys + h) ** 2), lift.w((ys - h) ** 2)
+        # the rows at y + h and y - h are the rows at y, shifted by one
+        W = lift.w(np.concatenate([[ys[0] - h], ys, [ys[-1] + h]]) ** 2)
+        w0, wp, wm = W[1:-1], W[2:], W[:-2]
         lhs = ((wp - 2.0 * w0 + wm) / h ** 2
                + (k - 1.0) / y * (wp - wm) / (2.0 * h))
         lhs = lhs[:, cols] + (w0[:, cols + stride] - 2.0 * w0[:, cols]
@@ -591,6 +593,8 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
     drho_y = (kappa_plus * y ** (kappa_plus - 1.0) * psi
               + y ** kappa_plus * dpsi) * rho_R
     drho_x = rho_A * drho_R
+    rho_lap = np.maximum(rho, 0.0) ** (1.0 / qp)
+    rho_grad = 2.0 * np.maximum(rho, 1e-300) ** (-1.0 / q)
     ratios = []
     for center, width in family:
         lf = HeatLift(_cos2_bump(center, width), R, n=HEAT_N_SOLVE)
@@ -599,8 +603,7 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
         dyH = 2.0 * y * wt
         dxH = (w0[:, cols + 1] - w0[:, cols - 1]) / (2.0 * h_s)
         grad_term = np.abs(drho_y * dyH + drho_x * dxH)
-        Lval = (np.maximum(rho, 0.0) ** (1.0 / qp) * np.abs(lapH)
-                + 2.0 * np.maximum(rho, 1e-300) ** (-1.0 / q) * grad_term)
+        Lval = rho_lap * np.abs(lapH) + rho_grad * grad_term
         terms = np.sum(Lval ** qp, axis=1) * h_s * (R / 64.0) * ys ** (k - 1.0)
         Lq = float(np.cumsum(terms)[-1])   # in y order; np.sum would pair rows
         ratios.append(Lq ** (1.0 / qp) / besov_pos_norm(lf.eta, x, s, qp))
@@ -619,7 +622,8 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
             val = lift.w((yv * yv)[:, 0]) ** qp
             return yv ** kappa_plus * _cutoff_profile(yv / R) * val
 
-        z0, zp, zm = zeta_slice(y), zeta_slice(y + h), zeta_slice(y - h)
+        Z = zeta_slice(np.concatenate([y[:1] - h, y, y[-1:] + h]))
+        z0, zp, zm = Z[1:-1], Z[2:], Z[:-2]
         lap = ((zp - 2.0 * z0 + zm) / h ** 2
                + (k - 1.0) / y * (zp - zm) / (2.0 * h)
                - gamma_open / y ** 2 * z0)

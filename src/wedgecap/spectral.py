@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import (AccuracyError, DomainError, GeometryError,
@@ -288,6 +287,7 @@ def gamma_first_eigenvalue(spec, tol=DEFAULT_TOL):
 @lru_cache(maxsize=64)
 def _opening_chain(spec):
     """gamma plus the per-coordinate factors of the first eigenfunction."""
+    from scipy.interpolate import CubicSpline
     validate_wedge(spec)
     mu = _arc_eigenvalue(spec)
     kappa1 = PI / spec.alpha1

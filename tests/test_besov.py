@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wedgecap import besov
 from wedgecap.besov import besov_neg_proxy, besov_pos_norm, poisson_constant
 from wedgecap.errors import DomainError, ResolutionError
 from wedgecap.geometry import DiscreteMeasure, dirac
@@ -132,3 +134,91 @@ class TestPositiveNorm:
         v = besov_pos_norm(f, (ax, ax), 0.5, 2.0)
         assert v > 0
         assert abs(besov_pos_norm(2 * f, (ax, ax), 0.5, 2.0) - 2 * v) < 1e-10 * v
+
+
+def _gagliardo_loop(f, x, s, p, h):
+    """Reference: the double sum as one pass per offset over the whole grid."""
+    nz = np.nonzero(np.abs(f) > 0.0)[0]
+    diameter = float(x[-1] - x[0]) if nz.size < 2 else float(x[nz[-1]] - x[nz[0]])
+    Y = 4.0 * max(diameter, 4.0 * h)
+    n = x.size
+    total = 0.0
+    for off in range(1, min(n - 1, int(math.ceil(Y / h))) + 1):
+        d = np.abs(f[off:] - f[:-off]) ** p
+        total += 2.0 * np.sum(d) / (off * h) ** (1.0 + s * p)
+    lp_p = h * float(np.sum(np.abs(f) ** p))
+    return total * h * h + 2.0 ** (p + 1) * lp_p * Y ** (-s * p) / (s * p)
+
+
+def _bump(x, center, width):
+    u = (x - center) / width
+    return np.where(np.abs(u) < 1.0, np.cos(0.5 * np.pi * np.clip(u, -1, 1)) ** 2, 0.0)
+
+
+_GRID = np.linspace(-8.0, 8.0, 1025)
+
+
+def _holed(x):
+    f = _bump(x, 0.0, 3.0)
+    f[np.abs(x - 0.2) < 0.5] = 0.0
+    return f
+
+
+def _spike(index):
+    def f(x):
+        out = np.zeros_like(x)
+        out[index] = 1.3
+        return out
+    return f
+
+
+HULL_CASES = {
+    "off_centre": lambda x: _bump(x, 1.0, 2.0),
+    "narrow": lambda x: _bump(x, -3.3, 0.4),
+    "touches_left_end": lambda x: _bump(x, -7.5, 1.0),
+    "touches_right_end": lambda x: _bump(x, 7.7, 1.0),
+    "whole_grid": lambda x: _bump(x, 0.0, 8.0),
+    "zeros_inside_hull": _holed,
+    "two_bumps": lambda x: _bump(x, -2.0, 1.0) + 0.5 * _bump(x, 2.5, 1.5),
+    "one_sample": _spike(300),
+    "one_sample_at_end": _spike(0),
+    "all_zero": np.zeros_like,
+}
+
+
+class TestHullSum:
+    """The hull sum against the offset loop it replaced, on 1025 points."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.43])
+    @pytest.mark.parametrize("s", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("case", sorted(HULL_CASES))
+    def test_matches_offset_loop(self, case, s, p):
+        x = _GRID
+        f = HULL_CASES[case](x)
+        h = x[1] - x[0]
+        ref = _gagliardo_loop(f, x, s, p, h)
+        got = besov._gagliardo_1d(f, x, s, p, h)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.43])
+    @pytest.mark.parametrize("case", ["off_centre", "touches_right_end", "two_bumps"])
+    def test_derivative_branch_matches_offset_loop(self, case, p, monkeypatch):
+        # s in (1, 2) takes the fractional seminorm of f'
+        f = HULL_CASES[case](_GRID)
+        got = besov_pos_norm(f, _GRID, 1.5, p)
+        monkeypatch.setattr(besov, "_gagliardo_1d", _gagliardo_loop)
+        ref = besov_pos_norm(f, _GRID, 1.5, p)
+        assert abs(got - ref) <= 1e-12 * ref
+
+    def test_pair_temporaries_bounded(self):
+        # a hull over all 4097 samples has 8.4e6 pairs; the blocks never
+        # hold more than two buffers of _PAIR_CELLS doubles
+        x = np.linspace(-8.0, 8.0, 4097)
+        f = _bump(x, 0.0, 8.0)
+        tracemalloc.start()
+        try:
+            besov._gagliardo_1d(f, x, 0.5, 2.0, x[1] - x[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * besov._PAIR_CELLS * 8

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -57,6 +59,20 @@ def test_exponents_seventeen_digits(capsys):
                            "--alpha1", "0.1")
     assert code == 0
     assert "0.10000000000000001" in out   # 17-significant-digit echo
+
+
+def test_import_leaves_interpolate_and_optimize_unloaded():
+    # scipy.interpolate pulls in scipy.optimize, about 0.3 s of every start
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, wedgecap, wedgecap.cli; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_subcommand(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from wedgecap import experiments
 from wedgecap.errors import ConfigurationError, DomainError
 from wedgecap.experiments import (HeatLift, _cos2_bump, dichotomy_experiment,
                                   equivalence_experiment, harmonicity_experiment,
@@ -225,6 +226,18 @@ class TestHeatLiftOracle:
     def test_too_few_intervals(self):
         with pytest.raises(DomainError):
             HeatLift(_skewed_bump, 4.0, n=1)
+
+    def test_heat_lifting_transform_work(self, monkeypatch):
+        # the rows at y +- h share the transform of the rows at y
+        rows = []
+        real_dst = experiments.dst
+
+        def counting_dst(a, *args, **kwargs):
+            rows.append(1 if np.ndim(a) == 1 else len(a))
+            return real_dst(a, *args, **kwargs)
+        monkeypatch.setattr(experiments, "dst", counting_dst)
+        heat_lifting(R=8.0, q=1.7)
+        assert sum(rows) <= 1000
 
     def test_tiny_radius(self):
         # the (d) sup-ratio mask is relative to the dominating profile, so
