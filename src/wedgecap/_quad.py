@@ -24,6 +24,7 @@ import numpy as np
 from .errors import AccuracyError
 
 _TINY = 1e-300
+_EPS = np.finfo(float).eps
 _MAX_PANELS = 4096   # refinement budget; exceeding it raises AccuracyError
 
 
@@ -86,6 +87,16 @@ def _row_sums(f, a, b):
     return hi, lo
 
 
+def _with_roundoff(errs, hi):
+    """Reported errors no smaller than the rounding of the panel sums.
+
+    |K17 - G8| can fall below the rounding error of the sum itself on a
+    smooth integrand; as in QUADPACK, the reported error of a row is at
+    least 50 eps times the sum of its |K17| panel values.
+    """
+    return np.maximum(errs, 50.0 * _EPS * np.abs(hi).sum(axis=1))
+
+
 def _refine(f, edges, rtol):
     """The refinement engine behind :func:`integrate_rows` and
     :func:`integrate_partials`.
@@ -94,7 +105,9 @@ def _refine(f, edges, rtol):
     every row meets ``rtol``, keeping the panels sorted so the
     floating-point reduction order is fixed.  Returns the final panels'
     left edges, their K17 sums of shape ``(nrows, npanels)``, and
-    the per-row values and error estimates.
+    the per-row values and error estimates.  The stopping test uses the
+    K17 - G8 estimates; the reported errors are floored at the rounding
+    of the sums (:func:`_with_roundoff`).
     """
     edges = np.asarray(edges, float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -107,12 +120,12 @@ def _refine(f, edges, rtol):
         errs = np.abs(hi - lo).sum(axis=1)
         scale = np.maximum(np.abs(vals), _TINY)
         if np.all(errs <= rtol * scale):
-            return a, hi, vals, errs
+            return a, hi, vals, _with_roundoff(errs, hi)
         if a.size >= _MAX_PANELS:
             raise AccuracyError(
                 "quadrature stalled at %d panels (worst relative error %.3g, target %.3g)"
                 % (a.size, float(np.max(errs / scale)), rtol),
-                value=vals, error=errs)
+                value=vals, error=_with_roundoff(errs, hi))
         pe = (np.abs(hi - lo) / scale[:, None]).max(axis=0)
         order_idx = np.argsort(pe, kind="stable")[::-1]
         csum = np.cumsum(pe[order_idx])

@@ -296,22 +296,30 @@ def _c_ball(nuq, m):
     raise ConfigurationError("tail constants implemented for m in {1, 2}")
 
 
+_LADDER = 4.0 ** np.arange(0, 20)
+
+
 def _atom_edges_m1(mu, lo, hi, tau_floor):
-    """Mandatory panel edges around each atom position: a 4-fold ladder
-    starting at half of min(tau, nearest-atom distance)."""
-    edges = []
+    """Mandatory panel edges around each atom position.
+
+    Each atom z_i gets a 4-fold ladder z_i +- r0 4^k starting at
+    r0 = half of min(tau, nearest-atom distance).  On each side the
+    ladder stops before the neighbouring atom (rungs < z_{i+1} - z_i to
+    the right, < z_i - z_{i-1} to the left), where the neighbour's own
+    ladder takes over; only the outer sides of the two extreme atoms run
+    up to hi - lo.  A single atom gets the full ladder on both sides.
+    """
     zs = np.sort(mu.positions[:, 0])
-    for i, z in enumerate(zs):
-        gap = np.inf
-        if len(zs) > 1:
-            others = np.delete(zs, i)
-            gap = float(np.min(np.abs(others - z)))
-        r0 = 0.5 * min(max(tau_floor, 1e-9), gap if np.isfinite(gap) else 1e9)
-        r0 = max(r0, 1e-9)
-        ladder = r0 * 4.0 ** np.arange(0, 20)
-        ladder = ladder[ladder <= (hi - lo)]
-        edges.append(np.concatenate([[z], z + ladder, z - ladder]))
-    return np.concatenate(edges) if edges else np.empty(0)
+    gaps = zs[1:] - zs[:-1]
+    left = np.concatenate([[np.inf], gaps])[:, None]    # gap to the atom below
+    right = np.concatenate([gaps, [np.inf]])[:, None]   # and above
+    nearest = np.minimum(np.minimum(left, right), 1e9)
+    r0 = np.maximum(0.5 * np.minimum(max(tau_floor, 1e-9), nearest), 1e-9)
+    ladder = r0 * _LADDER
+    ladder[ladder > hi - lo] = np.inf   # fails both side tests below
+    z = zs[:, None]
+    return np.concatenate([zs, (z + ladder)[ladder < right],
+                           (z - ladder)[ladder < left]])
 
 
 def F_nu_m(tau, mu, params, quad=None, truncated=True):

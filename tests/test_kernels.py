@@ -213,32 +213,79 @@ def test_full_line_widening_evaluates_each_node_once(monkeypatch):
 
 
 TWO_ATOMS = ((0.3, 1.0), (-0.45, 0.7))
+CLOSE_PAIR = ((0.0, 1.0), (1e-3, 1e-3))   # a heavy atom and a light one beside it
 
 
 @functools.lru_cache(maxsize=None)
-def _two_atom_F_mpmath(tau, truncated, nu=2.0, q=1.8, R=8.0):
+def _two_atom_F_mpmath(atoms, tau, truncated, nu=2.0, q=1.8, R=8.0):
     # 30-digit tanh-sinh reference, split at each atom and at z +- tau 10^e
     with mpmath.workdps(30):
         t2 = mpmath.mpf(tau) ** 2
 
         def k(y):
-            return sum(w * (t2 + (y - z) ** 2) ** (-0.5 * nu) for z, w in TWO_ATOMS) ** q
+            return sum(w * (t2 + (y - z) ** 2) ** (-0.5 * nu) for z, w in atoms) ** q
 
         lim = R if truncated else mpmath.inf
-        pts = sorted({z + d * tau * 10 ** e for z, _ in TWO_ATOMS
-                      for d in (-1, 1) for e in range(4)} | {z for z, _ in TWO_ATOMS})
+        pts = sorted({z + d * tau * 10 ** e for z, _ in atoms
+                      for d in (-1, 1) for e in range(4)} | {z for z, _ in atoms})
         return float(mpmath.quad(k, [-lim] + [p for p in pts if -R < p < R] + [lim]))
+
+
+def _check_two_atom_F(atoms, tau, truncated, rtol):
+    # no closed form for two atoms: the slice integral against mpmath
+    mu = DiscreteMeasure(1, [((z,), w) for z, w in atoms])
+    p = KernelParams(nu=2.0, m=1, q=1.8, R=8.0 if truncated else None)
+    v, e = F_nu_m(tau, mu, p, quad=QuadratureSpec(rtol=rtol), truncated=truncated)
+    assert abs(v - _two_atom_F_mpmath(atoms, tau, truncated)) <= e
 
 
 @pytest.mark.parametrize("rtol", [1e-4, 1e-8])
 @pytest.mark.parametrize("truncated", [True, False])
 @pytest.mark.parametrize("tau", [1e-3, 0.1, 5.0])
 def test_two_atom_F_within_reported_error(tau, truncated, rtol):
-    # no closed form for two atoms: the slice integral against mpmath
-    mu = DiscreteMeasure(1, [((z,), w) for z, w in TWO_ATOMS])
-    p = KernelParams(nu=2.0, m=1, q=1.8, R=8.0 if truncated else None)
-    v, e = F_nu_m(tau, mu, p, quad=QuadratureSpec(rtol=rtol), truncated=truncated)
-    assert abs(v - _two_atom_F_mpmath(tau, truncated)) <= e
+    _check_two_atom_F(TWO_ATOMS, tau, truncated, rtol)
+
+
+@pytest.mark.parametrize("rtol", [1e-4, 1e-8])
+@pytest.mark.parametrize("truncated", [True, False])
+@pytest.mark.parametrize("tau", [1e-3, 0.1, 5.0])
+def test_close_pair_F_within_reported_error(tau, truncated, rtol):
+    # the light atom's ladder stops short of the heavy one 1e-3 away
+    _check_two_atom_F(CLOSE_PAIR, tau, truncated, rtol)
+
+
+def test_single_atom_ladder_unchanged():
+    # one atom keeps the full 4-fold ladder on both sides, bit for bit
+    for z, tau_floor, Y in ((0.0, 1e-3, 12.0), (0.37, 0.2, 8.0), (-1.3, 4.0, 30.0)):
+        r0 = max(0.5 * min(max(tau_floor, 1e-9), 1e9), 1e-9)
+        ladder = r0 * 4.0 ** np.arange(0, 20)
+        ladder = ladder[ladder <= 2.0 * Y]
+        ref = np.concatenate([[z], z + ladder, z - ladder])
+        got = kernels._atom_edges_m1(dirac(1, z=[z]), -Y, Y, tau_floor)
+        assert np.array_equal(np.sort(got), np.sort(ref))
+
+
+@pytest.mark.parametrize("zs", [(-0.35, -1.66, 1.21, 1.29, -0.51, -1.56),
+                                (0.0, 1e-3), (-2.0, 0.0, 0.01, 0.02, 3.5)])
+def test_atom_ladders_stop_at_neighbours(zs):
+    mu = DiscreteMeasure(1, [((z,), 1.0) for z in zs])
+    Y, tau_floor = 8.0, 1e-3
+    edges = kernels._atom_edges_m1(mu, -Y, Y, tau_floor)
+    zs = np.sort(zs)
+    expected = set(zs)
+    for i, z in enumerate(zs):
+        left = z - zs[i - 1] if i > 0 else np.inf
+        right = zs[i + 1] - z if i + 1 < zs.size else np.inf
+        ladder = 0.5 * min(tau_floor, left, right) * 4.0 ** np.arange(0, 20)
+        right_rungs = z + ladder[(ladder < right) & (ladder <= 2.0 * Y)]
+        left_rungs = z - ladder[(ladder < left) & (ladder <= 2.0 * Y)]
+        # no interior-side rung reaches the neighbouring atom
+        assert i + 1 == zs.size or right_rungs.max() < zs[i + 1]
+        assert i == 0 or left_rungs.min() > zs[i - 1]
+        expected |= set(right_rungs) | set(left_rungs)
+    assert set(edges) == expected
+    # the outer sides of the two extreme atoms run out to 2Y
+    assert edges.max() > zs[-1] + 0.5 * Y and edges.min() < zs[0] - 0.5 * Y
 
 
 @settings(max_examples=40, deadline=None)
@@ -346,21 +393,30 @@ def test_ladder_widening_integrates_each_tau_once(monkeypatch):
 def test_equivalence_op_tau_work(monkeypatch):
     # one criterion-6 op on a 6-atom member: the tau start grid is coarse
     # and refined on demand (221 tau-nodes; 1037 with 6 log panels per
-    # decade and 9 uniform edges)
+    # decade and 9 uniform edges), and each atom's y ladder stops at its
+    # neighbours (298 248 tau x y cells; 437 546 with every ladder
+    # running across the whole line)
     mu = next(mu for mu in measure_family(1, 8.0, n_measures=60, seed=42)
               if mu.n_atoms == 6)
     q, quad = 1.8, QuadratureSpec(rtol=1e-4)
-    nodes = []
+    nodes, cells = [], []
     F = kernels.F_nu_m
+    table = kernels._kernel_sum_m1
 
     def recording(tau, *args, **kwargs):
         nodes.append(np.size(tau))
         return F(tau, *args, **kwargs)
 
+    def counting(tau, y, mu, nu, q):
+        cells.append(np.size(tau) * np.size(y))
+        return table(tau, y, mu, nu, q)
+
     monkeypatch.setattr(kernels, "F_nu_m", recording)
+    monkeypatch.setattr(kernels, "_kernel_sum_m1", counting)
     besov_neg_proxy(mu, QUARTER.s(q), q, eps=1e-2, quad=quad)
     M_nu_s(mu, params_from_report(QUARTER, q, R=8.0), quad=quad, eps=1e-2)
     assert sum(nodes) <= 300
+    assert sum(cells) <= 350_000
 
 
 def test_dirac_proxy_table_work(monkeypatch):

@@ -139,3 +139,15 @@ def test_partials_reject_cut_off_the_edges():
     integrate_partials(f, edges, [0.5 + 1e-16], rtol=1e-10)   # within the tolerance
     with pytest.raises(ValueError, match="initial panel edge"):
         integrate_partials(f, edges, [0.5, 0.75], rtol=1e-10)
+
+
+@pytest.mark.parametrize("f, edges", [(np.exp, [0.0, 1.0]),
+                                      (np.cos, [0.0, 1.0]),
+                                      (lambda x: 1.0 / (1.0 + x * x), [0.0, 0.5, 1.0])],
+                         ids=["exp", "cos", "arctan"])
+def test_reported_error_not_below_roundoff(f, edges):
+    # K17 and G8 agree to the last bits on a smooth integrand, so |K17 - G8|
+    # alone can report 0; the error is floored at 50 eps times the sum of
+    # the |K17| panel values, as in QUADPACK
+    val, err = integrate(f, edges, rtol=1e-10)
+    assert err >= 50.0 * np.finfo(float).eps * abs(val) > 0.0
