@@ -12,10 +12,10 @@ discretized min-norm program
 
     min ||g||_p^p   over g >= 0 on a source grid,  (G_alpha * g)(x) >= 1 on K,
 
-solved by projected gradient ascent on the dual, with the cell integrals
-of G_alpha taken from the same subordination integral; the weighted edge
-capacity in its sup-mass form reduces, by q-homogeneity of
-the admissibility functional J, to minimizing J over the weight simplex.
+solved through its dual, with the cell integrals of G_alpha taken from the
+same subordination integral; the weighted edge capacity in its sup-mass form
+reduces, by q-homogeneity of the admissibility functional J, to minimizing J
+over the weight simplex.  One projected Newton method solves both to round-off.
 
 Capacity zero is a limit statement.  The refinement histories (over grid
 resolution, or over the inner cutoff for the edge capacity) are fitted
@@ -47,8 +47,8 @@ class CapacityResult:
     resolution: float
     history: tuple          # ((resolution-or-cutoff, value), ...) coarse -> fine
     verdict: str            # positive | vanishing | inconclusive
-    gap: float
-    iterations: int
+    gap: float              # relative duality gap (grid) or Newton decrement (edge)
+    iterations: int         # Newton steps (finest level; all levels for the edge)
     limit: float | None = None   # extrapolated continuum value when resolvable
 
 
@@ -169,56 +169,81 @@ def _cell_matrix(targets, centers, h, alpha):
 
 
 # --------------------------------------------------------------------------
+# projected Newton on the nonnegative orthant
+
+_CERTIFIED = 1e-9   # largest relative decrement returned
+_EPS = np.finfo(float).eps
+
+
+def _orthant_newton(phi, x0):
+    """Minimize f(x) = phi(x) - sum(x) over x >= 0; phi(x) returns the
+    value, gradient and Hessian of a convex function.
+
+    Bertsekas' projected Newton method: the eps-active coordinates take a
+    projected Jacobi step, those the Newton step pushes out of the bound
+    stay, and the rest take a Newton step through the eigendecomposition
+    of their Hessian block, dropping eigenvalues below 1e-14 of the
+    largest (coinciding targets).  Steps backtrack along the projection
+    arc and never raise f beyond its rounding.  Returns (x, relative
+    decrement, steps); raises SolverError unless it is within _CERTIFIED.
+    """
+    x = np.maximum(np.asarray(x0, float), 0.0)
+    val, grad, H = phi(x)
+    f, last = val - x.sum(), False
+    for step in range(101):
+        gr, diag, e = grad - 1.0, np.diag(H), np.linalg.eigvalsh(H)
+        if not (np.all(diag > 0.0) and e[0] >= -1e-8 * e[-1]):   # beyond round-off
+            raise SolverError("objective is not convex", gap=math.inf)
+        scaled = x - np.maximum(x - gr / diag, 0.0)
+        eps = np.max(np.abs(scaled))
+        fr = (x > eps) | (gr <= 0.0)
+        d = -scaled
+        while np.any(fr):
+            e, V = np.linalg.eigh(H[np.ix_(fr, fr)])
+            keep = e > 1e-14 * e[-1]
+            d[fr] = -V[:, keep] @ ((V[:, keep].T @ gr[fr]) / e[keep])
+            out = fr & (x <= eps) & (d < 0.0)
+            if not np.any(out):
+                break
+            fr &= ~out
+            d[out] = 0.0
+        dec = gr[~fr] @ scaled[~fr] - 0.5 * (gr[fr] @ d[fr])
+        rel = dec / max(abs(f), 1e-300)
+        if last or step == 100 or np.all(abs(np.maximum(x + d, 0.0) - x) <= 4 * _EPS * x):
+            break
+        noise = _EPS * (abs(val) + x.sum())
+        last = dec <= noise   # f can no longer rank steps: take the full one, stop
+        down = fr & (d < 0.0)     # first backtrack: the arc's first kink
+        kink = np.min(x[down] / -d[down], initial=0.5)
+        for t in np.append(1.0, kink * 0.5 ** np.arange(60)):
+            xn = np.maximum(x + t * d, 0.0)
+            with np.errstate(over="ignore"):   # an overflowing trial is rejected
+                vn, gn, Hn = phi(xn)
+            fn = vn - xn.sum()
+            if (fn <= f + noise) if last else (fn < f and f - fn >= 1e-4 * (gr @ (x - xn))):
+                break
+        else:
+            break
+        x, f, val, grad, H = xn, fn, vn, gn, Hn
+    if not rel <= _CERTIFIED:
+        raise SolverError("projected Newton stopped at relative decrement %.3g "
+                          "after %d steps" % (rel, step), gap=rel)
+    return x, rel, step
+
+
+def _ray_start(phi, u, degree):
+    """argmin of phi(x) - sum(x) on the ray through u, phi homogeneous."""
+    return u * (u.sum() / (degree * phi(u)[0])) ** (1.0 / (degree - 1.0))
+
+
+# --------------------------------------------------------------------------
 # min-norm Bessel capacity
 
 
-def _dual_ascent(A, h, p, gap_tol=1e-6, max_iter=20000):
-    """max over lam >= 0 of the dual of  min h sum g^p  s.t.  A g >= 1, g >= 0."""
-    nk = A.shape[0]
-    pp = p / (p - 1.0)
-    lam = np.full(nk, 1e-3)
-    eta = 1.0
-
-    def g_of(lam_):
-        t = np.maximum(A.T @ lam_, 0.0) / (p * h)
-        return t ** (1.0 / (p - 1.0))
-
-    def dual(lam_):
-        g = g_of(lam_)
-        return float(np.sum(lam_) - (p - 1.0) * h * np.sum(g ** p)), g
-
-    d_val, g = dual(lam)
-    gap = np.inf
-    primal = np.inf
-    for it in range(1, max_iter + 1):
-        grad = 1.0 - A @ g
-        for _ in range(60):
-            lam_new = np.maximum(lam + eta * grad, 0.0)
-            d_new, g_new = dual(lam_new)
-            if d_new >= d_val - 1e-18:
-                break
-            eta *= 0.5
-        lam, d_val, g = lam_new, d_new, g_new
-        eta *= 1.25
-        if it % 10 == 0 or it == max_iter:
-            c = A @ g
-            cmin = float(np.min(c))
-            if cmin <= 0.0:
-                continue
-            g_feas = g / cmin
-            primal = float(h * np.sum(g_feas ** p))
-            gap = (primal - d_val) / max(abs(primal), 1e-300)
-            if gap <= gap_tol:
-                return primal, gap, it, g_feas
-    raise SolverError("dual ascent stalled (gap %.3g after %d iterations)"
-                      % (gap, max_iter), gap=gap)
-
-
-def bessel_capacity(points, alpha, p, resolution=0.05, levels=4,
-                    dilation_radii=3.0):
+def bessel_capacity(points, alpha, p, resolution=0.05, levels=4):
     """Discretized Bessel capacity of a finite point set K in R^1.
 
-    Source grid: K dilated by ``dilation_radii`` kernel effective radii,
+    Source grid: K dilated by three kernel effective radii max(1, alpha),
     cell size ``resolution``; the Schwartz class is relaxed to
     nonnegative grid functions (a documented lower-bound bias) and
     nonnegativity is imposed, which leaves capacities of compacta
@@ -240,12 +265,9 @@ def bessel_capacity(points, alpha, p, resolution=0.05, levels=4,
         hist = tuple((resolution * 2.0 ** (levels - 1 - i), 0.0) for i in range(levels))
         return CapacityResult(0.0, resolution, hist, "vanishing", 0.0, 0)
 
-    reff = max(1.0, alpha)
-    lo = float(np.min(pts)) - dilation_radii * reff
-    hi = float(np.max(pts)) + dilation_radii * reff
+    reff = 3.0 * max(1.0, alpha)
+    lo, hi = float(np.min(pts)) - reff, float(np.max(pts)) + reff
     history = []
-    value = gap = np.nan
-    iters = 0
     for level in range(levels - 1, -1, -1):
         h = resolution * 2.0 ** level
         # anchor the grid so pts[0] sits at a cell center at every level,
@@ -256,7 +278,18 @@ def bessel_capacity(points, alpha, p, resolution=0.05, levels=4,
         if centers.size == 0:
             raise ConfigurationError("empty source grid")
         A = _cell_matrix(pts, centers, h, alpha)   # cell integrals of the kernel
-        value, gap, iters, _ = _dual_ascent(A, h, p)
+
+        def phi(lam):   # dual: the optimal g is (A^T lam / p h)^{1/(p-1)}
+            s = A.T @ lam
+            g = (s / (p * h)) ** (1.0 / (p - 1.0))
+            dg = np.divide(g, (p - 1.0) * s, out=np.zeros_like(s), where=s > 0.0)
+            return (p - 1.0) * h * float(np.sum(g ** p)), A @ g, (A * dg) @ A.T
+
+        lam, _, iters = _orthant_newton(phi, _ray_start(phi, np.ones(pts.size),
+                                                        p / (p - 1.0)))
+        g = (A.T @ lam / (p * h)) ** (1.0 / (p - 1.0))
+        value = h * float(np.sum((g / np.min(A @ g)) ** p))   # g made feasible
+        gap = 1.0 - (lam.sum() - phi(lam)[0]) / value         # relative duality gap
         history.append((h, value))
     verdict, limit = _verdict_from_history(history, alpha * p - 1.0)
     return CapacityResult(float(value), resolution, tuple(history), verdict,
@@ -267,47 +300,36 @@ def bessel_capacity(points, alpha, p, resolution=0.05, levels=4,
 # weighted edge capacity (sup-mass form)
 
 
-def _simplex_project(v):
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / (np.arange(v.size) + 1.0) > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _J_fixed_grid(points, w, report, q, R, eps):
-    """J and its weight-gradient on a fixed deterministic quadrature grid.
+def _J_fixed_grid(points, report, q, R, eps):
+    """phi(w) = (J, gradient, Hessian) on a fixed deterministic quadrature
+    grid, whose w-independent (tau, y, atom) kernel tensor is built once.
 
     Fixed panels keep J(w) smooth during optimization; the reported
     value is recomputed adaptively afterwards.
     """
-    nu = report.nu
-    p_exp = report.beta(q)   # tau weight power: (s+nu-m)q - 1 == (q+1)kappa+ + k - 1
-    tau_edges = merge_edges(eps, R, geometric_edges(eps, R, per_decade=8),
-                            np.linspace(eps, R, 9))
     x16, w16 = gauss_legendre(16)
-    ta, tb = tau_edges[:-1], tau_edges[1:]
-    tmid, thalf = 0.5 * (ta + tb), 0.5 * (tb - ta)
-    tau = (tmid[:, None] + thalf[:, None] * x16).ravel()
-    tw = (thalf[:, None] * w16).ravel()
 
+    def nodes(edges):   # G16 on every panel
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        return (mid[:, None] + half[:, None] * x16).ravel(), (half[:, None] * w16).ravel()
+
+    p_exp = report.beta(q)   # tau weight power: (s+nu-m)q - 1 == (q+1)kappa+ + k - 1
+    tau, tw = nodes(merge_edges(eps, R, geometric_edges(eps, R, per_decade=8),
+                                np.linspace(eps, R, 9)))
     zs = points[:, 0]
-    y_edges = merge_edges(-R, R, np.linspace(-R, R, 13),
-                          np.concatenate([zs, zs + eps, zs - eps,
-                                          zs + 8 * eps, zs - 8 * eps]))
-    ya, yb = y_edges[:-1], y_edges[1:]
-    ymid, yhalf = 0.5 * (ya + yb), 0.5 * (yb - ya)
-    y = (ymid[:, None] + yhalf[:, None] * x16).ravel()
-    yw = (yhalf[:, None] * w16).ravel()
+    y, yw = nodes(merge_edges(-R, R, np.linspace(-R, R, 13),
+                              np.concatenate([zs, zs + eps, zs - eps,
+                                              zs + 8 * eps, zs - 8 * eps])))
+    K = ((tau[:, None, None] ** 2 + (y[None, :, None] - zs[None, None, :]) ** 2)
+         ** (-0.5 * report.nu)).reshape(-1, zs.size)
+    cw = np.outer(tw * tau ** p_exp, yw).ravel()
 
-    K = (tau[:, None, None] ** 2
-         + (y[None, :, None] - zs[None, None, :]) ** 2) ** (-0.5 * nu)
-    S = K @ w
-    tau_w = tw * tau ** p_exp
-    J = float(np.einsum("t,ty,y->", tau_w, S ** q, yw))
-    grad = q * np.einsum("t,ty,y,tyi->i", tau_w, S ** (q - 1.0), yw, K)
-    return J, grad
+    def phi(w):
+        S = K @ w
+        c = cw * S ** (q - 2.0)
+        return (float(c @ (S * S)), q * (K.T @ (c * S)),
+                q * (q - 1.0) * (K.T @ (K * c[:, None])))
+    return phi
 
 
 def rho_capacity(points, report, q, R=None, levels=4):
@@ -315,12 +337,13 @@ def rho_capacity(points, report, q, R=None, levels=4):
 
     Maximizing mass(mu)^q subject to J(mu) = 1 reduces, because J is
     q-homogeneous, to sup mass/J^{1/q} over the weight simplex, i.e. to
-    minimizing J there; the value is 1/min J.  The constraint functional
-    is the cutoff-regularized admissibility aggregate, and the history
-    tracks the cutoff ladder 1e-2 / 2^level: supercritical configurations
-    drive the value to zero as the cutoff shrinks.
+    minimizing J there, or J(w) - sum(w) over w >= 0 up to scale; the
+    value is 1/min J.  The constraint functional is the cutoff-regularized
+    admissibility aggregate, and the history tracks the cutoff ladder
+    1e-2 / 2^level: supercritical configurations drive the value to zero
+    as the cutoff shrinks.
     """
-    eps, gap_tol, max_iter = 1e-2, 1e-6, 2000   # cutoff, Frank-Wolfe gap, budget
+    eps = 1e-2   # coarsest cutoff
     pts = np.atleast_2d(np.asarray(points, float))
     if pts.size == 0:
         hist = tuple((eps / 2.0 ** i, 0.0) for i in range(levels))
@@ -333,36 +356,15 @@ def rho_capacity(points, report, q, R=None, levels=4):
         diam = float(np.max(pts) - np.min(pts)) if pts.shape[0] > 1 else 0.0
         R = 8.0 * (diam + 1.0)
 
-    nk = pts.shape[0]
+    params = params_from_report(report, q, R=R)
     history = []
-    w = np.full(nk, 1.0 / nk)
     total_iters = 0
-    fw_gap = 0.0
     for lev in range(levels):
         e_lev = eps / 2.0 ** lev
-        if nk == 1:
-            w = np.array([1.0])
-            fw_gap = 0.0
-        else:
-            eta = 1.0
-            J_cur, grad = _J_fixed_grid(pts, w, report, q, R, e_lev)
-            for it in range(max_iter):
-                w_new = _simplex_project(w - eta * grad / max(np.max(np.abs(grad)), 1e-300))
-                J_new, grad_new = _J_fixed_grid(pts, w_new, report, q, R, e_lev)
-                if J_new <= J_cur:
-                    w, J_cur, grad = w_new, J_new, grad_new
-                    eta *= 1.2
-                else:
-                    eta *= 0.5
-                fw_gap = float(grad @ w - np.min(grad)) / max(abs(J_cur), 1e-300)
-                total_iters += 1
-                if fw_gap <= gap_tol or eta < 1e-12:
-                    break
-            else:
-                raise SolverError("simplex descent stalled (FW gap %.3g)" % fw_gap,
-                                  gap=fw_gap)
-        mu = DiscreteMeasure(report.m, [(z, wi) for z, wi in zip(pts, w)])
-        params = params_from_report(report, q, R=R)
+        phi = _J_fixed_grid(pts, report, q, R, e_lev)
+        x, decrement, steps = _orthant_newton(phi, _ray_start(phi, np.ones(len(pts)), q))
+        total_iters += steps
+        mu = DiscreteMeasure(report.m, [(z, wi) for z, wi in zip(pts, x / x.sum())])
         J_star, _ = M_nu_s(mu, params, eps=e_lev)
         # built-in homogeneity check: the objective is weight-scale invariant
         J_double, _ = M_nu_s(mu.scaled(2.0), params, eps=e_lev)
@@ -375,7 +377,7 @@ def rho_capacity(points, report, q, R=None, levels=4):
     theta = q * (report.s(q) - report.m / qp)
     verdict, limit = _verdict_from_history(history, theta)
     return CapacityResult(float(history[-1][1]), eps, tuple(history), verdict,
-                          float(fw_gap), total_iters, limit)
+                          float(decrement), total_iters, limit)
 
 
 # --------------------------------------------------------------------------

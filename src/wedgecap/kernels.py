@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma_fn
 
-from ._quad import (gauss_legendre, geometric_edges, integrate_partials,
-                    integrate_rows, merge_edges)
+from ._quad import geometric_edges, integrate_partials, integrate_rows, merge_edges
 from .errors import (AccuracyError, ConfigurationError, DivergenceError,
                      DomainError, SingularityError)
 from .exponents import bookkeeping_identity_gap
@@ -662,22 +661,20 @@ def reduced_I_ladder(mu, params, cutoffs, quad=None):
     return vals, err + 0.3 * quad.rtol * float(np.max(np.abs(vals)))
 
 
-def _I_angular(tau, sigma, j, q):
-    """I_j(tau) = integral_0^{pi/2} e^{-tau cos f} cos^{(sigma+1)q-1} f sin^{j-2} f df."""
+def _I_angular(tau, sigma, j, q, rtol):
+    """I_j(tau) = integral_0^{pi/2} e^{-tau cos f} cos^{(sigma+1)q-1} f sin^{j-2} f df,
+    one adaptive row per tau, each to ``rtol``."""
     pw = (sigma + 1.0) * q - 1.0
     tau = np.asarray(tau, float)
     tref = max(1.0, float(np.max(tau)))
     marks = math.pi / 2.0 - np.minimum(math.pi / 2.0, 2.0 ** np.arange(-3, 4) / tref)
     edges = merge_edges(0.0, math.pi / 2.0, np.linspace(0, math.pi / 2, 7), marks)
-    x, wq = gauss_legendre(16)
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    phi = (mid[:, None] + half[:, None] * x).ravel()
-    g = (np.exp(-tau[:, None] * np.cos(phi)[None, :])
-         * np.cos(phi)[None, :] ** pw * np.sin(phi)[None, :] ** (j - 2.0))
-    wfull = (half[:, None] * wq).ravel()
-    return g @ wfull
+
+    def rows(phi):
+        c = np.cos(phi)
+        return np.exp(-np.outer(tau, c)) * (c ** pw * np.sin(phi) ** (j - 2.0))
+
+    return integrate_rows(rows, edges, rtol=rtol)[0]
 
 
 def I_m_j(mu, params, quad=None, eps=0.0):
@@ -701,7 +698,7 @@ def I_m_j(mu, params, quad=None, eps=0.0):
 
     def w(tau):
         tau = np.asarray(tau, float)
-        return c * tau ** (p + j - 2.0) * _I_angular(tau, sigma, j, q)
+        return c * tau ** (p + j - 2.0) * _I_angular(tau, sigma, j, q, quad.rtol)
 
     return _tau_aggregate(mu, params, quad, w, wpow, Y, eps, truncated=False,
                           tail_bound=lambda y: scale * tail_bound(y))

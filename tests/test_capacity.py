@@ -5,11 +5,11 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import gamma as G, kv, modstruve
 
-from wedgecap.capacity import (CapacityResult, _cell_matrix,
-                               bessel_capacity, bessel_kernel,
-                               bessel_kernel_radial, capacity_null_test,
-                               rho_capacity)
-from wedgecap.errors import DomainError, SingularityError
+from wedgecap.capacity import (CapacityResult, _cell_matrix, _J_fixed_grid,
+                               _orthant_newton, _ray_start, bessel_capacity,
+                               bessel_kernel, bessel_kernel_radial,
+                               capacity_null_test, rho_capacity)
+from wedgecap.errors import DomainError, SingularityError, SolverError
 from wedgecap.exponents import critical_exponents
 from wedgecap.geometry import SetPiece
 from wedgecap._quad import geometric_edges, integrate, merge_edges
@@ -127,10 +127,81 @@ class TestBesselCapacity:
                        bounds=[(0.0, None)] * centers.size, method="SLSQP",
                        options={"maxiter": 400, "ftol": 1e-12})
         assert res.success
-        mine = bessel_capacity(pts, alpha, p, resolution=h, levels=1,
-                               dilation_radii=3.0 / max(1.0, alpha))
+        mine = bessel_capacity(pts, alpha, p, resolution=h, levels=1)
         # grids differ slightly in extent; values agree to solver scale
         assert abs(mine.value - res.fun) < 2e-3 * res.fun
+
+    @pytest.mark.parametrize("alpha", [0.35, 0.6, 1.3])
+    def test_p2_matches_closed_form(self, alpha):
+        # p = 2 with every constraint active: g = A^T lam / 2h and the value
+        # is h 1^T (A A^T)^{-1} 1 on the very cell matrix the solver sees
+        pts, h = np.array([-0.6, 0.1, 0.6]), 0.04
+        lo, hi = pts.min() - 3.0 * max(1.0, alpha), pts.max() + 3.0 * max(1.0, alpha)
+        centers = pts[0] + h * np.arange(math.floor((lo - pts[0]) / h),
+                                         math.ceil((hi - pts[0]) / h) + 1)
+        A = _cell_matrix(pts, centers, h, alpha)
+        exact = h * np.sum(np.linalg.solve(A @ A.T, np.ones(pts.size)))
+        res = bessel_capacity(pts, alpha, 2.0, resolution=h, levels=1)
+        assert abs(res.value - exact) <= 1e-12 * exact
+        assert res.gap <= 1e-14
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 6.0])
+    def test_gap_closes_for_every_p(self, p):
+        res = bessel_capacity(np.array([-1.0, -0.3, 0.2, 0.5, 1.4]), 0.8, p,
+                              resolution=0.04)
+        assert res.gap <= 1e-13
+        assert res.iterations <= 20
+
+    def test_steep_dual_at_p_near_one(self):
+        # g ~ (A^T lam)^100: trial steps overflow and are rejected; the
+        # first-order ascent stalled here at gap 1.7e-5
+        res = bessel_capacity(np.array([-0.6, 0.1, 0.6]), 30.0, 1.01,
+                              resolution=0.05, levels=2)
+        assert res.gap <= 1e-13 and res.iterations <= 20
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("d", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+    def test_near_coincident_targets(self, d, p):
+        # coinciding or nearly coinciding targets make the dual Hessian
+        # singular or nearly so; the first-order ascent stalled on these
+        res = bessel_capacity(np.array([0.0, d, 0.5]), 0.6, p)
+        ref = bessel_capacity(np.array([0.0, 0.5]), 0.6, p)
+        assert np.isfinite(res.value) and res.gap <= 1e-7
+        assert res.verdict == ref.verdict
+
+
+class TestOrthantNewton:
+    def test_quadratic_with_active_bound(self):
+        # phi = x^T H x / 2: the unconstrained minimizer H^{-1} 1 is
+        # (0.8, -0.2) / 0.56, so the answer sits on the face x_2 = 0 at
+        # x_1 = 1 / H_11, where the gradient pushes x_2 outward by 0.2
+        H = np.array([[1.0, 1.2], [1.2, 2.0]])
+        x, dec, steps = _orthant_newton(lambda x: (0.5 * x @ H @ x, H @ x, H),
+                                        np.ones(2))
+        assert np.abs(x - [1.0, 0.0]).max() <= 1e-15 and dec <= 1e-15
+        assert steps <= 3
+
+    def test_non_convex_phi_raises(self):
+        H = np.array([[1.0, 2.0], [2.0, 1.0]])          # eigenvalues 3 and -1
+        with pytest.raises(SolverError):
+            _orthant_newton(lambda x: (0.5 * x @ H @ x, H @ x, H), np.ones(2))
+        with pytest.raises(SolverError):                # concave
+            _orthant_newton(lambda x: (-x @ x, -2.0 * x, -2.0 * np.eye(2)),
+                            np.ones(2))
+
+    def test_rho_level_kkt(self):
+        # on a dense cluster the optimal weights sit on a few atoms: the
+        # gradient of J is equal on the support and no smaller off it
+        pts = np.linspace(0.0, 0.05, 9)[:, None]
+        phi = _J_fixed_grid(pts, QUARTER, 1.5, 16.0, 1e-2)
+        x, dec, _ = _orthant_newton(phi, _ray_start(phi, np.full(9, 1.0 / 9), 1.5))
+        w = x / x.sum()
+        _, grad, _ = phi(w)
+        on = w > 0.0
+        assert 1 < np.count_nonzero(on) < 9 and dec <= 1e-20
+        g0 = grad[on].mean()
+        assert np.all(np.abs(grad[on] / g0 - 1.0) <= 1e-12)
+        assert np.all(grad[~on] / g0 - 1.0 >= 1e-6)
 
 
 class TestRhoCapacity:
@@ -155,6 +226,22 @@ class TestRhoCapacity:
         assert res.verdict in ("positive", "inconclusive")
         single = rho_capacity(np.array([[0.0]]), QUARTER, q=1.5, R=16.0, levels=2)
         assert res.value >= single.value * (1 - 1e-6)   # more support can't hurt
+
+    def test_single_point_starts_at_the_optimum(self):
+        # the uniform ray start is the minimizer: at most one step per
+        # level, which polishes round-off
+        res = rho_capacity(np.array([[0.0]]), QUARTER, q=1.5, R=8.0, levels=2)
+        assert res.iterations <= 2 and res.gap <= 1e-15
+
+    @pytest.mark.parametrize("d", [0.0, 1e-9, 1e-6, 1e-4])
+    def test_near_coincident_points(self, d):
+        # a second atom within d of the first; the projected-gradient
+        # descent stalled at d = 1e-4.  At d = 1e-4 the extra atom really
+        # raises the value, by 1.3e-9 relative (1.7e-10 absolute).
+        ref = rho_capacity(np.array([[0.0], [1.0]]), QUARTER, q=1.5)
+        res = rho_capacity(np.array([[0.0], [d], [1.0]]), QUARTER, q=1.5)
+        assert abs(res.value - ref.value) <= 1e-9
+        assert res.verdict == ref.verdict and res.gap <= 1e-15
 
 
 class TestNullTest:

@@ -151,6 +151,17 @@ def test_capacity_subcommand(tmp_path, capsys):
     assert "history" in res[1]
 
 
+def test_capacity_near_coincident_points(tmp_path, capsys):
+    # two targets 1e-3 apart: the first-order dual ascent stalled (exit 3)
+    st = write(tmp_path, "set.json", {"pieces": [
+        {"stratum": "edge", "kind": "grid", "points": [[0.0], [0.001], [0.5]]}]})
+    code, out, _ = run_cli(capsys, "capacity", "--set", st, "--alpha", "0.6",
+                           "--p", "2")
+    assert code == 0
+    piece = json.loads(out)["result"]["pieces"][0]
+    assert piece["verdict"] == "positive" and piece["gap"] <= 1e-14
+
+
 def test_verify_dichotomy(capsys):
     code, out, _ = run_cli(capsys, "verify", "dichotomy", "--N", "3", "--k", "2",
                            "--alpha1", "1.5707963267948966", "--q", "2.0")

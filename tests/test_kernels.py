@@ -573,6 +573,26 @@ class TestClosedFormOracles:
                 lambda t: t ** -4.4 * t ** 2.7 / (1 + t) ** 2.7, [60, 240, mpmath.inf]))
         assert abs(v - exact) <= e
 
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_angular_factor_mpmath(self, j):
+        # I_j(tau) in u = cos f is integral_0^1 e^{-tau u} u^{(sigma+1)q-1}
+        # (1-u^2)^{(j-3)/2} du; one batch spanning 7 decades of tau shares
+        # its panels, whose start edges fit only the largest tau
+        sigma, q, rtol = 0.5, 1.8, 1e-8
+        pw = (sigma + 1.0) * q - 1.0
+        taus = np.array([1e-3, 0.1, 1.0, 7.0, 50.0, 400.0, 3000.0, 2e4])
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.quad(
+                lambda u: mpmath.exp(-t * u) * u ** pw
+                * (1 - u * u) ** (mpmath.mpf(j - 3) / 2),
+                [0] + [c / t for c in (1, 10, 100) if c / t < 0.5] + [0.5, 1]))
+                for t in taus])
+        got = kernels._I_angular(taus, sigma, j, q, rtol)
+        assert np.max(np.abs(got / ref - 1.0)) <= rtol
+        for t, r in zip(taus, ref):
+            assert abs(kernels._I_angular(np.array([t]), sigma, j, q, rtol)[0] / r
+                       - 1.0) <= rtol
+
     def test_j2_full_is_half_pi(self):
         # c = 3 pi / 8 and the polar reduction integrates to exactly pi/2
         p = KernelParams(nu=3.0, m=1, q=2.0, sigma=2.0, j=2)
