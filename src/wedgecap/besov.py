@@ -153,18 +153,47 @@ def _gagliardo_1d(f, x, s, p, h):
 
 
 def _second_diff_form(f, x, p, h):
-    """(3.3)-style form: double sum of |f(x+y)+f(x-y)-2f(x)|^p / |y|^{1+p}."""
+    """(3.3)-style form: double sum of |f(x+y)+f(x-y)-2f(x)|^p / |y|^{1+p}.
+
+    The sum runs over every sample i and offset 1 <= off < n, with f = 0
+    off the grid, at weight w(off) = (off h)^{-(1+p)}.  Let [a, b] be the
+    hull of f's nonzero samples and m its length.  A sample outside it has
+    at most one nonzero partner j in the hull, so it adds |f_j|^p times a
+    run of consecutive weights, read off the suffix sums of w as in
+    :func:`_gagliardo_1d`.  A hull sample at an offset >= m has both
+    partners outside and adds |2 f_i|^p w(off).  Only offsets below m are
+    summed directly, in blocks of at most _PAIR_CELLS cells.
+    """
     n = x.size
-    fpad = np.concatenate([np.zeros(n), f, np.zeros(n)])
-    base = np.arange(n) + n
-    total = 0.0
-    for off in range(1, n):
-        d = np.abs(fpad[base + off] + fpad[base - off] - 2.0 * f) ** p
-        total += 2.0 * np.sum(d) / (off * h) ** (1.0 + p)
-    total *= h * h
     lp_p = h * float(np.sum(np.abs(f) ** p))
-    Y = n * h
-    tail = 4.0 ** p * lp_p * Y ** (-p) / p * 2.0
+    tail = 4.0 ** p * lp_p * (n * h) ** (-p) / p * 2.0
+    nz = np.flatnonzero(f)
+    if nz.size == 0:
+        return tail
+    a, b = int(nz[0]), int(nz[-1])
+    w = np.zeros(n)
+    w[1:] = 1.0 / (np.arange(1, n) * h) ** (1.0 + p)
+    above = np.append(np.cumsum(w[::-1])[::-1], 0.0)   # above[k] = sum of w[k:]
+    g = f[a:b + 1]
+    m = g.size
+    gp = np.abs(g) ** p
+    j = np.arange(a, b + 1)
+    # hull sample j is the partner of i = j - off < a for off = j+1-a .. j,
+    # and of i = j + off > b for off = b+1-j .. n-1-j
+    cross = above[j + 1 - a] - above[j + 1] + above[b + 1 - j] - above[n - j]
+    total = float(np.dot(gp, cross)) + 2.0 ** p * float(np.sum(gp)) * above[m]
+    # window k of the zero-padded hull is g shifted by k - (m - 1)
+    win = sliding_window_view(np.concatenate([np.zeros(m - 1), g, np.zeros(m - 1)]), m)
+    right, left = win[m:], win[m - 2::-1]   # offsets 1 .. m-1 (unused if m = 1)
+    rows = max(1, min(_PAIR_CELLS // m, m - 1))
+    buf = np.empty((rows, m))   # one block of offsets at a time
+    for o0 in range(0, m - 1, rows):
+        d = np.add(right[o0:o0 + rows], left[o0:o0 + rows], out=buf[:m - 1 - o0])
+        d -= 2.0 * g
+        np.abs(d, out=d)
+        d **= p
+        total += float(w[o0 + 1:o0 + 1 + len(d)] @ d.sum(axis=1))
+    total *= 2.0 * h * h
     return total + tail
 
 

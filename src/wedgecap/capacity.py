@@ -261,6 +261,8 @@ def bessel_capacity(points, alpha, p, resolution=0.05, levels=4):
         if pts.shape[1] != 1:
             raise ConfigurationError("numeric capacity implemented on R^1")
         pts = pts[:, 0]
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("points must be finite")
     if pts.size == 0:
         hist = tuple((resolution * 2.0 ** (levels - 1 - i), 0.0) for i in range(levels))
         return CapacityResult(0.0, resolution, hist, "vanishing", 0.0, 0)

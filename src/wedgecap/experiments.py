@@ -96,12 +96,6 @@ def reports_csv(reports):
     return buf.getvalue()
 
 
-def write_reports_csv(reports, path):
-    """Write :func:`reports_csv` of the reports to ``path`` as UTF-8."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(reports_csv(reports))
-
-
 def measure_family(m, R, n_measures=20, seed=DEFAULT_SEED,
                    max_atoms=10):
     """Seeded positive atomic measures supported in B_{R/4} of R^m."""
@@ -467,8 +461,17 @@ class HeatLift:
     Laplacian: -Laplacian has eigenvalues (4/h^2) sin^2(j pi / 2n), 0 < j < n
     (G. Strang, SIAM Review 41, 1999).  So w, w_t and w_tt are exact in t
     for the semi-discrete system, and the discrete maximum principle holds
-    to roundoff.  A 1-D array of times costs one batched transform, one row
-    per time.  The lift is H(x', x'') = w(|x'|^2, x'').
+    to roundoff.  The lift is H(x', x'') = w(|x'|^2, x'').
+
+    A set of times costs one table exp(-t lam), shared by every quantity
+    (and every bump on the same grid) at those times.  Each quantity is
+    the table times a spectral multiplier: (-lam)^order for d^order w /
+    dt^order, or any lam-polynomial such as the chain-rule Laplacian
+    4 t lam^2 - (2k+1) lam.  All rows of one request go through one
+    batched transform.  The lift checks take w_t from the FD stencil
+    L_h w instead, which is exact for the semi-discrete flow; L_h^2 w
+    would lose digits to the h^-4 roundoff, so w_tt always comes from a
+    multiplier.
     """
 
     def __init__(self, eta_fn, R, n=1024):
@@ -488,11 +491,29 @@ class HeatLift:
         self.lam = 4.0 / self.h ** 2 * np.sin(0.5 * math.pi / n * np.arange(1, n)) ** 2
         self.c = dst(self.eta[1:-1], type=1, norm="ortho")
 
+    def _decay(self, t):
+        """The table exp(-t lam) at a time, or one row per time of a 1-D array."""
+        return np.exp(-np.multiply.outer(t, self.lam))
+
+    def _rows(self, *spectra):
+        """Grid rows of each spectrum (a decay table times a multiplier).
+
+        All rows go through one batched transform and land in zero-bordered
+        arrays, one per spectrum, of shape spectrum.shape[:-1] + (n + 1,).
+        """
+        shapes = [np.shape(g)[:-1] for g in spectra]
+        starts = np.cumsum([0] + [math.prod(s) for s in shapes])
+        spans = list(zip(starts[:-1], starts[1:]))
+        stack = np.empty((starts[-1], self.n - 1))
+        for g, (a, b) in zip(spectra, spans):
+            np.multiply(np.reshape(g, (b - a, -1)), self.c, out=stack[a:b])
+        out = np.zeros((starts[-1], self.n + 1))
+        out[:, 1:-1] = dst(stack, type=1, norm="ortho", axis=-1, overwrite_x=True)
+        return [out[a:b].reshape(s + (self.n + 1,)) for s, (a, b) in zip(shapes, spans)]
+
     def _at(self, t, order):
         """d^order w / dt^order at a time, or one row per time of a 1-D array."""
-        g = (-self.lam) ** order * np.exp(-np.multiply.outer(t, self.lam))
-        rows = dst(g * self.c, type=1, norm="ortho", axis=-1)
-        return np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(1, 1)])
+        return self._rows((-self.lam) ** order * self._decay(t))[0]
 
     def w(self, t):
         return self._at(t, 0)
@@ -520,6 +541,12 @@ def _cutoff_profile(u):
     out[mid] = np.cos(2.0 * math.pi * (u[mid] - 0.5)) ** 2
     out[u >= 0.75] = 0.0
     return out
+
+
+def _strided_columns(size, stride):
+    """Slices of the coarse FD columns and of their right and left neighbours."""
+    return (slice(stride, size - stride, stride), slice(2 * stride, size, stride),
+            slice(0, size - 2 * stride, stride))
 
 
 def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
@@ -558,24 +585,26 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
     overshoot = max(0.0, float(np.max(W) - np.max(lift.eta)),
                     float(-np.min(W)), init_err)
 
+    def chain_rule(tc):
+        """The multiplier of 4 t w_tt + (2k+1) w_t, times a column of t."""
+        return 4.0 * tc * lift.lam ** 2 - (2.0 * k + 1.0) * lift.lam
+
     # (b) Laplacian identity at three FD resolutions
     resid = []
     for frac in HEAT_H_GRID:
         h = frac * R
-        stride = int(round(h / h_s))
+        mid, right, left = _strided_columns(x.size, int(round(h / h_s)))
         ys = np.arange(0.15 * R, 0.7 * R, h)
-        y, t = ys[:, None], ys * ys
-        cols = np.arange(stride, x.size - stride, stride)
-        # the rows at y + h and y - h are the rows at y, shifted by one
-        W = lift.w(np.concatenate([[ys[0] - h], ys, [ys[-1] + h]]) ** 2)
-        w0, wp, wm = W[1:-1], W[2:], W[:-2]
+        y, t = ys[:, None], (ys * ys)[:, None]
+        # the rows at y + h and y - h are the rows at y, shifted by one; the
+        # right side 4 t w_tt + (2k+1) w_t is one multiplier on the same table
+        E = lift._decay(np.concatenate([[ys[0] - h], ys, [ys[-1] + h]]) ** 2)
+        W, rhs = lift._rows(E, E[1:-1] * chain_rule(t))
+        w0, wp, wm = W[1:-1, mid], W[2:, mid], W[:-2, mid]
         lhs = ((wp - 2.0 * w0 + wm) / h ** 2
-               + (k - 1.0) / y * (wp - wm) / (2.0 * h))
-        lhs = lhs[:, cols] + (w0[:, cols + stride] - 2.0 * w0[:, cols]
-                              + w0[:, cols - stride]) / h ** 2
-        rhs = 4.0 * y * y * lift.wtt(t)[:, cols] \
-            + (2.0 * k + 1.0) * lift.wt(t)[:, cols]
-        resid.append(float(np.max(np.abs(lhs - rhs))))
+               + (k - 1.0) / y * (wp - wm) / (2.0 * h)
+               + (W[1:-1, right] - 2.0 * w0 + W[1:-1, left]) / h ** 2)
+        resid.append(float(np.max(np.abs(lhs - rhs[:, mid]))))
     orders = [math.log2(resid[i] / resid[i + 1]) for i in range(len(resid) - 1)]
 
     # (c) gradient functional vs fractional edge norm, over a bump family
@@ -583,11 +612,10 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
               (-R / 8.0, R / 6.0), (R / 16.0, R / 4.0)]
     ys = np.arange(0.05 * R, 0.72 * R, R / 64.0)
     y, t = ys[:, None], ys * ys
-    cols = np.arange(1, x.size - 1)
     psi = _cutoff_profile(ys / R)[:, None]
     dpsi = np.gradient(_cutoff_profile(np.abs(ys) / R), ys)[:, None]
-    rho_R = np.cos(0.5 * math.pi * x[cols] / R)
-    drho_R = -0.5 * math.pi / R * np.sin(0.5 * math.pi * x[cols] / R)
+    rho_R = np.cos(0.5 * math.pi * x[1:-1] / R)
+    drho_R = -0.5 * math.pi / R * np.sin(0.5 * math.pi * x[1:-1] / R)
     rho_A = y ** kappa_plus * psi
     rho = rho_A * rho_R
     drho_y = (kappa_plus * y ** (kappa_plus - 1.0) * psi
@@ -595,15 +623,20 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
     drho_x = rho_A * drho_R
     rho_lap = np.maximum(rho, 0.0) ** (1.0 / qp)
     rho_grad = 2.0 * np.maximum(rho, 1e-300) ** (-1.0 / q)
+    # every bump lives on the same grid, so one table serves the family;
+    # one bump at a time keeps the temporaries small
+    E = lift._decay(t)
+    E_lap = E * chain_rule(t[:, None])
     ratios = []
     for center, width in family:
         lf = HeatLift(_cos2_bump(center, width), R, n=HEAT_N_SOLVE)
-        w0, wt, wtt = lf.w(t), lf.wt(t)[:, cols], lf.wtt(t)[:, cols]
-        lapH = 4.0 * t[:, None] * wtt + (2.0 * k + 1.0) * wt
+        w0, lapH = lf._rows(E, E_lap)
+        # w_t = L_h w holds exactly for the semi-discrete flow
+        wt = (w0[:, 2:] - 2.0 * w0[:, 1:-1] + w0[:, :-2]) / h_s ** 2
         dyH = 2.0 * y * wt
-        dxH = (w0[:, cols + 1] - w0[:, cols - 1]) / (2.0 * h_s)
+        dxH = (w0[:, 2:] - w0[:, :-2]) / (2.0 * h_s)
         grad_term = np.abs(drho_y * dyH + drho_x * dxH)
-        Lval = rho_lap * np.abs(lapH) + rho_grad * grad_term
+        Lval = rho_lap * np.abs(lapH[:, 1:-1]) + rho_grad * grad_term
         terms = np.sum(Lval ** qp, axis=1) * h_s * (R / 64.0) * ys ** (k - 1.0)
         Lq = float(np.cumsum(terms)[-1])   # in y order; np.sum would pair rows
         ratios.append(Lq ** (1.0 / qp) / besov_pos_norm(lf.eta, x, s, qp))
@@ -614,9 +647,8 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
     sup_ratios = []
     for frac in HEAT_H_GRID[-2:]:
         h = frac * R
-        stride = int(round(h / h_s))
+        mid, right, left = _strided_columns(x.size, int(round(h / h_s)))
         y = np.arange(max(0.1 * R, 2.0 * h), 0.7 * R, h)[:, None]
-        cols2 = np.arange(stride, x.size - stride, stride)
 
         def zeta_slice(yv):
             val = lift.w((yv * yv)[:, 0]) ** qp
@@ -627,9 +659,9 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
         lap = ((zp - 2.0 * z0 + zm) / h ** 2
                + (k - 1.0) / y * (zp - zm) / (2.0 * h)
                - gamma_open / y ** 2 * z0)
-        lap = lap[:, cols2] + (z0[:, cols2 + stride] - 2.0 * z0[:, cols2]
-                               + z0[:, cols2 - stride]) / h ** 2
-        dom = (np.cos(0.5 * math.pi * x[cols2] / R)
+        lap = lap[:, mid] + (z0[:, right] - 2.0 * z0[:, mid]
+                             + z0[:, left]) / h ** 2
+        dom = (np.cos(0.5 * math.pi * x[mid] / R)
                * y ** kappa_plus * _cutoff_profile(y / R))
         mask = dom > 1e-8 * np.max(dom, axis=1, keepdims=True)
         sup_ratios.append(float(np.max(np.abs(lap[mask]) / dom[mask])))

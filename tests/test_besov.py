@@ -173,6 +173,7 @@ def _spike(index):
 
 
 HULL_CASES = {
+    "centred": lambda x: _bump(x, 0.0, 2.0),
     "off_centre": lambda x: _bump(x, 1.0, 2.0),
     "narrow": lambda x: _bump(x, -3.3, 0.4),
     "touches_left_end": lambda x: _bump(x, -7.5, 1.0),
@@ -183,7 +184,21 @@ HULL_CASES = {
     "one_sample": _spike(300),
     "one_sample_at_end": _spike(0),
     "all_zero": np.zeros_like,
+    "full_support": lambda x: 1.0 + 0.5 * np.cos(x),
 }
+
+
+def _second_diff_loop(f, x, p, h):
+    """Reference: the s = 1 form as one pass per offset over the whole grid."""
+    n = x.size
+    fpad = np.concatenate([np.zeros(n), f, np.zeros(n)])
+    base = np.arange(n) + n
+    total = 0.0
+    for off in range(1, n):
+        d = np.abs(fpad[base + off] + fpad[base - off] - 2.0 * f) ** p
+        total += 2.0 * np.sum(d) / (off * h) ** (1.0 + p)
+    lp_p = h * float(np.sum(np.abs(f) ** p))
+    return total * h * h + 4.0 ** p * lp_p * (n * h) ** (-p) / p * 2.0
 
 
 class TestHullSum:
@@ -218,6 +233,27 @@ class TestHullSum:
         tracemalloc.start()
         try:
             besov._gagliardo_1d(f, x, 0.5, 2.0, x[1] - x[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * besov._PAIR_CELLS * 8
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.43])
+    @pytest.mark.parametrize("case", sorted(HULL_CASES))
+    def test_second_diff_matches_offset_loop(self, case, p):
+        x = _GRID
+        f = HULL_CASES[case](x)
+        h = x[1] - x[0]
+        ref = _second_diff_loop(f, x, p, h)
+        got = besov._second_diff_form(f, x, p, h)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    def test_second_diff_temporaries_bounded(self):
+        x = np.linspace(-8.0, 8.0, 4097)
+        f = _bump(x, 0.0, 8.0)
+        tracemalloc.start()
+        try:
+            besov._second_diff_form(f, x, 2.0, x[1] - x[0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -83,6 +83,12 @@ class TestBesselCapacity:
         res = bessel_capacity(np.array([]), 0.5, 2.0)
         assert res.value == 0.0 and res.verdict == "vanishing"
 
+    @pytest.mark.parametrize("pts", [[np.nan], [np.inf, 0.0], [0.0, -np.inf]])
+    def test_non_finite_points(self, pts):
+        # NaN was a bare ValueError from the grid anchor, inf an OverflowError
+        with pytest.raises(DomainError, match="points must be finite"):
+            bessel_capacity(np.array(pts), 0.6, 2.0)
+
     def test_threshold_vanishing(self):
         res = bessel_capacity(np.array([0.0]), 0.4, 2.0, resolution=0.02)
         assert res.verdict == "vanishing"

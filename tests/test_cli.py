@@ -162,6 +162,16 @@ def test_capacity_near_coincident_points(tmp_path, capsys):
     assert piece["verdict"] == "positive" and piece["gap"] <= 1e-14
 
 
+def test_capacity_rejects_non_finite_points(tmp_path, capsys):
+    st = write(tmp_path, "set.json", {"pieces": [
+        {"stratum": "edge", "kind": "grid", "points": [[float("nan")]]}]})
+    code, out, err = run_cli(capsys, "capacity", "--set", st, "--alpha", "0.6",
+                             "--p", "2")
+    assert code == 2
+    assert out == ""
+    assert "points must be finite" in err
+
+
 def test_verify_dichotomy(capsys):
     code, out, _ = run_cli(capsys, "verify", "dichotomy", "--N", "3", "--k", "2",
                            "--alpha1", "1.5707963267948966", "--q", "2.0")

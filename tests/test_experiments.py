@@ -11,7 +11,7 @@ from wedgecap.errors import ConfigurationError, DomainError
 from wedgecap.experiments import (HeatLift, _cos2_bump, dichotomy_experiment,
                                   equivalence_experiment, harmonicity_experiment,
                                   heat_lifting, measure_family,
-                                  remainder_experiment, write_reports_csv)
+                                  remainder_experiment, reports_csv)
 
 
 class TestDichotomy:
@@ -237,7 +237,33 @@ class TestHeatLiftOracle:
             return real_dst(a, *args, **kwargs)
         monkeypatch.setattr(experiments, "dst", counting_dst)
         heat_lifting(R=8.0, q=1.7)
-        assert sum(rows) <= 1000
+        assert sum(rows) <= 700
+
+    def test_heat_lifting_exp_table_work(self, monkeypatch):
+        # one exp(-t lam) table per time set, shared by w, the chain-rule
+        # right side and the whole bump family
+        rows = []
+        real_decay = HeatLift._decay
+
+        def counting_decay(self, t):
+            rows.append(np.size(t))
+            return real_decay(self, t)
+        monkeypatch.setattr(HeatLift, "_decay", counting_decay)
+        heat_lifting(R=8.0, q=1.7)
+        assert sum(rows) <= 250
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 2.0])
+    def test_chain_rule_multiplier_is_one_transform(self, t):
+        # 4 t w_tt + (2k+1) w_t as the one multiplier 4 t lam^2 - (2k+1) lam
+        k = 2
+        lift = HeatLift(_skewed_bump, 4.0, n=256)
+        dense = _dense_lift(lift)
+        E = lift._decay(np.array([t]))
+        got, = lift._rows(E * (4.0 * t * lift.lam ** 2 - (2.0 * k + 1.0) * lift.lam))
+        for ref in (4.0 * t * lift.wtt(t) + (2.0 * k + 1.0) * lift.wt(t),
+                    4.0 * t * dense(2, t) + (2.0 * k + 1.0) * dense(1, t)):
+            assert got[0].shape == ref.shape
+            assert np.max(np.abs(got[0] - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_tiny_radius(self):
         # the (d) sup-ratio mask is relative to the dominating profile, so
@@ -251,7 +277,8 @@ class TestReporting:
     def test_csv_format(self, tmp_path):
         r = dichotomy_experiment(3, 2, 4.0, 2.0)
         path = os.path.join(tmp_path, "out.csv")
-        write_reports_csv([r], path)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(reports_csv([r]))
         with open(path, "rb") as fh:
             raw = fh.read()
         assert b"\r\n" not in raw            # LF endings
