@@ -17,8 +17,8 @@ cli          command-line front end (``wedgecap ...``)
 __version__ = "0.1.0"
 
 from .besov import NormProxyResult, besov_neg_proxy, besov_pos_norm
-from .capacity import (CapacityResult, bessel_capacity, bessel_kernel,
-                       bessel_kernel_radial, capacity_null_test, rho_capacity)
+from .capacity import (CapacityResult, bessel_capacity, bessel_kernel_radial,
+                       capacity_null_test, rho_capacity)
 from .classify import (GoodMeasureResult, RemovabilityResult, Verdict,
                        classify_polyhedron, good_measure_check,
                        removable_check, stratum_report, stratum_verdict)
@@ -29,8 +29,8 @@ from .geometry import (CompactSetDescription, ConeOpening, DiscreteMeasure,
                        PolyhedronSpec, SetPiece, Stratum, WedgeSpec,
                        cartesian_to_spherical, decompose_measure, dirac,
                        spherical_to_cartesian, validate_wedge)
-from .kernels import (KernelParams, QuadratureSpec, F_nu_m, I_m_j, J_AR,
-                      M_nu_s, default_R, k_nu_m, martin_kernel,
+from .kernels import (KernelParams, QuadratureSpec, F_nu_m, I_m_j, M_nu_s,
+                      default_R, k_nu_m, martin_kernel,
                       params_from_report, poisson_potential, reduced_I)
 from .spectral import (EigenResult, SLProblem, gamma_first_eigenvalue,
                        omega_SA, opening_eigenfunction, sl_eigen_1d,

@@ -13,8 +13,9 @@ All integrands are vectorized.  One refinement engine serves two entry
 points: ``integrate_rows`` evaluates a whole family of integrands (rows)
 sharing one panel decomposition in a single call, which is what makes
 the kernel functionals cheap at desk scale, and ``integrate_partials``
-sums the final panels of one row above each of several cuts, so a
-ladder of nested tails costs a single solve.
+sums the final panels of one row above each of several cuts (or of
+several rows above one cut), so a ladder of nested tails costs a single
+solve.
 """
 
 from functools import lru_cache
@@ -170,24 +171,15 @@ def integrate_rows(f, edges, rtol=1e-8):
     return vals, errs
 
 
-def integrate(f, edges, rtol=1e-8):
-    """Single-integrand version of :func:`integrate_rows`.
-
-    Returns ``(value, error_estimate)`` as floats.
-    """
-    vals, errs = integrate_rows(lambda x: np.asarray(f(x), float)[None, :],
-                                edges, rtol=rtol)
-    return float(vals[0]), float(errs[0])
-
-
 def integrate_partials(f, edges, cuts, rtol=1e-8):
     """One adaptive solve, many nested tails: integrals over [cut, edges[-1]].
 
     Every cut must appear among the initial edges, so panels never
     straddle a cut and the partial sums are exact panel aggregates of
-    the single refined decomposition.  ``f`` returns one row.  Returns
-    (values, error) with one value per cut (same order as ``cuts``) and
-    the global error estimate.
+    the single refined decomposition.  For ``f`` returning one row,
+    returns (values, error) with one value per cut (same order as
+    ``cuts``) and the global error estimate; for several rows and one
+    cut, each row's value above it and the per-row errors.
     """
     edges = np.asarray(edges, float)
     cuts = np.asarray(cuts, float)
@@ -195,6 +187,10 @@ def integrate_partials(f, edges, cuts, rtol=1e-8):
     if not np.all(np.any(np.abs(edges[:, None] - cuts) <= tol, axis=0)):
         raise ValueError("every cut must be an initial panel edge")
     a, hi, _, errs = _refine(f, edges, rtol)
+    if hi.shape[0] > 1:
+        if cuts.size != 1:
+            raise ValueError("several rows take a single cut")
+        return hi[:, a >= cuts[0] - tol[0]].sum(axis=1), errs
     vals = np.array([hi[0, a >= c - t].sum() for c, t in zip(cuts, tol)])
     return vals, float(errs[0])
 

@@ -131,12 +131,6 @@ def bessel_kernel_radial(r, alpha, ell):
     return out if out.size > 1 else float(out[0])
 
 
-def bessel_kernel(x, alpha):
-    """G_alpha at a point of R^ell (ell = len(x))."""
-    x = np.atleast_1d(np.asarray(x, float))
-    return bessel_kernel_radial(float(np.linalg.norm(x)), alpha, x.size)
-
-
 def _cell_matrix(targets, centers, h, alpha):
     """A[j, l] = integral of G_alpha on R^1 over cell l seen from target j.
 

@@ -19,15 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dst
+from scipy.special import beta, betainc
 
-from ._quad import fit_loglog, geometric_edges, integrate_rows, merge_edges
+from ._quad import fit_loglog
 from .besov import besov_neg_proxy, besov_pos_norm
 from .errors import AnomalyError, ConfigurationError, DomainError
 from .exponents import _require_q, capacity_index_s, critical_exponents
 from .geometry import DiscreteMeasure, dirac
-from .kernels import (DEFAULT_QUAD, KernelParams, M_nu_s, QuadratureSpec,
-                      _F_outside_m1, _tau_ladder, h_sigma_j,
-                      params_from_report, reduced_I_ladder)
+from .kernels import (DEFAULT_QUAD, KernelParams, QuadratureSpec, _box_ladder,
+                      _M_weight, _reduction_pieces, _tau_ladder,
+                      params_from_report)
 
 DEFAULT_SEED = 42
 
@@ -149,19 +150,9 @@ def dichotomy_experiment(N, k, gamma, q, eps_grid=None):
 
     jq = q * (2.0 - N - 2.0 * kp)        # kernel power |x|^{jq}
     rpow = (q + 1.0) * kp + k - 1.0      # edge-distance weight power
-    mpow = N - k - 1.0                   # cross-edge polar weight power
-
-    def slice_T(r_nodes):
-        def f(rpp):
-            return ((r_nodes[:, None] ** 2 + rpp[None, :] ** 2) ** (0.5 * jq)
-                    * rpp[None, :] ** mpow)
-        edges = merge_edges(1e-12 * R, R, geometric_edges(1e-12 * R, R, 4),
-                            np.linspace(1e-12 * R, R, 9))
-        vals, _ = integrate_rows(f, edges, rtol=quad.rtol)
-        return vals
 
     def integrand(r_nodes):
-        return (r_nodes ** rpow * slice_T(r_nodes))[None, :]
+        return (r_nodes ** rpow * _slice_T(r_nodes, jq, N - k, R))[None, :]
 
     I_vals, _ = _tau_ladder(integrand, eps_grid, R, None, quad)
     slope_I, _, r2_I, se_I = fit_loglog(eps_grid, I_vals)
@@ -203,6 +194,16 @@ def dichotomy_experiment(N, k, gamma, q, eps_grid=None):
                             time.perf_counter() - t0, rows)
 
 
+def _slice_T(r, jq, m, R):
+    """Cross-edge slice integral_0^R (r^2 + rho^2)^{jq/2} rho^{m-1} drho in
+    closed form: with rho = r t and u = t^2 / (1 + t^2) it is
+    (1/2) r^{jq+m} B(m/2, b) I_x(m/2, b), b = -(jq+m)/2 > 0, x = R^2/(R^2+r^2).
+    """
+    a, b = 0.5 * m, -0.5 * (jq + m)
+    x = R * R / (R * R + r * r)
+    return 0.5 * r ** (jq + m) * beta(a, b) * betainc(a, b, x)
+
+
 def _dichotomy_params(N, k, gamma, q, R):
     return {"N": N, "k": k, "gamma": gamma, "q": q, "R": R}
 
@@ -237,7 +238,7 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
     qp = q / (q - 1.0)
     growth_bound = (s + rep.nu - m) * q + 1.0
 
-    # the family is drawn in B_{R/4}; M_nu_s needs it in B_{r/2} for the
+    # the family is drawn in B_{R/4}; M needs it in B_{r/2} for the
     # smallest truncation radius r
     if not (0.0 < R <= 2.0 * min(R_grid)):
         raise DomainError("R must be finite and in (0, %g], twice the smallest "
@@ -260,21 +261,29 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
             "proxy divergence detector contradicts the s = m/q' threshold",
             None)
 
+    # M at every truncation radius from one box ladder per measure
     kp = params_from_report(rep, q, R=R)
+    weight, _ = _M_weight(kp)
+    radii = sorted(set(R_grid) | {R})
+
+    def M_radii(mu):
+        vals, _ = _box_ladder(mu, kp, quad, weight, radii, eps)
+        return dict(zip(radii, vals.tolist()))
+
     ratios = []
     homog_err_M = []
     homog_err_P = []
     rows = []
     proxies = []
-    M_at_R = []
+    M_all = []
     for i, mu in enumerate(fam):
-        Mv, _ = M_nu_s(mu, kp, quad=quad, eps=eps)
+        M_all.append(M_radii(mu))
+        Mv = M_all[-1][R]
         P = besov_neg_proxy(mu, s, q, eps=eps, quad=quad).value
-        M2, _ = M_nu_s(mu.scaled(2.0), kp, quad=quad, eps=eps)
+        M2 = M_radii(mu.scaled(2.0))[R]
         P2 = besov_neg_proxy(mu.scaled(2.0), s, q, eps=eps, quad=quad).value
         ratios.append(Mv / P)
         proxies.append(P)
-        M_at_R.append(Mv)
         homog_err_M.append(abs(M2 / (2.0 ** q * Mv) - 1.0))
         homog_err_P.append(abs(P2 / (2.0 ** q * P) - 1.0))
         rows.append({"params": {"measure": i}, "metric": "ratio", "value": Mv / P})
@@ -283,12 +292,7 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
 
     growth = []
     for Rg in R_grid:
-        if Rg == R:
-            M_g = M_at_R
-        else:
-            kg = params_from_report(rep, q, R=Rg)
-            M_g = [M_nu_s(mu, kg, quad=quad, eps=eps)[0] for mu in fam]
-        vals = [Mv / P for Mv, P in zip(M_g, proxies)]
+        vals = [Ms[Rg] / P for Ms, P in zip(M_all, proxies)]
         growth.append(max(vals))
         rows.append({"params": {"R": Rg}, "metric": "max_ratio", "value": max(vals)})
     growth_slope, _, growth_r2, _ = fit_loglog(R_grid, growth)
@@ -318,8 +322,10 @@ def remainder_experiment(nu, sigma, m, j, q, mu=None, R_grid=(2.0, 4.0, 8.0, 16.
 
     Delta(R) = integral_R^inf F h dtau + integral_0^R (F - F^R) h dtau,
     the two finite pieces of the difference between the full and the
-    truncated functionals.  The fitted R-exponent must stay below
-    (sigma+1-nu)q + m + j - 1 (+0.1 slack) and Delta must be nonincreasing.
+    truncated functionals, integrates the kernel against h over the
+    complement of the box (0, R) x (-R, R); all R come from one solve.
+    The fitted R-exponent must stay below (sigma+1-nu)q + m + j - 1
+    (+0.1 slack) and Delta must be nonincreasing.
     """
     t0 = time.perf_counter()
     quad = DEFAULT_QUAD
@@ -335,19 +341,9 @@ def remainder_experiment(nu, sigma, m, j, q, mu=None, R_grid=(2.0, 4.0, 8.0, 16.
         raise DomainError("need m < nu q and j - 1 < nu q")
     bound = (sigma + 1.0 - nu) * q + m + j - 1.0
 
-    # tails: integral over tau > R of the full slice integral, all R at once
-    tails, _ = reduced_I_ladder(mu, params, R_grid, quad=quad)
-    deltas = []
-    for R, tail in zip(R_grid, tails):
-        # deficit: integral over tau < R of the outside-ball slice integral
-        def f_def(tau):
-            fv, _ = _F_outside_m1(np.asarray(tau, float), mu, params, R, quad)
-            return (fv * h_sigma_j(tau, sigma, j, q))[None, :]
-
-        edges = merge_edges(1e-6 * R, R, geometric_edges(1e-6 * R, R, 5),
-                            np.linspace(1e-6 * R, R, 9))
-        deficit, _ = integrate_rows(f_def, edges, rtol=quad.rtol)
-        deltas.append(float(tail + deficit[0]))
+    w, _, tail_bound, Y = _reduction_pieces(mu, params)
+    deltas = _box_ladder(mu, params, quad, w, R_grid, 1e-6 * R_grid[0],
+                         tail_bound, Y)[0].tolist()
 
     slope, _, r2, se = fit_loglog(R_grid, deltas)
     monotone = bool(np.all(np.diff(deltas) <= 1e-12 * np.array(deltas[:-1])))

@@ -8,7 +8,6 @@ for an atomic measure mu on R^m.  On top of it sit
 
     F_{nu,m}[mu](tau)        the L^q slice integral over R^m (or the ball B_R),
     M_{nu,s}^m(mu; R)        the tau-weighted aggregate on (0, R),
-    J_AR                     the same aggregate in wedge parameters,
     I / reduced_I            the exponential-weight variants and their
                              1-D reduction with weight h_{sigma,j}.
 
@@ -169,20 +168,6 @@ def poisson_potential(mu, x, report, omega=None):
     for z, w in zip(mu.positions, mu.weights):
         acc += w * martin_kernel(x, z, report, omega=omega)
     return acc
-
-
-def poisson_upper_bound(mu, x, report):
-    """c_A (r')^{kappa_plus} sum_i w_i |(x', x''-z_i)|^{2-N-2 kappa_plus}.
-
-    Dominates the potential because the eigenfunction is <= 1.
-    """
-    k = report.k
-    xp, xpp = _split_x(x, k)
-    rp = float(np.linalg.norm(xp))
-    acc = 0.0
-    for z, w in zip(mu.positions, mu.weights):
-        acc += w * (rp ** 2 + float(np.sum((xpp - z) ** 2))) ** (-0.5 * report.nu)
-    return C_A * rp ** report.kappa_plus * acc
 
 
 # --------------------------------------------------------------------------
@@ -353,27 +338,33 @@ def F_nu_m(tau, mu, params, quad=None, truncated=True):
     return vals, errs
 
 
-def _F_m1(tau_arr, mu, params, quad, truncated):
+def _F_m1(tau_arr, mu, params, quad, truncated, radii=None):
+    """F on m = 1, or with ``radii`` the (radii, tau) slices of the box
+    (0, R_i) x (-R_i, R_i), or of its complement if not ``truncated``:
+    masks of one kernel table whose cuts +-R_i are panel edges, so each
+    row is exact and meets rtol on its own however small a part of F."""
     tau_floor = float(np.min(tau_arr))
     # the ball |y| < R, or for the full line a core around the atoms that
     # _widen_m1 extends in one shell
     Y = params.R if truncated else (mu.support_radius()
                                     + max(10.0, 4.0 * float(np.max(tau_arr))))
+    f = _slice_integrand_m1(tau_arr, mu, params)
+    cuts = ()
+    if radii is not None:
+        Y = float(np.max(radii)) if truncated else Y + float(np.max(radii))
+        half, cuts = radii[:, None, None], np.concatenate([radii, -radii])
+
+        def f(y, table=f):
+            in_box = (tau_arr[:, None] < half) & (np.abs(y) < half)
+            return (table(y) * (in_box == truncated)).reshape(-1, y.size)
     atom = _atom_edges_m1(mu, -Y, Y, tau_floor)
-    edges = merge_edges(-Y, Y, np.linspace(-Y, Y, 9), atom)
-    vals, errs = integrate_rows(_slice_integrand_m1(tau_arr, mu, params), edges,
-                                rtol=quad.rtol)
+    edges = merge_edges(-Y, Y, np.linspace(-Y, Y, 9), atom, cuts)
+    vals, errs = integrate_rows(f, edges, rtol=quad.rtol)
+    if radii is not None:
+        vals, errs = vals.reshape(radii.size, -1), errs.reshape(radii.size, -1)
     if truncated:
         return vals, errs
-    return _widen_m1(tau_arr, mu, params, quad, vals, errs, Y)
-
-
-def _F_outside_m1(tau_arr, mu, params, R, quad):
-    """Slice integral restricted to |y| > R (the truncation deficit), m = 1."""
-    Y = R + max(10.0, 10.0 * float(np.max(tau_arr)))
-    vals, errs = integrate_rows(_folded_integrand_m1(tau_arr, mu, params),
-                                merge_edges(R, Y, geometric_edges(R, Y, 1)),
-                                rtol=quad.rtol)
+    # beyond Y > max R_i every row of a column is the same full-line row
     return _widen_m1(tau_arr, mu, params, quad, vals, errs, Y)
 
 
@@ -447,11 +438,13 @@ def _small_tau_exponent(params, weight_pow):
     return params.m - params.nu * params.q + weight_pow
 
 
-def _tau_integrand(mu, params, quad, weight, truncated):
-    """tau -> F(tau) * weight(tau) as one quadrature row."""
+def _tau_integrand(mu, params, quad, weight, truncated, radii=None):
+    """tau -> F(tau) * weight(tau) as one quadrature row, or with
+    ``radii`` as one row per radius of the box slices (see :func:`_F_m1`)."""
     def f(tau):
-        fv, _ = F_nu_m(tau, mu, params, quad=quad, truncated=truncated)
-        return (np.atleast_1d(fv) * weight(np.asarray(tau, float)))[None, :]
+        fv, _ = (F_nu_m(tau, mu, params, quad=quad, truncated=truncated)
+                 if radii is None else _F_m1(tau, mu, params, quad, truncated, radii))
+        return np.atleast_2d(fv) * weight(np.asarray(tau, float))
     return f
 
 
@@ -467,21 +460,22 @@ def _tau_edges(lo, hi, *marks):
                        np.linspace(lo, hi, 3), *marks)
 
 
-def _tau_ladder(f, cutoffs, Y, tail_bound, quad):
+def _tau_ladder(f, cutoffs, Y, tail_bound, quad, marks=()):
     """Integrals of the tau-integrand ``f`` above each cutoff, one solve.
 
-    The cutoffs are mandatory panel edges of a single adaptive
-    decomposition of (min cutoff, Y), so each value is the exact
-    aggregate of the refined panels above its cutoff.  With
+    The cutoffs and ``marks`` are mandatory panel edges of a single
+    adaptive decomposition of (min cutoff, Y), so each value is the
+    exact aggregate of the refined panels above its cutoff.  With
     ``tail_bound(Y)``, a rigorous bound on the integral beyond Y, the
     range is widened from max(Y, 2 * max cutoff) in one shell (see
     :func:`_widen`) that is added to every value; with None, Y is the
     upper limit.
-    Returns (values in the order of ``cutoffs``, error).
+    Returns (values in the order of ``cutoffs``, error); a multi-row
+    ``f`` takes one cutoff and returns one value and error per row.
     """
     if tail_bound is not None:
         Y = max(Y, 2.0 * max(cutoffs))
-    vals, err = integrate_partials(f, _tau_edges(min(cutoffs), Y, cutoffs),
+    vals, err = integrate_partials(f, _tau_edges(min(cutoffs), Y, cutoffs, marks),
                                    cutoffs, rtol=quad.rtol)
     if tail_bound is None:
         return vals, err
@@ -489,8 +483,23 @@ def _tau_ladder(f, cutoffs, Y, tail_bound, quad):
     def shell(edges):
         return integrate_rows(f, _tau_edges(edges[0], edges[-1]), rtol=quad.rtol)
 
-    vals, errs = _widen(shell, tail_bound, vals, np.array([err]), Y, quad.rtol)
-    return vals, float(errs[0])
+    vals, errs = _widen(shell, tail_bound, vals, np.atleast_1d(err), Y, quad.rtol)
+    return vals, errs if np.ndim(err) else float(errs[0])
+
+
+def _box_ladder(mu, params, quad, weight, radii, lo, tail_bound=None, Y=0.0):
+    """Integrals over tau > lo of F * weight on the box (0, R_i) x (-R_i, R_i)
+    for every radius R_i from one tau solve with the R_i as panel edges;
+    with a ``tail_bound``, on each box's complement, widened from
+    max(Y, R_i) as in :func:`_tau_ladder`.  Returns (values, errors)."""
+    _require_line_edge(params)
+    radii = np.asarray(radii, float)
+    f = _tau_integrand(mu, params, quad, weight, tail_bound is None, radii)
+    vals, errs = _tau_ladder(f, [lo], max(Y, float(np.max(radii))), tail_bound,
+                             quad, radii)
+    # the flat term stands in for the dropped inner F error, as in
+    # reduced_I_ladder
+    return vals, errs + 0.3 * quad.rtol * np.abs(vals)
 
 
 def _require_line_edge(params):
@@ -566,24 +575,14 @@ def M_nu_s(mu, params, quad=None, eps=0.0):
         raise ConfigurationError("M needs params.s and params.R")
     if mu.support_radius() > 0.5 * params.R + 1e-12:
         raise DomainError("measure must be supported in B_{R/2}")
-    p = (params.s + params.nu - params.m) * params.q - 1.0
-
-    def w(tau):
-        return tau ** p
-
+    w, p = _M_weight(params)
     return _tau_aggregate(mu, params, quad, w, p, params.R, eps, truncated=True)
 
 
-def J_AR(mu, report, q, R=None, quad=None, eps=0.0):
-    """Wedge admissibility aggregate; identical to M under the substitution
-    nu = N-2+2 kappa_plus, m = N-k, s = 2-(k+kappa_plus)/q'.
-
-    The identity of the two exponents is asserted, not re-integrated.
-    """
-    if R is None:
-        R = default_R(mu)
-    params = params_from_report(report, q, R=R)
-    return M_nu_s(mu, params, quad=quad, eps=eps)
+def _M_weight(params):
+    """The weight tau^p of M_nu_s and its power p = (s + nu - m) q - 1."""
+    p = (params.s + params.nu - params.m) * params.q - 1.0
+    return (lambda tau: tau ** p), p
 
 
 def _tail_amp(mu, params):

@@ -7,12 +7,12 @@ from scipy.special import gamma as G, kv, modstruve
 
 from wedgecap.capacity import (CapacityResult, _cell_matrix, _J_fixed_grid,
                                _orthant_newton, _ray_start, bessel_capacity,
-                               bessel_kernel, bessel_kernel_radial,
-                               capacity_null_test, rho_capacity)
+                               bessel_kernel_radial, capacity_null_test,
+                               rho_capacity)
 from wedgecap.errors import DomainError, SingularityError, SolverError
 from wedgecap.exponents import critical_exponents
 from wedgecap.geometry import SetPiece
-from wedgecap._quad import geometric_edges, integrate, merge_edges
+from wedgecap._quad import geometric_edges, integrate_rows, merge_edges
 
 QUARTER = critical_exponents(3, 2, 4.0)
 
@@ -39,20 +39,15 @@ class TestBesselKernel:
         assert np.all(np.diff(g) < 0)
 
     def test_unit_mass(self):
-        v, _ = integrate(lambda r: bessel_kernel_radial(r, 0.7, 1),
-                         merge_edges(1e-12, 40.0, geometric_edges(1e-12, 40.0, 6)),
-                         rtol=1e-9)
-        assert abs(2.0 * v - 1.0) < 1e-6
+        v, _ = integrate_rows(lambda r: bessel_kernel_radial(r, 0.7, 1)[None, :],
+                              merge_edges(1e-12, 40.0, geometric_edges(1e-12, 40.0, 6)),
+                              rtol=1e-9)
+        assert abs(2.0 * v[0] - 1.0) < 1e-6
 
     def test_singularity_guard(self):
         with pytest.raises(SingularityError):
-            bessel_kernel(np.zeros(1), 0.5)
-        assert bessel_kernel(np.zeros(1), 1.5) > 0   # finite above alpha = ell
-
-    def test_point_evaluation(self):
-        v = bessel_kernel(np.array([0.3, 0.4]), 2.5)
-        r = bessel_kernel_radial(0.5, 2.5, 2)
-        assert abs(v - r) < 1e-12 * abs(r)
+            bessel_kernel_radial(0.0, 0.5, 1)
+        assert bessel_kernel_radial(0.0, 1.5, 1) > 0   # finite above alpha = ell
 
 
 def _struve_primitive(t, alpha):

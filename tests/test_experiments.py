@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -52,6 +53,24 @@ class TestDichotomy:
         with pytest.raises(ConfigurationError):
             dichotomy_experiment(3, 2, 4.0, 1.8, eps_grid=(1e-3, 1e-2))
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_slice_closed_form_matches_mpmath(self, m):
+        # T(r) = integral_0^R (r^2 + rho^2)^{jq/2} rho^{m-1} drho, including
+        # the piece below 1e-12 R that a quadrature started there drops
+        jq, R = -4.7, 1.0
+        r = np.array([1e-6, 1e-3, 0.5])
+        got = experiments._slice_T(r, jq, m, R)
+        for ri, g in zip(r, got):
+            ref = mpmath.quad(
+                lambda rho: (ri ** 2 + rho ** 2) ** (jq / 2) * rho ** (m - 1),
+                [0, ri, 10 * ri, R])
+            assert abs(g / float(ref) - 1.0) < 1e-13
+
+    def test_boundary_exponent_is_exact_power(self):
+        # the closed-form slice makes w(r) an exact power law on the eps grid
+        r = dichotomy_experiment(3, 2, 4.0, 2.0)
+        assert abs(r.metrics["boundary_exponent"] + 2.0) < 1e-12
+
 
 class TestEquivalence:
     def test_small_family(self):
@@ -66,6 +85,11 @@ class TestEquivalence:
     def test_out_of_regime_rejected(self):
         with pytest.raises(ConfigurationError):
             equivalence_experiment(3, 2, 4.0, 1.5)
+
+    def test_plane_edge_rejected(self):
+        # N = 4, k = 2 has an m = 2 edge, where no tau-aggregate is implemented
+        with pytest.raises(ConfigurationError):
+            equivalence_experiment(4, 2, 4.0, 1.5, n_measures=1)
 
     def test_family_is_seeded(self):
         f1 = measure_family(1, 8.0, n_measures=5, seed=7)
@@ -96,6 +120,31 @@ class TestRemainder:
         d1 = [row["value"] for row in r1.rows]
         d2 = [row["value"] for row in r2.rows]
         assert all(abs(b / a - 4.0) < 1e-3 for a, b in zip(d1, d2))
+
+    @pytest.mark.parametrize("nu, sigma, j, q", [(3.0, 0.5, 2, 1.8), (3.0, 0.5, 1, 2.0)])
+    def test_dirac_box_complement_oracle(self, nu, sigma, j, q):
+        # a unit atom has F(tau) = B(1/2, c) tau^{1 - nu q}, c = (nu q - 1)/2,
+        # and over |y| > R the incomplete-beta part of it,
+        # F(tau) I_x(c, 1/2), x = tau^2 / (tau^2 + R^2)
+        c = 0.5 * (nu * q - 1.0)
+        p = (sigma + 1.0) * q
+
+        def F(t):
+            return mpmath.beta(0.5, c) * t ** (1.0 - nu * q)
+
+        def h(t):
+            if j == 1:
+                return mpmath.exp(-t) * t ** (p - 1.0)
+            return t ** (p + j - 2.0) / (1.0 + t) ** p
+
+        r = remainder_experiment(nu=nu, sigma=sigma, m=1, j=j, q=q)
+        for row in r.rows:
+            R = row["params"]["R"]
+            outside = mpmath.quad(lambda t: F(t) * h(t) * mpmath.betainc(
+                c, 0.5, 0, t * t / (t * t + R * R), regularized=True),
+                [0, R / 4, R / 2, R])
+            ref = outside + mpmath.quad(lambda t: F(t) * h(t), [R, 2 * R, mpmath.inf])
+            assert abs(row["value"] / float(ref) - 1.0) < 1e-6
 
     def test_support_precondition(self):
         from wedgecap.geometry import dirac

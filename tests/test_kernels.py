@@ -8,18 +8,32 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import wedgecap.kernels as kernels
+from wedgecap import _quad
 from wedgecap.besov import besov_neg_proxy
 from wedgecap.errors import (AccuracyError, DivergenceError, DomainError,
                              SingularityError)
-from wedgecap.experiments import measure_family
+from wedgecap.experiments import (equivalence_experiment, measure_family,
+                                  remainder_experiment)
 from wedgecap.exponents import critical_exponents
 from wedgecap.geometry import DiscreteMeasure, dirac
 from wedgecap.kernels import (KernelParams, QuadratureSpec, F_nu_m, I_m_j,
-                              J_AR, M_nu_s, default_R, k_nu_m, martin_kernel,
-                              params_from_report, poisson_potential,
-                              poisson_upper_bound, reduced_I, reduced_I_ladder)
+                              M_nu_s, default_R, k_nu_m, martin_kernel,
+                              params_from_report, poisson_potential, reduced_I,
+                              reduced_I_ladder)
 
 QUARTER = critical_exponents(3, 2, 4.0)
+
+
+def poisson_upper_bound(mu, x, report):
+    """c_A (r')^{kappa_plus} sum_i w_i |(x', x''-z_i)|^{2-N-2 kappa_plus}.
+
+    Dominates the potential because the eigenfunction is <= 1.
+    """
+    xp, xpp = x[:report.k], x[report.k:]
+    rp = float(np.linalg.norm(xp))
+    acc = sum(w * (rp ** 2 + float(np.sum((xpp - z) ** 2))) ** (-0.5 * report.nu)
+              for z, w in zip(mu.positions, mu.weights))
+    return kernels.C_A * rp ** report.kappa_plus * acc
 
 
 class TestPointKernels:
@@ -419,6 +433,56 @@ def test_equivalence_op_tau_work(monkeypatch):
     assert sum(cells) <= 350_000
 
 
+def test_equivalence_truncated_tau_solves(monkeypatch):
+    # criterion 6 as in the acceptance suite: one truncated-M solve per
+    # measure for all of R_grid and R, and one for 2 mu (80 with a solve
+    # per radius)
+    truncated = []
+    ladder = kernels._tau_ladder
+
+    def counting(f, cutoffs, Y, tail_bound, *args, **kwargs):
+        truncated.append(tail_bound is None)
+        return ladder(f, cutoffs, Y, tail_bound, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_tau_ladder", counting)
+    equivalence_experiment(3, 2, 4.0, 1.8, R=8.0, n_measures=20, seed=42,
+                           R_grid=(4.0, 8.0, 16.0))
+    assert sum(truncated) <= 40
+
+
+def test_remainder_is_one_tau_solve(monkeypatch):
+    # every Delta(R) from one tau quadrature: the core from 1e-6 R_min and
+    # one widening shell, and no other quadrature outside the y-solves
+    spans, depth = [], [0]
+    refine = _quad._refine
+
+    def tracking(f, edges, rtol):
+        if not depth[0]:
+            spans.append((edges[0], edges[-1]))
+        depth[0] += 1
+        try:
+            return refine(f, edges, rtol)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(_quad, "_refine", tracking)
+    remainder_experiment(nu=3.0, sigma=0.5, m=1, j=2, q=1.8)
+    assert len(spans) == 2
+    assert spans[0][0] == 2e-6 and spans[0][1] == spans[1][0]
+
+
+@pytest.mark.parametrize("member", [0, 1])
+def test_box_ladder_matches_per_radius_M(member):
+    mu = measure_family(1, 8.0, n_measures=2, seed=42)[member]
+    q, quad, radii = 1.8, QuadratureSpec(rtol=1e-6), (4.0, 8.0, 16.0)
+    params = params_from_report(QUARTER, q, R=8.0)
+    weight, _ = kernels._M_weight(params)
+    vals, errs = kernels._box_ladder(mu, params, quad, weight, radii, 1e-2)
+    for R, v in zip(radii, vals):
+        ref, _ = M_nu_s(mu, params_from_report(QUARTER, q, R=R), quad=quad, eps=1e-2)
+        assert abs(v - ref) <= quad.rtol * ref
+
+
 def test_dirac_proxy_table_work(monkeypatch):
     # every tail, in y and in tau, is widened in one coarse call (one y
     # panel per doubling): 106 352 tau x y cells (324 836 with one call
@@ -448,12 +512,6 @@ class TestAggregates:
         lhs = (p.s + p.nu - p.m) * p.q - 1.0
         assert abs(lhs - 6.6) < 1e-12
         assert abs(QUARTER.beta(1.8) - 6.6) < 1e-12
-
-    def test_J_aliases_M(self):
-        mu = dirac(1)
-        vj, _ = J_AR(mu, QUARTER, 1.8, R=8.0, eps=1e-2)
-        vm, _ = M_nu_s(mu, params_from_report(QUARTER, 1.8, R=8.0), eps=1e-2)
-        assert vj == vm
 
     def test_translation_stability(self):
         # finite-M configuration: s above m/q' so the aggregate converges
