@@ -15,10 +15,10 @@ sharing one panel decomposition in a single call, which is what makes
 the kernel functionals cheap at desk scale, and ``integrate_partials``
 sums the final panels of one row above each of several cuts (or of
 several rows above one cut), so a ladder of nested tails costs a single
-solve.
+solve.  ``refined_nodes`` hands out the K17 nodes and weights of one
+solve's final panels, a fixed rule on which other integrands of the
+family can be summed.
 """
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,12 +27,6 @@ from .errors import AccuracyError
 _TINY = 1e-300
 _EPS = np.finfo(float).eps
 _MAX_PANELS = 4096   # refinement budget; exceeding it raises AccuracyError
-
-
-@lru_cache(maxsize=32)
-def gauss_legendre(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
 
 
 def geometric_edges(lo, hi, per_decade=8):
@@ -70,15 +64,22 @@ _K17_W = np.concatenate([_WGK[:0:-1], _WGK])
 _G8_W = np.concatenate([_WG[::-1], _WG])   # at _K17_X[1::2]
 
 
+def k17_nodes(a, b):
+    """K17 nodes and weights on every panel [a_i, b_i], panel by panel:
+    a sum of f(nodes) * weights is the K17 integral over the panels."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return (mid[:, None] + half[:, None] * _K17_X).ravel(), (half[:, None] * _K17_W).ravel()
+
+
 def _row_sums(f, a, b):
     """Per-panel K17 and embedded G8 integrals of every row.
 
     One integrand call at 17 nodes per panel covers both rules, and each
     rule is one matrix-vector product of the (rows, panels, 17) values.
     """
-    mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    nodes = (mid[:, None] + half[:, None] * _K17_X).ravel()
+    nodes, _ = k17_nodes(a, b)
     vals = np.asarray(f(nodes), float)
     if vals.ndim == 1:
         vals = vals[None, :]
@@ -169,6 +170,14 @@ def integrate_rows(f, edges, rtol=1e-8):
     """
     _, _, vals, errs = _refine(f, edges, rtol)
     return vals, errs
+
+
+def refined_nodes(f, edges, rtol):
+    """K17 nodes and weights (see :func:`k17_nodes`) of the final panels
+    of the solve :func:`integrate_rows` makes: a fixed rule on which
+    every row of ``f`` meets ``rtol``."""
+    a = _refine(f, edges, rtol)[0]
+    return k17_nodes(a, np.append(a[1:], edges[-1]))
 
 
 def integrate_partials(f, edges, cuts, rtol=1e-8):

@@ -15,7 +15,8 @@ discretized min-norm program
 solved through its dual, with the cell integrals of G_alpha taken from the
 same subordination integral; the weighted edge capacity in its sup-mass form
 reduces, by q-homogeneity of the admissibility functional J, to minimizing J
-over the weight simplex.  One projected Newton method solves both to round-off.
+over the weight simplex, with J summed on the nodes of one adaptive M_nu_s
+solve.  One projected Newton method solves both to round-off.
 
 Capacity zero is a limit statement.  The refinement histories (over grid
 resolution, or over the inner cutoff for the edge capacity) are fitted
@@ -25,16 +26,17 @@ is reported as "inconclusive" rather than guessed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, gammainc, gammaln
 
-from ._quad import gauss_legendre, geometric_edges, integrate_rows, merge_edges
+from ._quad import integrate_rows
 from .errors import (ConfigurationError, DomainError, SingularityError,
                      SolverError)
 from .geometry import DiscreteMeasure
-from .kernels import M_nu_s, params_from_report
+from .kernels import DEFAULT_QUAD, M_nu_s, _M_nodes, default_R, params_from_report
 
 # pre-declared verdict thresholds for the extrapolated refinement fit
 FIT_RESIDUAL_TOL = 0.05     # relative misfit above which no verdict is issued
@@ -230,6 +232,11 @@ def _ray_start(phi, u, degree):
     return u * (u.sum() / (degree * phi(u)[0])) ** (1.0 / (degree - 1.0))
 
 
+def _check_levels(levels):
+    if not (isinstance(levels, numbers.Integral) and levels >= 1):
+        raise DomainError("levels must be an integer >= 1")
+
+
 # --------------------------------------------------------------------------
 # min-norm Bessel capacity
 
@@ -250,6 +257,7 @@ def bessel_capacity(points, alpha, p, resolution=0.05, levels=4):
         raise DomainError("alpha must be finite and > 0")
     if not (0.0 < resolution < math.inf):
         raise DomainError("resolution must be finite and > 0")
+    _check_levels(levels)
     pts = np.atleast_1d(np.asarray(points, float))
     if pts.ndim > 1:
         if pts.shape[1] != 1:
@@ -296,29 +304,21 @@ def bessel_capacity(points, alpha, p, resolution=0.05, levels=4):
 # weighted edge capacity (sup-mass form)
 
 
-def _J_fixed_grid(points, report, q, R, eps):
-    """phi(w) = (J, gradient, Hessian) on a fixed deterministic quadrature
-    grid, whose w-independent (tau, y, atom) kernel tensor is built once.
+def _J_phi(uniform, params, eps):
+    """phi(w) = (J, gradient, Hessian) for weights w on the atoms of
+    ``uniform``, J the M_nu_s aggregate over (eps, R).
 
-    Fixed panels keep J(w) smooth during optimization; the reported
-    value is recomputed adaptively afterwards.
+    J is summed on the nodes of one adaptive M_nu_s solve at ``uniform``
+    (see kernels._M_nodes): the same integrand, rule and panels as the
+    reported value, held fixed so that J(w) stays smooth during the
+    optimization.  The w-independent (tau, y, atom) kernel tensor is
+    built once.
     """
-    x16, w16 = gauss_legendre(16)
-
-    def nodes(edges):   # G16 on every panel
-        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-        return (mid[:, None] + half[:, None] * x16).ravel(), (half[:, None] * w16).ravel()
-
-    p_exp = report.beta(q)   # tau weight power: (s+nu-m)q - 1 == (q+1)kappa+ + k - 1
-    tau, tw = nodes(merge_edges(eps, R, geometric_edges(eps, R, per_decade=8),
-                                np.linspace(eps, R, 9)))
-    zs = points[:, 0]
-    y, yw = nodes(merge_edges(-R, R, np.linspace(-R, R, 13),
-                              np.concatenate([zs, zs + eps, zs - eps,
-                                              zs + 8 * eps, zs - 8 * eps])))
+    tau, tw, y, yw = _M_nodes(uniform, params, DEFAULT_QUAD, eps)
+    zs, q = uniform.positions[:, 0], params.q
     K = ((tau[:, None, None] ** 2 + (y[None, :, None] - zs[None, None, :]) ** 2)
-         ** (-0.5 * report.nu)).reshape(-1, zs.size)
-    cw = np.outer(tw * tau ** p_exp, yw).ravel()
+         ** (-0.5 * params.nu)).reshape(-1, zs.size)
+    cw = np.outer(tw, yw).ravel()
 
     def phi(w):
         S = K @ w
@@ -335,11 +335,13 @@ def rho_capacity(points, report, q, R=None, levels=4):
     q-homogeneous, to sup mass/J^{1/q} over the weight simplex, i.e. to
     minimizing J there, or J(w) - sum(w) over w >= 0 up to scale; the
     value is 1/min J.  The constraint functional is the cutoff-regularized
-    admissibility aggregate, and the history tracks the cutoff ladder
-    1e-2 / 2^level: supercritical configurations drive the value to zero
-    as the cutoff shrinks.
+    admissibility aggregate M_nu_s, optimized on the nodes of one adaptive
+    M_nu_s solve per cutoff and reported by M_nu_s at the optimal weights.
+    The history tracks the cutoff ladder 1e-2 / 2^level: supercritical
+    configurations drive the value to zero as the cutoff shrinks.
     """
     eps = 1e-2   # coarsest cutoff
+    _check_levels(levels)
     pts = np.atleast_2d(np.asarray(points, float))
     if pts.size == 0:
         hist = tuple((eps / 2.0 ** i, 0.0) for i in range(levels))
@@ -348,16 +350,16 @@ def rho_capacity(points, report, q, R=None, levels=4):
         raise ConfigurationError("points must live on the edge R^{N-k}")
     if report.m != 1:
         raise ConfigurationError("numeric edge capacity implemented for N-k = 1")
-    if R is None:
-        diam = float(np.max(pts) - np.min(pts)) if pts.shape[0] > 1 else 0.0
-        R = 8.0 * (diam + 1.0)
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("points must be finite")
 
-    params = params_from_report(report, q, R=R)
+    uniform = DiscreteMeasure(report.m, [(z, 1.0 / len(pts)) for z in pts])
+    params = params_from_report(report, q, R=default_R(uniform) if R is None else R)
     history = []
     total_iters = 0
     for lev in range(levels):
         e_lev = eps / 2.0 ** lev
-        phi = _J_fixed_grid(pts, report, q, R, e_lev)
+        phi = _J_phi(uniform, params, e_lev)
         x, decrement, steps = _orthant_newton(phi, _ray_start(phi, np.ones(len(pts)), q))
         total_iters += steps
         mu = DiscreteMeasure(report.m, [(z, wi) for z, wi in zip(pts, x / x.sum())])

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma_fn
 
-from ._quad import geometric_edges, integrate_partials, integrate_rows, merge_edges
+from ._quad import (geometric_edges, integrate_partials, integrate_rows,
+                    merge_edges, refined_nodes)
 from .errors import (AccuracyError, ConfigurationError, DivergenceError,
                      DomainError, SingularityError)
 from .exponents import bookkeeping_identity_gap
@@ -306,6 +307,13 @@ def _atom_edges_m1(mu, lo, hi, tau_floor):
                            (z - ladder)[ladder < left]])
 
 
+def _y_edges_m1(mu, Y, tau_floor, cuts=()):
+    """Initial y panels of a slice integral over (-Y, Y): 8 uniform
+    panels, each atom's ladder (see :func:`_atom_edges_m1`) and the cuts."""
+    return merge_edges(-Y, Y, np.linspace(-Y, Y, 9),
+                       _atom_edges_m1(mu, -Y, Y, tau_floor), cuts)
+
+
 def F_nu_m(tau, mu, params, quad=None, truncated=True):
     """L^q integral over R^m (or the ball |y| < R) of the inner kernel sum.
 
@@ -357,9 +365,7 @@ def _F_m1(tau_arr, mu, params, quad, truncated, radii=None):
         def f(y, table=f):
             in_box = (tau_arr[:, None] < half) & (np.abs(y) < half)
             return (table(y) * (in_box == truncated)).reshape(-1, y.size)
-    atom = _atom_edges_m1(mu, -Y, Y, tau_floor)
-    edges = merge_edges(-Y, Y, np.linspace(-Y, Y, 9), atom, cuts)
-    vals, errs = integrate_rows(f, edges, rtol=quad.rtol)
+    vals, errs = integrate_rows(f, _y_edges_m1(mu, Y, tau_floor, cuts), rtol=quad.rtol)
     if radii is not None:
         vals, errs = vals.reshape(radii.size, -1), errs.reshape(radii.size, -1)
     if truncated:
@@ -577,6 +583,26 @@ def M_nu_s(mu, params, quad=None, eps=0.0):
         raise DomainError("measure must be supported in B_{R/2}")
     w, p = _M_weight(params)
     return _tau_aggregate(mu, params, quad, w, p, params.R, eps, truncated=True)
+
+
+def _M_nodes(mu, params, quad, eps):
+    """A fixed tensor rule for M_nu_s over (eps, R) x (-R, R), eps > 0.
+
+    The tau panels are the final panels of one adaptive solve of M's
+    tau-integrand at ``mu`` from the :func:`_tau_edges` start; the y
+    panels are one refinement of the slice integrand at all of their
+    tau nodes from the :func:`_F_m1` start.  Returns the K17 tau nodes,
+    their weights times the tau weight of M, and the K17 y nodes and
+    weights: summing k(tau, y)^q against both weights gives M(mu) to
+    ``quad.rtol`` on nodes that no longer move with the weights of mu.
+    """
+    w, _ = _M_weight(params)
+    R = params.R
+    tau, tw = refined_nodes(_tau_integrand(mu, params, quad, w, truncated=True),
+                            _tau_edges(eps, R), quad.rtol)
+    y, yw = refined_nodes(_slice_integrand_m1(tau, mu, params),
+                          _y_edges_m1(mu, R, float(tau.min())), quad.rtol)
+    return tau, tw * w(tau), y, yw
 
 
 def _M_weight(params):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from wedgecap.capacity import bessel_capacity, bessel_kernel_radial, rho_capacity
+from wedgecap.capacity import bessel_capacity, bessel_kernel_radial
 from wedgecap.classify import classify_polyhedron, removable_check
 from wedgecap.errors import DivergenceError
 from wedgecap.exponents import (absorption_coefficient,

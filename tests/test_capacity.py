@@ -2,19 +2,35 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gamma as G, kv, modstruve
 
-from wedgecap.capacity import (CapacityResult, _cell_matrix, _J_fixed_grid,
+from wedgecap.capacity import (CapacityResult, _cell_matrix, _J_phi,
                                _orthant_newton, _ray_start, bessel_capacity,
                                bessel_kernel_radial, capacity_null_test,
                                rho_capacity)
 from wedgecap.errors import DomainError, SingularityError, SolverError
 from wedgecap.exponents import critical_exponents
-from wedgecap.geometry import SetPiece
+from wedgecap.geometry import DiscreteMeasure, SetPiece
+from wedgecap.kernels import (DEFAULT_QUAD, M_nu_s, QuadratureSpec, _M_nodes,
+                              params_from_report)
 from wedgecap._quad import geometric_edges, integrate_rows, merge_edges
 
 QUARTER = critical_exponents(3, 2, 4.0)
+
+
+def _uniform(pts):
+    return DiscreteMeasure(1, [(z, 1.0 / len(pts)) for z in pts])
+
+
+def _edge_J(zs, R, eps, rtol):
+    """w -> M_nu_s of the weights w on the atoms zs, the oracle's J."""
+    params = params_from_report(QUARTER, 1.5, R=R)
+
+    def J(w):
+        mu = DiscreteMeasure(1, [((z,), wi) for z, wi in zip(zs, w)])
+        return M_nu_s(mu, params, quad=QuadratureSpec(rtol), eps=eps)[0]
+    return J
 
 
 class TestBesselKernel:
@@ -83,6 +99,12 @@ class TestBesselCapacity:
         # NaN was a bare ValueError from the grid anchor, inf an OverflowError
         with pytest.raises(DomainError, match="points must be finite"):
             bessel_capacity(np.array(pts), 0.6, 2.0)
+
+    @pytest.mark.parametrize("levels", [0, -1, 2.5])
+    def test_levels_must_be_a_positive_integer(self, levels):
+        # 0 was an UnboundLocalError, 2.5 a TypeError from range()
+        with pytest.raises(DomainError, match="levels"):
+            bessel_capacity(np.array([0.0]), 0.6, 2.0, levels=levels)
 
     def test_threshold_vanishing(self):
         res = bessel_capacity(np.array([0.0]), 0.4, 2.0, resolution=0.02)
@@ -194,7 +216,7 @@ class TestOrthantNewton:
         # on a dense cluster the optimal weights sit on a few atoms: the
         # gradient of J is equal on the support and no smaller off it
         pts = np.linspace(0.0, 0.05, 9)[:, None]
-        phi = _J_fixed_grid(pts, QUARTER, 1.5, 16.0, 1e-2)
+        phi = _J_phi(_uniform(pts), params_from_report(QUARTER, 1.5, R=16.0), 1e-2)
         x, dec, _ = _orthant_newton(phi, _ray_start(phi, np.full(9, 1.0 / 9), 1.5))
         w = x / x.sum()
         _, grad, _ = phi(w)
@@ -237,12 +259,55 @@ class TestRhoCapacity:
     @pytest.mark.parametrize("d", [0.0, 1e-9, 1e-6, 1e-4])
     def test_near_coincident_points(self, d):
         # a second atom within d of the first; the projected-gradient
-        # descent stalled at d = 1e-4.  At d = 1e-4 the extra atom really
-        # raises the value, by 1.3e-9 relative (1.7e-10 absolute).
+        # descent stalled at d = 1e-4.  Up to d = 1e-6 the extra atom
+        # leaves the value unchanged; at d = 1e-4 it really raises it, by
+        # 1.97e-8 (1.5e-7 relative), with weight 0.076 on the middle atom,
+        # as a Nelder-Mead search of M_nu_s itself confirms.
         ref = rho_capacity(np.array([[0.0], [1.0]]), QUARTER, q=1.5)
         res = rho_capacity(np.array([[0.0], [d], [1.0]]), QUARTER, q=1.5)
-        assert abs(res.value - ref.value) <= 1e-9
         assert res.verdict == ref.verdict and res.gap <= 1e-15
+        if d < 1e-4:
+            assert abs(res.value - ref.value) <= 1e-9
+            return
+        assert res.value >= ref.value
+        J = _edge_J([0.0, d, 1.0], 16.0, res.history[-1][0], 1e-8)
+
+        def ratio(v):   # J / mass^q on the weights (|u|, |v|, 1)
+            w = np.array([abs(v[0]), abs(v[1]), 1.0])
+            return J(w) / w.sum() ** 1.5
+
+        opt = minimize(ratio, [1.0, 0.1], method="Nelder-Mead",
+                       options={"xatol": 1e-4, "fatol": 1e-13})
+        assert abs(res.value * opt.fun - 1.0) <= 1e-9
+
+    def test_two_points_match_a_bounded_oracle(self):
+        # a bounded 1-D search of M_nu_s itself; the former fixed G16 grid
+        # sent Newton to weights 2.5e-7 short of this optimum
+        res = rho_capacity(np.array([[0.0], [1.0]]), QUARTER, q=1.5)
+        J = _edge_J([0.0, 1.0], 16.0, res.history[-1][0], 1e-9)
+        opt = minimize_scalar(lambda t: J([t, 1.0 - t]), bounds=(0.0, 1.0),
+                              method="bounded")
+        assert abs(res.value * opt.fun - 1.0) <= 1e-9
+
+    def test_node_set_work_guard(self):
+        # the five-point finest level sums J on 126 582 (tau, y) cells;
+        # the fixed grid used 378 880
+        pts = np.array([[-1.0], [-0.2], [0.3], [0.9], [1.6]])
+        params = params_from_report(QUARTER, 1.5, R=16.0)
+        tau, _, y, _ = _M_nodes(_uniform(pts), params, DEFAULT_QUAD, 1e-2 / 8)
+        assert tau.size * y.size <= 130_000
+
+    @pytest.mark.parametrize("levels", [0, -1, 2.5])
+    def test_levels_must_be_a_positive_integer(self, levels):
+        # 0 was an IndexError, 2.5 a TypeError from range()
+        with pytest.raises(DomainError, match="levels"):
+            rho_capacity(np.array([[0.0]]), QUARTER, q=1.5, levels=levels)
+
+    @pytest.mark.parametrize("pts", [[[np.nan]], [[0.0], [np.inf]]])
+    def test_non_finite_points(self, pts):
+        # NaN reached Newton and was reported as a non-convex objective
+        with pytest.raises(DomainError, match="points must be finite"):
+            rho_capacity(np.array(pts), QUARTER, q=1.5)
 
 
 class TestNullTest:
