@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gamma as _gamma_fn
 
 from ._quad import fit_loglog
 from .errors import ConfigurationError, DomainError, ResolutionError
-from .kernels import DEFAULT_QUAD, KernelParams, reduced_I_ladder
+from .kernels import DEFAULT_QUAD, KernelParams, _gamma, reduced_I_ladder
 
 # pre-declared divergence call: slope below -0.1 with R^2 above 0.99
 DIVERGENCE_SLOPE = -0.1
@@ -35,7 +34,7 @@ DIVERGENCE_R2 = 0.99
 
 def poisson_constant(n):
     """gamma_n with integral of gamma_n y_1 (y_1^2+|z|^2)^{-n/2} dz = 1."""
-    return _gamma_fn(0.5 * n) / math.pi ** (0.5 * n)
+    return _gamma(0.5 * n) / math.pi ** (0.5 * n)
 
 
 @dataclass(frozen=True)

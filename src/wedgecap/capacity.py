@@ -30,7 +30,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammainc, gammaln
 
 from ._quad import integrate_rows
 from .errors import (ConfigurationError, DomainError, SingularityError,
@@ -107,6 +106,7 @@ def bessel_kernel_radial(r, alpha, ell):
 
     Positive and radially decreasing; singular at r = 0 when alpha <= ell.
     """
+    from scipy.special import gammaln
     if not (0.0 < alpha < math.inf):
         raise DomainError("alpha must be finite and > 0")
     if ell < 1 or int(ell) != ell:
@@ -148,6 +148,7 @@ def _cell_matrix(targets, centers, h, alpha):
     double precision and that piece is (1 - sign(a)) P(alpha/2, e^{u_lo}) / 2
     in closed form.  A depends on |d| only: one row per distinct |d|.
     """
+    from scipy.special import erfc, gammainc, gammaln
     d = np.abs(targets[:, None] - centers[None, :])
     dist, inv = np.unique(d, return_inverse=True)
     a, b = dist - 0.5 * h, dist + 0.5 * h
@@ -355,6 +356,10 @@ def rho_capacity(points, report, q, R=None, levels=4):
 
     uniform = DiscreteMeasure(report.m, [(z, 1.0 / len(pts)) for z in pts])
     params = params_from_report(report, q, R=default_R(uniform) if R is None else R)
+    rho = uniform.support_radius()
+    if rho > 0.5 * params.R + 1e-12:
+        raise DomainError("points must lie in B_{R/2}: R = %g is below 2 max|z| = %g"
+                          % (params.R, 2.0 * rho))
     history = []
     total_iters = 0
     for lev in range(levels):

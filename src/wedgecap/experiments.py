@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst
-from scipy.special import beta, betainc
 
 from ._quad import fit_loglog
 from .besov import besov_neg_proxy, besov_pos_norm
@@ -199,6 +197,7 @@ def _slice_T(r, jq, m, R):
     closed form: with rho = r t and u = t^2 / (1 + t^2) it is
     (1/2) r^{jq+m} B(m/2, b) I_x(m/2, b), b = -(jq+m)/2 > 0, x = R^2/(R^2+r^2).
     """
+    from scipy.special import beta, betainc
     a, b = 0.5 * m, -0.5 * (jq + m)
     x = R * R / (R * R + r * r)
     return 0.5 * r ** (jq + m) * beta(a, b) * betainc(a, b, x)
@@ -471,6 +470,7 @@ class HeatLift:
     """
 
     def __init__(self, eta_fn, R, n=1024):
+        from scipy.fft import dst
         if not math.isfinite(R):
             raise DomainError("R must be finite")
         if not R > 0.0:
@@ -497,6 +497,7 @@ class HeatLift:
         All rows go through one batched transform and land in zero-bordered
         arrays, one per spectrum, of shape spectrum.shape[:-1] + (n + 1,).
         """
+        from scipy.fft import dst
         shapes = [np.shape(g)[:-1] for g in spectra]
         starts = np.cumsum([0] + [math.prod(s) for s in shapes])
         spans = list(zip(starts[:-1], starts[1:]))

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from ._quad import (geometric_edges, integrate_partials, integrate_rows,
                     merge_edges, refined_nodes)
@@ -36,6 +35,14 @@ from .errors import (AccuracyError, ConfigurationError, DivergenceError,
 from .exponents import bookkeeping_identity_gap
 
 C_A = 1.0
+
+
+def _gamma(x):
+    """Gamma(x) for x > 0, inf where it overflows a double (x > 171.6)."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -275,7 +282,7 @@ def _widen_m1(tau_arr, mu, params, quad, vals, errs, Y):
 def _c_ball(nuq, m):
     """integral of (1+|u|^2)^{-nuq/2} over R^m (used in rigorous tail bounds)."""
     if m == 1:
-        return math.sqrt(math.pi) * _gamma_fn(0.5 * (nuq - 1.0)) / _gamma_fn(0.5 * nuq)
+        return math.sqrt(math.pi) * _gamma(0.5 * (nuq - 1.0)) / _gamma(0.5 * nuq)
     if m == 2:
         return 2.0 * math.pi / (nuq - 2.0)
     raise ConfigurationError("tail constants implemented for m in {1, 2}")
@@ -717,9 +724,9 @@ def I_m_j(mu, params, quad=None, eps=0.0):
     # reduced_I's power tail, scaled by c 2^{p/2} Gamma(p): the angular
     # factor I_j ~ tau^{-p} kills the tau^p part of the weight
     _, wpow, tail_bound, Y = _reduction_pieces(mu, params)
-    c = 2.0 * math.pi ** (0.5 * (j - 1.0)) / _gamma_fn(0.5 * (j - 1.0))
+    c = 2.0 * math.pi ** (0.5 * (j - 1.0)) / _gamma(0.5 * (j - 1.0))
     p = (sigma + 1.0) * q
-    scale = c * 2.0 ** (0.5 * p) * _gamma_fn(p)
+    scale = c * 2.0 ** (0.5 * p) * _gamma(p)
 
     def w(tau):
         tau = np.asarray(tau, float)

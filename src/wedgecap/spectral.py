@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import (AccuracyError, DomainError, GeometryError,
                      PoleEndpointError)
@@ -149,6 +148,7 @@ def _fd_golub_kahan(problem, n):
 
 
 def _smallest_singular_value(off, n):
+    from scipy.linalg import eigh_tridiagonal
     return float(eigh_tridiagonal(np.zeros(off.size + 1), off, eigvals_only=True,
                                   select="i", select_range=(n, n),
                                   tol=_BISECT_ABSTOL)[0])
@@ -163,6 +163,7 @@ def _fd_eigenfunction(problem, n):
     keeps full relative accuracy there.  The eigenvector M^(1/2) g of the
     Golub-Kahan form would lose those tiny entries to absolute rounding.
     """
+    from scipy.linalg import solve_banded
     off, _, (lo, hi), sin_r = _fd_golub_kahan(problem, n)
     lam = _smallest_singular_value(off, n) ** 2
     # row i of M^(-1) A couples node i to its cells with the squares of

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gamma as G, kv, modstruve
 
+from wedgecap import capacity
 from wedgecap.capacity import (CapacityResult, _cell_matrix, _J_phi,
                                _orthant_newton, _ray_start, bessel_capacity,
                                bessel_kernel_radial, capacity_null_test,
@@ -308,6 +310,21 @@ class TestRhoCapacity:
         # NaN reached Newton and was reported as a non-convex objective
         with pytest.raises(DomainError, match="points must be finite"):
             rho_capacity(np.array(pts), QUARTER, q=1.5)
+
+    @pytest.mark.parametrize("pts, R, msg", [
+        ([[0.0], [5.0]], 8.0, "R = 8 is below 2 max|z| = 10"),
+        ([[100.0], [101.0]], None, "R = 16 is below 2 max|z| = 202")])
+    def test_support_outside_the_half_ball(self, monkeypatch, pts, R, msg):
+        # checked with the other inputs, before any node or Newton solve
+        calls = []
+
+        def counting_nodes(*args):
+            calls.append(1)
+            return _M_nodes(*args)
+        monkeypatch.setattr(capacity, "_M_nodes", counting_nodes)
+        with pytest.raises(DomainError, match=re.escape(msg)):
+            rho_capacity(np.array(pts), QUARTER, q=1.5, R=R)
+        assert calls == []
 
 
 class TestNullTest:

@@ -61,18 +61,66 @@ def test_exponents_seventeen_digits(capsys):
     assert "0.10000000000000001" in out   # 17-significant-digit echo
 
 
-def test_import_leaves_interpolate_and_optimize_unloaded():
-    # scipy.interpolate pulls in scipy.optimize, about 0.3 s of every start
+def _fresh_python(*args):
+    """Run python with these arguments from the checkout root, src/ first."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    code = ("import sys, wedgecap, wedgecap.cli; "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
-            "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+SCIPY_FREE = [
+    ["exponents", *QUARTER, "--q", "1.7"],
+    ["classify", "--poly", "demos/cube.json", "--q", "1.7",
+     "--set", "demos/vertex_set.json", "--measure", "demos/edge_measure.json"],
+    ["kernel", "--measure", "tests/golden/measure.json", "--nu", "5", "--m", "1",
+     "--q", "1.8", "--s", "0.22", "--R", "8", "--tau", "0.5", "--eps", "1e-2"],
+    ["besov", "--measure", "tests/golden/measure.json", "--s", "0.25", "--q", "2.0"],
+    ["verify", "remainder"],
+    ["verify", "harmonicity"],
+]
+
+
+def test_import_leaves_interpolate_and_optimize_unloaded():
+    # scipy.interpolate pulls in scipy.optimize, about 0.3 s of every start;
+    # any SciPy submodule costs 0.2-0.4 s, and these commands need none
+    code = """
+import contextlib, io, json, sys
+import wedgecap, wedgecap.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(sorted(m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modules))
+print(json.dumps(scipy_modules()))
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(wedgecap.cli.main(argv))
+print(json.dumps(codes))
+print(json.dumps(scipy_modules()))
+"""
+    proc = _fresh_python("-c", code, json.dumps(SCIPY_FREE))
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    unloaded, after_import, codes, after_commands = proc.stdout.splitlines()
+    assert unloaded == "[]"
+    assert json.loads(after_import) == []
+    assert json.loads(codes) == [0] * len(SCIPY_FREE)
+    assert json.loads(after_commands) == []
+
+
+def test_overflowing_gamma_is_a_numerical_error():
+    # the tail constant's Gamma((nu q - 1) / 2) overflows a double at
+    # nu q = 400: it is inf, and the run ends in exit 3, not an OverflowError
+    # (besov --q 400 reaches the same constant, after a 30 s stall)
+    proc = _fresh_python("-m", "wedgecap.cli", "kernel", "--measure",
+                         "tests/golden/measure.json", "--nu", "200", "--m", "1",
+                         "--q", "2", "--sigma", "0.5", "--j", "2", "--tau", "0.5",
+                         "--eps", "0.5")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "numerical error" in proc.stderr
 
 
 def test_unknown_subcommand(capsys):

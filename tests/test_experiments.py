@@ -5,6 +5,7 @@ import os
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.linalg import eigh_tridiagonal
 
 from wedgecap import experiments
@@ -279,14 +280,14 @@ class TestHeatLiftOracle:
     def test_heat_lifting_transform_work(self, monkeypatch):
         # the rows at y +- h share the transform of the rows at y
         rows = []
-        real_dst = experiments.dst
+        real_dst = scipy.fft.dst
 
         def counting_dst(a, *args, **kwargs):
             rows.append(1 if np.ndim(a) == 1 else len(a))
             return real_dst(a, *args, **kwargs)
-        monkeypatch.setattr(experiments, "dst", counting_dst)
+        monkeypatch.setattr(scipy.fft, "dst", counting_dst)
         heat_lifting(R=8.0, q=1.7)
-        assert sum(rows) <= 700
+        assert 0 < sum(rows) <= 700
 
     def test_heat_lifting_exp_table_work(self, monkeypatch):
         # one exp(-t lam) table per time set, shared by w, the chain-rule

@@ -13,8 +13,10 @@ For each file it prints the largest relative change of any number in it.
 
 import contextlib
 import io
+import json
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -75,6 +77,29 @@ def test_cli_output_matches_golden(name, monkeypatch):
     assert code == 0
     with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as fh:
         assert out == fh.read()
+
+
+# SciPy is imported inside the functions that use it, and other test modules
+# have loaded it before the cases above run; these cases reach every such
+# import, here from an interpreter that has not loaded SciPy yet
+COLD = ("capacity.json", "exponents_box.json", "verify_dichotomy.json",
+        "verify_heat.json")
+
+
+def test_lazy_imports_from_a_cold_process():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    script = ("import json, sys; sys.path.insert(0, 'tests'); "
+              "from test_golden import CASES, run; "
+              "print(json.dumps([run(CASES[name]) for name in sys.argv[1:]]))")
+    proc = subprocess.run([sys.executable, "-c", script, *COLD], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    for name, (code, out) in zip(COLD, json.loads(proc.stdout)):
+        assert code == 0, name
+        with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as fh:
+            assert out == fh.read(), name
 
 
 def largest_relative_change(old, new):
