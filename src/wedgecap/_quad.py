@@ -109,44 +109,52 @@ def _refine(f, edges, rtol):
     left edges, their K17 sums of shape ``(nrows, npanels)``, and
     the per-row values and error estimates.  The stopping test uses the
     K17 - G8 estimates; the reported errors are floored at the rounding
-    of the sums (:func:`_with_roundoff`).
+    of the sums (:func:`_with_roundoff`).  A row whose value or estimate
+    is not finite raises :class:`AccuracyError` in the round it appears.
     """
     edges = np.asarray(edges, float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly increasing with >= 2 entries")
     a = edges[:-1].copy()
     b = edges[1:].copy()
-    hi, lo = _row_sums(f, a, b)
-    while True:
-        vals = hi.sum(axis=1)
-        errs = np.abs(hi - lo).sum(axis=1)
-        scale = np.maximum(np.abs(vals), _TINY)
-        if np.all(errs <= rtol * scale):
-            return a, hi, vals, _with_roundoff(errs, hi)
-        if a.size >= _MAX_PANELS:
-            raise AccuracyError(
-                "quadrature stalled at %d panels (worst relative error %.3g, target %.3g)"
-                % (a.size, float(np.max(errs / scale)), rtol),
-                value=vals, error=_with_roundoff(errs, hi))
-        pe = (np.abs(hi - lo) / scale[:, None]).max(axis=0)
-        order_idx = np.argsort(pe, kind="stable")[::-1]
-        csum = np.cumsum(pe[order_idx])
-        ncut = int(np.searchsorted(csum, 0.5 * csum[-1])) + 1
-        ncut = min(ncut, max(1, _MAX_PANELS - a.size))
-        sel = np.zeros(a.size, bool)
-        sel[order_idx[:ncut]] = True
-        am, bm = a[sel], b[sel]
-        mid = 0.5 * (am + bm)
-        na = np.concatenate([am, mid])
-        nb = np.concatenate([mid, bm])
-        nhi, nlo = _row_sums(f, na, nb)
-        a = np.concatenate([a[~sel], na])
-        b = np.concatenate([b[~sel], nb])
-        hi = np.concatenate([hi[:, ~sel], nhi], axis=1)
-        lo = np.concatenate([lo[:, ~sel], nlo], axis=1)
-        perm = np.argsort(a, kind="stable")
-        a, b = a[perm], b[perm]
-        hi, lo = hi[:, perm], lo[:, perm]
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi, lo = _row_sums(f, a, b)
+        while True:
+            vals = hi.sum(axis=1)
+            errs = np.abs(hi - lo).sum(axis=1)
+            finite = np.isfinite(vals) & np.isfinite(errs)
+            if not np.all(finite):
+                row = int(np.argmin(finite))
+                raise AccuracyError(
+                    "integrand overflowed: row %d has value %r and error %r"
+                    % (row, float(vals[row]), float(errs[row])), value=vals, error=errs)
+            scale = np.maximum(np.abs(vals), _TINY)
+            if np.all(errs <= rtol * scale):
+                return a, hi, vals, _with_roundoff(errs, hi)
+            if a.size >= _MAX_PANELS:
+                raise AccuracyError(
+                    "quadrature stalled at %d panels (worst relative error %.3g, target %.3g)"
+                    % (a.size, float(np.max(errs / scale)), rtol),
+                    value=vals, error=_with_roundoff(errs, hi))
+            pe = (np.abs(hi - lo) / scale[:, None]).max(axis=0)
+            order_idx = np.argsort(pe, kind="stable")[::-1]
+            csum = np.cumsum(pe[order_idx])
+            ncut = int(np.searchsorted(csum, 0.5 * csum[-1])) + 1
+            ncut = min(ncut, max(1, _MAX_PANELS - a.size))
+            sel = np.zeros(a.size, bool)
+            sel[order_idx[:ncut]] = True
+            am, bm = a[sel], b[sel]
+            mid = 0.5 * (am + bm)
+            na = np.concatenate([am, mid])
+            nb = np.concatenate([mid, bm])
+            nhi, nlo = _row_sums(f, na, nb)
+            a = np.concatenate([a[~sel], na])
+            b = np.concatenate([b[~sel], nb])
+            hi = np.concatenate([hi[:, ~sel], nhi], axis=1)
+            lo = np.concatenate([lo[:, ~sel], nlo], axis=1)
+            perm = np.argsort(a, kind="stable")
+            a, b = a[perm], b[perm]
+            hi, lo = hi[:, perm], lo[:, perm]
 
 
 def integrate_rows(f, edges, rtol=1e-8):

@@ -185,26 +185,32 @@ def poisson_potential(mu, x, report, omega=None):
 _BLOCK_CELLS = 1 << 15   # table cells per block: accumulator + scratch fit in L2
 
 
-def _kernel_sum_m1(tau, y, mu, nu, q):
-    """(n_tau, n_y) table of the inner kernel sum raised to q, m = 1.
+def _sq_dists(mu, *coords):
+    """(n_atoms, n_points) squared distances from each atom to the points
+    with these coordinates, one coordinate array per axis of R^m."""
+    return sum((c - z[:, None]) ** 2 for c, z in zip(coords, mu.positions.T))
+
+
+def _kernel_sum(tau, d2, mu, nu, q):
+    """(n_tau, n_points) table of the inner kernel sum raised to q, given
+    each atom's squared distances ``d2`` to the points (:func:`_sq_dists`).
 
     The table is built one block of tau rows at a time: each atom's term
-    w (tau^2 + (y-z)^2)^{-nu/2} is formed in a block-sized scratch buffer
+    w (tau^2 + d2)^{-nu/2} is formed in a block-sized scratch buffer
     and added to the block, which is raised to q while it is still in
     cache.  Every cell sees the same operations in the same order
     whatever the block size.
     """
     t2 = (tau ** 2)[:, None]
-    atoms = [(w, (y - z) ** 2) for z, w in zip(mu.positions[:, 0], mu.weights)]
-    out = np.empty((tau.size, y.size))
-    rows = max(1, _BLOCK_CELLS // y.size)
-    scratch = np.empty((min(rows, tau.size), y.size))
+    out = np.empty((tau.size, d2.shape[1]))
+    rows = max(1, _BLOCK_CELLS // d2.shape[1])
+    scratch = np.empty((min(rows, tau.size), d2.shape[1]))
     for r0 in range(0, tau.size, rows):
         acc = out[r0:r0 + rows]
         term = scratch[:acc.shape[0]]
         acc.fill(0.0)
-        for w, d2 in atoms:
-            np.add(t2[r0:r0 + rows], d2, out=term)
+        for w, d in zip(mu.weights, d2):
+            np.add(t2[r0:r0 + rows], d, out=term)
             np.power(term, -0.5 * nu, out=term)
             term *= w
             acc += term
@@ -215,18 +221,8 @@ def _kernel_sum_m1(tau, y, mu, nu, q):
 def _slice_integrand_m1(tau_arr, mu, params):
     """y -> k(tau, y)^q for every tau row."""
     def f(y):
-        return _kernel_sum_m1(tau_arr, y, mu, params.nu, params.q)
+        return _kernel_sum(tau_arr, _sq_dists(mu, y), mu, params.nu, params.q)
     return f
-
-
-def _folded_integrand_m1(tau_arr, mu, params):
-    """y -> k(tau, y)^q + k(tau, -y)^q: both half-lines on one y > 0 grid."""
-    f = _slice_integrand_m1(tau_arr, mu, params)
-
-    def g(y):
-        out = f(np.concatenate([y, -y]))
-        return out[:, :y.size] + out[:, y.size:]
-    return g
 
 
 def _widen(shell, tail_bound, vals, errs, Y, rtol):
@@ -258,34 +254,9 @@ def _widen(shell, tail_bound, vals, errs, Y, rtol):
                         value=vals, error=errs + tail)
 
 
-def _widen_m1(tau_arr, mu, params, quad, vals, errs, Y):
-    """Extend a slice integral known on |y| < Y to the whole line.
-
-    The shell Y < |y| < Y 2^n is one call with both signs folded and one
-    panel per doubling, refined where the error estimate asks; the tail
-    beyond it is bounded by the power decay of the kernel.
-    """
-    nuq = params.nu * params.q
-    zmax = mu.support_radius()
-    amp = mu.n_atoms ** (params.q - 1.0) * float(np.sum(mu.weights ** params.q))
-    folded = _folded_integrand_m1(tau_arr, mu, params)
-
-    def shell(edges):
-        return integrate_rows(folded, edges, rtol=quad.rtol)
-
-    def tail_bound(Y):
-        return 2.0 * amp * (Y - zmax) ** (1.0 - nuq) / (nuq - 1.0)
-
-    return _widen(shell, tail_bound, vals, errs, Y, quad.rtol)
-
-
-def _c_ball(nuq, m):
-    """integral of (1+|u|^2)^{-nuq/2} over R^m (used in rigorous tail bounds)."""
-    if m == 1:
-        return math.sqrt(math.pi) * _gamma(0.5 * (nuq - 1.0)) / _gamma(0.5 * nuq)
-    if m == 2:
-        return 2.0 * math.pi / (nuq - 2.0)
-    raise ConfigurationError("tail constants implemented for m in {1, 2}")
+def _c_ball(nuq):
+    """integral of (1+u^2)^{-nuq/2} over R (used in rigorous tail bounds)."""
+    return math.sqrt(math.pi) * _gamma(0.5 * (nuq - 1.0)) / _gamma(0.5 * nuq)
 
 
 _LADDER = 4.0 ** np.arange(0, 20)
@@ -325,9 +296,10 @@ def F_nu_m(tau, mu, params, quad=None, truncated=True):
     """L^q integral over R^m (or the ball |y| < R) of the inner kernel sum.
 
     tau may be a scalar or an array; all values share one adaptively
-    refined panel set.  Returns (values, errors) with tau's shape.  For
-    m = 2 the error covers the outer y1-quadrature and, on the full plane,
-    the tail bound, but not the error of the inner y2-solves.
+    refined panel set.  Returns (values, errors) with tau's shape.  Both
+    edge dimensions run on one kernel table, panel refinement and tail
+    widening, and every value meets ``quad.rtol`` or raises
+    :class:`AccuracyError`.
     """
     quad = quad or DEFAULT_QUAD
     tau_arr = np.atleast_1d(np.asarray(tau, float))
@@ -359,17 +331,17 @@ def _F_m1(tau_arr, mu, params, quad, truncated, radii=None):
     masks of one kernel table whose cuts +-R_i are panel edges, so each
     row is exact and meets rtol on its own however small a part of F."""
     tau_floor = float(np.min(tau_arr))
+    rho = mu.support_radius()
     # the ball |y| < R, or for the full line a core around the atoms that
-    # _widen_m1 extends in one shell
-    Y = params.R if truncated else (mu.support_radius()
-                                    + max(10.0, 4.0 * float(np.max(tau_arr))))
-    f = _slice_integrand_m1(tau_arr, mu, params)
+    # _widen extends in one shell
+    Y = params.R if truncated else rho + max(10.0, 4.0 * float(np.max(tau_arr)))
+    f = table = _slice_integrand_m1(tau_arr, mu, params)
     cuts = ()
     if radii is not None:
         Y = float(np.max(radii)) if truncated else Y + float(np.max(radii))
         half, cuts = radii[:, None, None], np.concatenate([radii, -radii])
 
-        def f(y, table=f):
+        def f(y):
             in_box = (tau_arr[:, None] < half) & (np.abs(y) < half)
             return (table(y) * (in_box == truncated)).reshape(-1, y.size)
     vals, errs = integrate_rows(f, _y_edges_m1(mu, Y, tau_floor, cuts), rtol=quad.rtol)
@@ -377,59 +349,71 @@ def _F_m1(tau_arr, mu, params, quad, truncated, radii=None):
         vals, errs = vals.reshape(radii.size, -1), errs.reshape(radii.size, -1)
     if truncated:
         return vals, errs
-    # beyond Y > max R_i every row of a column is the same full-line row
-    return _widen_m1(tau_arr, mu, params, quad, vals, errs, Y)
+    # beyond Y > max R_i every row of a column is the same full-line row: the
+    # shell Y < |y| < Y 2^n is one call with both signs folded, and the power
+    # decay of the kernel bounds the tail beyond it
+    nuq = params.nu * params.q
+    amp = mu.n_atoms ** (params.q - 1.0) * float(np.sum(mu.weights ** params.q))
+
+    def folded(y):
+        out = table(np.concatenate([y, -y]))
+        return out[:, :y.size] + out[:, y.size:]
+
+    def shell(edges):
+        return integrate_rows(folded, edges, rtol=quad.rtol)
+
+    def tail_bound(Y):
+        return 2.0 * amp * (Y - rho) ** (1.0 - nuq) / (nuq - 1.0)
+
+    return _widen(shell, tail_bound, vals, errs, Y, quad.rtol)
 
 
 def _F_m2(tau_arr, mu, params, quad, truncated):
-    # nested quadrature; adequate at desk scale, documented as the slow path
-    nu, q = params.nu, params.q
-    nuq = nu * q
-    R = params.R if truncated else mu.support_radius() + max(
-        10.0, 10.0 * float(np.max(tau_arr)))
-    zs = mu.positions
+    """F on m = 2 in polar coordinates y = r (cos t, sin t).
+
+    The r-integral runs on the disk r < R, or for the full plane on the
+    core of :func:`_F_m1` that :func:`_widen` extends in one shell.  Each
+    of its rounds makes one t-solve over (0, 2 pi) whose rows are all the
+    (tau, r) pairs of the round, on panels marked at every atom's angle
+    and radius.  Each inner row meets rtol on a positive integrand, so
+    rtol |value| bounds the inner errors carried through the r weights.
+    """
     tau_floor = float(np.min(tau_arr))
-    vals = np.empty(tau_arr.size)
-    errs = np.empty(tau_arr.size)
-    for it, t in enumerate(tau_arr):
-        def outer(y1_nodes):
-            out = np.empty((1, y1_nodes.size))
-            for i, y1 in enumerate(y1_nodes):
-                half = math.sqrt(max(R * R - y1 * y1, 0.0)) if truncated else R
-                if half <= 0.0:
-                    out[0, i] = 0.0
-                    continue
-                marks = zs[:, 1]
-                edges = merge_edges(-half, half, np.linspace(-half, half, 9),
-                                    np.concatenate([marks, marks + max(t, tau_floor),
-                                                    marks - max(t, tau_floor)]))
+    rho = mu.support_radius()
+    Y = params.R if truncated else rho + max(10.0, 4.0 * float(np.max(tau_arr)))
+    radii = np.hypot(*mu.positions.T)
+    angles = np.arctan2(mu.positions[:, 1], mu.positions[:, 0])
+    spread = tau_floor / np.maximum(radii, tau_floor)
+    t_edges = merge_edges(0.0, 2.0 * math.pi, np.linspace(0.0, 2.0 * math.pi, 9),
+                          np.concatenate([angles, angles + spread,
+                                          angles - spread]) % (2.0 * math.pi))
 
-                def inner(y2):
-                    acc = np.zeros_like(y2)
-                    for (z1, z2), w in zip(zs, mu.weights):
-                        acc += w * (t * t + (y1 - z1) ** 2 + (y2 - z2) ** 2) ** (-0.5 * nu)
-                    return acc ** q
+    def radial(r):
+        def ring(t):
+            d2 = _sq_dists(mu, np.outer(r, np.cos(t)).ravel(),
+                           np.outer(r, np.sin(t)).ravel())
+            return _kernel_sum(tau_arr, d2, mu, params.nu, params.q).reshape(-1, t.size)
+        v, _ = integrate_rows(ring, t_edges, rtol=quad.rtol)
+        return v.reshape(tau_arr.size, r.size) * r
 
-                v, _ = integrate_rows(lambda y: inner(y)[None, :], edges,
-                                      rtol=quad.rtol)
-                out[0, i] = v[0]
-            return out
+    def shell(edges):
+        v, e = integrate_rows(radial, edges, rtol=quad.rtol)
+        return v, e + quad.rtol * np.abs(v)
 
-        marks1 = zs[:, 0]
-        edges1 = merge_edges(-R, R, np.linspace(-R, R, 9),
-                             np.concatenate([marks1, marks1 + max(t, tau_floor),
-                                             marks1 - max(t, tau_floor)]))
-        v, e = integrate_rows(outer, edges1, rtol=quad.rtol)
-        if not truncated:
-            # outside the square lies outside the disk |y| > R, where every
-            # atom is at least |y| - rho away: the integrand is at most
-            # (mass (|y| - rho)^-nu)^q
-            rho = mu.support_radius()
-            e = e + 2.0 * math.pi * mu.mass ** q * (
-                (R - rho) ** (2.0 - nuq) / (nuq - 2.0)
-                + rho * (R - rho) ** (1.0 - nuq) / (nuq - 1.0))
-        vals[it], errs[it] = v[0], e if np.isscalar(e) else e[0]
-    return vals, errs
+    vals, errs = shell(merge_edges(0.0, Y, np.linspace(0.0, Y, 9), radii,
+                                   radii + tau_floor, radii - tau_floor))
+    if truncated:
+        return vals, errs
+    nuq = params.nu * params.q
+
+    def tail_bound(Y):
+        # beyond |y| = Y every atom is at least |y| - rho away: the
+        # integrand is at most (mass (|y| - rho)^-nu)^q
+        return 2.0 * math.pi * mu.mass ** params.q * (
+            (Y - rho) ** (2.0 - nuq) / (nuq - 2.0)
+            + rho * (Y - rho) ** (1.0 - nuq) / (nuq - 1.0))
+
+    return _widen(shell, tail_bound, vals, errs, Y, quad.rtol)
 
 
 # --------------------------------------------------------------------------
@@ -565,7 +549,7 @@ def _tau_aggregate(mu, params, quad, weight, weight_pow, Y, eps, truncated,
     value = float(vals[0])
 
     if eps <= 0.0:
-        a_dec = float(np.sum(mu.weights ** q)) * _c_ball(params.nu * q, params.m)
+        a_dec = float(np.sum(mu.weights ** q)) * _c_ball(params.nu * q)
         correction = a_dec * lo ** (p0 + 1.0) / (p0 + 1.0)
         value += correction
         err += correction * min(1.0, (lo / gap) ** 2 + lo / Y) + 1e-3 * quad.rtol * abs(value)
@@ -621,12 +605,13 @@ def _M_weight(params):
 def _tail_amp(mu, params):
     q = params.q
     return (mu.n_atoms ** (q - 1.0) * float(np.sum(mu.weights ** q))
-            * _c_ball(params.nu * q, params.m))
+            * _c_ball(params.nu * q))
 
 
 def _reduction_pieces(mu, params):
     """Weight, its small-tau power, the rigorous large-tau tail bound and
     the Y at which the tail widening starts."""
+    _require_line_edge(params)
     sigma, j, q = params.sigma, params.j, params.q
     p = (sigma + 1.0) * q
     wpow = p + j - 2.0 if j >= 2 else p - 1.0
@@ -679,7 +664,6 @@ def reduced_I_ladder(mu, params, cutoffs, quad=None):
         raise DomainError("ladder cutoffs must be finite and > 0")
     if mu.n_atoms == 0:
         return np.zeros(len(cutoffs)), 0.0
-    _require_line_edge(params)
     w, _, tail_bound, Y = _reduction_pieces(mu, params)
     f = _tau_integrand(mu, params, quad, w, truncated=False)
     vals, err = _tau_ladder(f, cutoffs, Y, tail_bound, quad)

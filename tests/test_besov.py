@@ -135,6 +135,17 @@ class TestPositiveNorm:
         assert v > 0
         assert abs(besov_pos_norm(2 * f, (ax, ax), 0.5, 2.0) - 2 * v) < 1e-10 * v
 
+    @pytest.mark.parametrize("s, p", [(0.5, 2.0), (0.3, 1.5)])
+    def test_2d_pair_blocks(self, monkeypatch, s, p):
+        # the 1089 x 1089 pairs of the grid above in blocks of 40 rows,
+        # the last one partial, against the default single block
+        ax = np.linspace(-1.5, 1.5, 33)
+        X, Y = np.meshgrid(ax, ax, indexing="ij")
+        f = np.clip(1 - np.hypot(X - 0.2, Y), 0, None) * (1.0 + 0.3 * X)
+        one = besov_pos_norm(f, (ax, ax), s, p)
+        monkeypatch.setattr(besov, "_PAIR_CELLS", 40 * ax.size ** 2)
+        assert abs(besov_pos_norm(f, (ax, ax), s, p) - one) <= 1e-13 * one
+
 
 def _gagliardo_loop(f, x, s, p, h):
     """Reference: the double sum as one pass per offset over the whole grid."""

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -121,6 +122,35 @@ def test_overflowing_gamma_is_a_numerical_error():
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "numerical error" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("besov", "--measure", "tests/golden/measure.json", "--s", "0.9", "--q", "400"),
+    ("kernel", "--measure", "tests/golden/measure.json", "--nu", "3", "--m", "1",
+     "--q", "2", "--sigma", "100", "--j", "2", "--tau", "0.5", "--eps", "0.5"),
+])
+def test_overflowing_integrand_fails_fast(capsys, monkeypatch, argv):
+    # k^q overflows at q = 400, and h_sigma_j is inf/inf at p = 202: the
+    # first non-finite row ends the solve (each halved panels to the
+    # 4096 budget first, for 40 s and 5 s); a RuntimeWarning is an error
+    monkeypatch.chdir(ROOT)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert out == ""
+    assert "integrand overflowed" in err
+
+
+def test_m2_aggregate_names_the_edge_dimension(tmp_path, capsys):
+    # the edge dimension is checked before the divergence guards, which
+    # called this aggregate divergent (exit 3)
+    path = write(tmp_path, "m.json", {"m": 2, "atoms": [{"z": [0.0, 0.0], "w": 1.0}]})
+    code, out, err = run_cli(capsys, "kernel", "--measure", path, "--nu", "2.5",
+                             "--m", "2", "--q", "1.1", "--sigma", "0.5", "--j", "2")
+    assert code == 2
+    assert out == ""
+    assert "1-dimensional edges" in err
 
 
 def test_unknown_subcommand(capsys):

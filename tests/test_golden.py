@@ -24,6 +24,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 MEASURE = "tests/golden/measure.json"
+PLANE = "tests/golden/measure_plane.json"   # three atoms on R^2
 GRID = "tests/golden/grid_set.json"
 QUARTER = ("--N", "3", "--k", "2", "--alpha1", "1.5707963267948966")
 
@@ -40,6 +41,8 @@ CASES = {
     "kernel_full_line.json": ("kernel", "--measure", MEASURE, "--nu", "3", "--m", "1",
                               "--q", "1.8", "--sigma", "0.5", "--j", "2",
                               "--tau", "0.5", "--eps", "1e-2"),
+    "kernel_m2.json": ("kernel", "--measure", PLANE, "--nu", "3", "--m", "2",
+                       "--q", "1.5", "--tau", "0.5"),
     "besov.json": ("besov", "--measure", MEASURE, "--s", "0.25", "--q", "2.0"),
     "capacity.json": ("capacity", "--set", GRID, "--alpha", "0.6", "--p", "2.0"),
     "capacity_point.json": ("capacity", "--set", "demos/vertex_set.json",
