@@ -117,7 +117,7 @@ def _refine(f, edges, rtol):
         raise ValueError("edges must be strictly increasing with >= 2 entries")
     a = edges[:-1].copy()
     b = edges[1:].copy()
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         hi, lo = _row_sums(f, a, b)
         while True:
             vals = hi.sum(axis=1)

@@ -227,16 +227,18 @@ def besov_pos_norm(f, x, s, p):
             raise DomainError("f and x must have equal length")
         full = _norm_1d(f, x, s, p, h)
         coarse = _norm_1d(f[::2], x[::2], s, p, 2.0 * h)
-        delta = abs(full - coarse) / max(abs(full), 1e-300)
-        if delta >= 0.05:
-            raise ResolutionError(
-                "grid too coarse: refinement delta %.3g >= 5%%" % delta)
-        return float(full)
-    if f.ndim == 2:
+    elif f.ndim == 2:
         if not (0.0 < s < 1.0):
             raise ConfigurationError("2-D norms implemented for s in (0, 1)")
-        return _besov_2d(f, x, s, p)
-    raise ConfigurationError("norms implemented for 1-D and 2-D samples")
+        axes = tuple(np.asarray(a, float) for a in x)
+        full = _besov_2d(f, axes, s, p)
+        coarse = _besov_2d(f[::2, ::2], tuple(a[::2] for a in axes), s, p)
+    else:
+        raise ConfigurationError("norms implemented for 1-D and 2-D samples")
+    delta = abs(full - coarse) / max(abs(full), 1e-300)
+    if delta >= 0.05:
+        raise ResolutionError("grid too coarse: refinement delta %.3g >= 5%%" % delta)
+    return float(full)
 
 
 def _besov_2d(f, axes, s, p):
@@ -247,6 +249,8 @@ def _besov_2d(f, axes, s, p):
     y, hy = _check_uniform(axes[1])
     if abs(hx - hy) > 1e-12 * hx:
         raise DomainError("2-D grids must share one spacing")
+    if f.shape != (x.size, y.size):
+        raise DomainError("f must have one sample per grid point")
     h = hx
     X, Y = np.meshgrid(x, y, indexing="ij")
     X, Y, vals = X.ravel(), Y.ravel(), f.ravel()

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._quad import fit_loglog
 from .besov import besov_neg_proxy, besov_pos_norm
-from .errors import AnomalyError, ConfigurationError, DomainError
+from .errors import AccuracyError, AnomalyError, ConfigurationError, DomainError
 from .exponents import _require_q, capacity_index_s, critical_exponents
 from .geometry import DiscreteMeasure, dirac
 from .kernels import (DEFAULT_QUAD, KernelParams, QuadratureSpec, _box_ladder,
@@ -564,105 +564,115 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
     Returns (lift, report) where lift is the HeatLift of the primary bump.
     """
     t0 = time.perf_counter()
-    qp = q / (q - 1.0)
     s = capacity_index_s(k, kappa_plus, q)
+    qp = q / (q - 1.0)
     if not (0.0 < s < 2.0):
         raise ConfigurationError(
             "edge index s = 2-(k+kappa_plus)/q' = %.6g is outside (0, 2); "
             "pick q inside the capacity window of this opening" % s)
 
-    lift = HeatLift(_cos2_bump(0.0, R / 2.0), R, n=HEAT_N_SOLVE)
-    x = lift.x
-    h_s = lift.h
+    # arithmetic that leaves the range of a double (an R or q near the
+    # ends of the window) ends the run instead of yielding inf or nan
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            lift = HeatLift(_cos2_bump(0.0, R / 2.0), R, n=HEAT_N_SOLVE)
+            x = lift.x
+            h_s = lift.h
 
-    # (a) maximum principle + exact initial trace
-    t_samples = np.concatenate([[0.0], np.geomspace(1e-6, R * R, 60)])
-    W = lift.w(t_samples)
-    init_err = float(np.max(np.abs(W[0] - lift.eta)))
-    overshoot = max(0.0, float(np.max(W) - np.max(lift.eta)),
-                    float(-np.min(W)), init_err)
+            # (a) maximum principle + exact initial trace
+            t_samples = np.concatenate([[0.0], np.geomspace(1e-6, R * R, 60)])
+            W = lift.w(t_samples)
+            init_err = float(np.max(np.abs(W[0] - lift.eta)))
+            overshoot = max(0.0, float(np.max(W) - np.max(lift.eta)),
+                            float(-np.min(W)), init_err)
 
-    def chain_rule(tc):
-        """The multiplier of 4 t w_tt + (2k+1) w_t, times a column of t."""
-        return 4.0 * tc * lift.lam ** 2 - (2.0 * k + 1.0) * lift.lam
+            def chain_rule(tc):
+                """The multiplier of 4 t w_tt + (2k+1) w_t, times a column of t."""
+                return 4.0 * tc * lift.lam ** 2 - (2.0 * k + 1.0) * lift.lam
 
-    # (b) Laplacian identity at three FD resolutions
-    resid = []
-    for frac in HEAT_H_GRID:
-        h = frac * R
-        mid, right, left = _strided_columns(x.size, int(round(h / h_s)))
-        ys = np.arange(0.15 * R, 0.7 * R, h)
-        y, t = ys[:, None], (ys * ys)[:, None]
-        # the rows at y + h and y - h are the rows at y, shifted by one; the
-        # right side 4 t w_tt + (2k+1) w_t is one multiplier on the same table
-        E = lift._decay(np.concatenate([[ys[0] - h], ys, [ys[-1] + h]]) ** 2)
-        W, rhs = lift._rows(E, E[1:-1] * chain_rule(t))
-        w0, wp, wm = W[1:-1, mid], W[2:, mid], W[:-2, mid]
-        lhs = ((wp - 2.0 * w0 + wm) / h ** 2
-               + (k - 1.0) / y * (wp - wm) / (2.0 * h)
-               + (W[1:-1, right] - 2.0 * w0 + W[1:-1, left]) / h ** 2)
-        resid.append(float(np.max(np.abs(lhs - rhs[:, mid]))))
-    orders = [math.log2(resid[i] / resid[i + 1]) for i in range(len(resid) - 1)]
+            # (b) Laplacian identity at three FD resolutions
+            resid = []
+            for frac in HEAT_H_GRID:
+                h = frac * R
+                mid, right, left = _strided_columns(x.size, int(round(h / h_s)))
+                ys = np.arange(0.15 * R, 0.7 * R, h)
+                y, t = ys[:, None], (ys * ys)[:, None]
+                # the rows at y + h and y - h are the rows at y, shifted by one; the
+                # right side 4 t w_tt + (2k+1) w_t is one multiplier on the same table
+                E = lift._decay(np.concatenate([[ys[0] - h], ys, [ys[-1] + h]]) ** 2)
+                W, rhs = lift._rows(E, E[1:-1] * chain_rule(t))
+                w0, wp, wm = W[1:-1, mid], W[2:, mid], W[:-2, mid]
+                lhs = ((wp - 2.0 * w0 + wm) / h ** 2
+                       + (k - 1.0) / y * (wp - wm) / (2.0 * h)
+                       + (W[1:-1, right] - 2.0 * w0 + W[1:-1, left]) / h ** 2)
+                resid.append(float(np.max(np.abs(lhs - rhs[:, mid]))))
+            orders = [math.log2(resid[i] / resid[i + 1]) for i in range(len(resid) - 1)]
 
-    # (c) gradient functional vs fractional edge norm, over a bump family
-    family = [(0.0, R / 4.0), (0.0, R / 6.0), (R / 8.0, R / 8.0),
-              (-R / 8.0, R / 6.0), (R / 16.0, R / 4.0)]
-    ys = np.arange(0.05 * R, 0.72 * R, R / 64.0)
-    y, t = ys[:, None], ys * ys
-    psi = _cutoff_profile(ys / R)[:, None]
-    dpsi = np.gradient(_cutoff_profile(np.abs(ys) / R), ys)[:, None]
-    rho_R = np.cos(0.5 * math.pi * x[1:-1] / R)
-    drho_R = -0.5 * math.pi / R * np.sin(0.5 * math.pi * x[1:-1] / R)
-    rho_A = y ** kappa_plus * psi
-    rho = rho_A * rho_R
-    drho_y = (kappa_plus * y ** (kappa_plus - 1.0) * psi
-              + y ** kappa_plus * dpsi) * rho_R
-    drho_x = rho_A * drho_R
-    rho_lap = np.maximum(rho, 0.0) ** (1.0 / qp)
-    rho_grad = 2.0 * np.maximum(rho, 1e-300) ** (-1.0 / q)
-    # every bump lives on the same grid, so one table serves the family;
-    # one bump at a time keeps the temporaries small
-    E = lift._decay(t)
-    E_lap = E * chain_rule(t[:, None])
-    ratios = []
-    for center, width in family:
-        lf = HeatLift(_cos2_bump(center, width), R, n=HEAT_N_SOLVE)
-        w0, lapH = lf._rows(E, E_lap)
-        # w_t = L_h w holds exactly for the semi-discrete flow
-        wt = (w0[:, 2:] - 2.0 * w0[:, 1:-1] + w0[:, :-2]) / h_s ** 2
-        dyH = 2.0 * y * wt
-        dxH = (w0[:, 2:] - w0[:, :-2]) / (2.0 * h_s)
-        grad_term = np.abs(drho_y * dyH + drho_x * dxH)
-        Lval = rho_lap * np.abs(lapH[:, 1:-1]) + rho_grad * grad_term
-        terms = np.sum(Lval ** qp, axis=1) * h_s * (R / 64.0) * ys ** (k - 1.0)
-        Lq = float(np.cumsum(terms)[-1])   # in y order; np.sum would pair rows
-        ratios.append(Lq ** (1.0 / qp) / besov_pos_norm(lf.eta, x, s, qp))
-    ratio_spread = max(ratios) / min(ratios)
+            # (c) gradient functional vs fractional edge norm, over a bump family
+            family = [(0.0, R / 4.0), (0.0, R / 6.0), (R / 8.0, R / 8.0),
+                      (-R / 8.0, R / 6.0), (R / 16.0, R / 4.0)]
+            ys = np.arange(0.05 * R, 0.72 * R, R / 64.0)
+            y, t = ys[:, None], ys * ys
+            psi = _cutoff_profile(ys / R)[:, None]
+            dpsi = np.gradient(_cutoff_profile(np.abs(ys) / R), ys)[:, None]
+            rho_R = np.cos(0.5 * math.pi * x[1:-1] / R)
+            drho_R = -0.5 * math.pi / R * np.sin(0.5 * math.pi * x[1:-1] / R)
+            rho_A = y ** kappa_plus * psi
+            rho = rho_A * rho_R
+            drho_y = (kappa_plus * y ** (kappa_plus - 1.0) * psi
+                      + y ** kappa_plus * dpsi) * rho_R
+            drho_x = rho_A * drho_R
+            rho_lap = np.maximum(rho, 0.0) ** (1.0 / qp)
+            rho_grad = 2.0 * np.maximum(rho, 1e-300) ** (-1.0 / q)
+            # every bump lives on the same grid, so one table serves the family;
+            # one bump at a time keeps the temporaries small
+            E = lift._decay(t)
+            E_lap = E * chain_rule(t[:, None])
+            ratios = []
+            for center, width in family:
+                lf = HeatLift(_cos2_bump(center, width), R, n=HEAT_N_SOLVE)
+                w0, lapH = lf._rows(E, E_lap)
+                # w_t = L_h w holds exactly for the semi-discrete flow
+                wt = (w0[:, 2:] - 2.0 * w0[:, 1:-1] + w0[:, :-2]) / h_s ** 2
+                dyH = 2.0 * y * wt
+                dxH = (w0[:, 2:] - w0[:, :-2]) / (2.0 * h_s)
+                grad_term = np.abs(drho_y * dyH + drho_x * dxH)
+                Lval = rho_lap * np.abs(lapH[:, 1:-1]) + rho_grad * grad_term
+                terms = np.sum(Lval ** qp, axis=1) * h_s * (R / 64.0) * ys ** (k - 1.0)
+                Lq = float(np.cumsum(terms)[-1])   # in y order; np.sum would pair rows
+                ratios.append(Lq ** (1.0 / qp) / besov_pos_norm(lf.eta, x, s, qp))
+            if min(ratios) <= 0.0:
+                raise AccuracyError("heat lifting: a gradient functional "
+                                    "underflowed to 0")
+            ratio_spread = max(ratios) / min(ratios)
 
-    # (d) |Delta zeta| <= c rho^R rho_A^R as a finite-sample sup-ratio
-    gamma_open = kappa_plus ** 2 + (k - 2.0) * kappa_plus
-    sup_ratios = []
-    for frac in HEAT_H_GRID[-2:]:
-        h = frac * R
-        mid, right, left = _strided_columns(x.size, int(round(h / h_s)))
-        y = np.arange(max(0.1 * R, 2.0 * h), 0.7 * R, h)[:, None]
+            # (d) |Delta zeta| <= c rho^R rho_A^R as a finite-sample sup-ratio
+            gamma_open = kappa_plus ** 2 + (k - 2.0) * kappa_plus
+            sup_ratios = []
+            for frac in HEAT_H_GRID[-2:]:
+                h = frac * R
+                mid, right, left = _strided_columns(x.size, int(round(h / h_s)))
+                y = np.arange(max(0.1 * R, 2.0 * h), 0.7 * R, h)[:, None]
 
-        def zeta_slice(yv):
-            val = lift.w((yv * yv)[:, 0]) ** qp
-            return yv ** kappa_plus * _cutoff_profile(yv / R) * val
+                def zeta_slice(yv):
+                    val = lift.w((yv * yv)[:, 0]) ** qp
+                    return yv ** kappa_plus * _cutoff_profile(yv / R) * val
 
-        Z = zeta_slice(np.concatenate([y[:1] - h, y, y[-1:] + h]))
-        z0, zp, zm = Z[1:-1], Z[2:], Z[:-2]
-        lap = ((zp - 2.0 * z0 + zm) / h ** 2
-               + (k - 1.0) / y * (zp - zm) / (2.0 * h)
-               - gamma_open / y ** 2 * z0)
-        lap = lap[:, mid] + (z0[:, right] - 2.0 * z0[:, mid]
-                             + z0[:, left]) / h ** 2
-        dom = (np.cos(0.5 * math.pi * x[mid] / R)
-               * y ** kappa_plus * _cutoff_profile(y / R))
-        mask = dom > 1e-8 * np.max(dom, axis=1, keepdims=True)
-        sup_ratios.append(float(np.max(np.abs(lap[mask]) / dom[mask])))
-    zeta_growth = sup_ratios[-1] / sup_ratios[0] if sup_ratios[0] > 0 else np.inf
+                Z = zeta_slice(np.concatenate([y[:1] - h, y, y[-1:] + h]))
+                z0, zp, zm = Z[1:-1], Z[2:], Z[:-2]
+                lap = ((zp - 2.0 * z0 + zm) / h ** 2
+                       + (k - 1.0) / y * (zp - zm) / (2.0 * h)
+                       - gamma_open / y ** 2 * z0)
+                lap = lap[:, mid] + (z0[:, right] - 2.0 * z0[:, mid]
+                                     + z0[:, left]) / h ** 2
+                dom = (np.cos(0.5 * math.pi * x[mid] / R)
+                       * y ** kappa_plus * _cutoff_profile(y / R))
+                mask = dom > 1e-8 * np.max(dom, axis=1, keepdims=True)
+                sup_ratios.append(float(np.max(np.abs(lap[mask]) / dom[mask])))
+            zeta_growth = sup_ratios[-1] / sup_ratios[0] if sup_ratios[0] > 0 else np.inf
+    except FloatingPointError as exc:
+        raise AccuracyError("heat lifting left the range of a double: %s"
+                            % exc) from None
 
     metrics = {
         "overshoot": overshoot, "initial_trace_error": init_err,

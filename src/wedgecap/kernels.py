@@ -195,11 +195,13 @@ def _kernel_sum(tau, d2, mu, nu, q):
     """(n_tau, n_points) table of the inner kernel sum raised to q, given
     each atom's squared distances ``d2`` to the points (:func:`_sq_dists`).
 
-    The table is built one block of tau rows at a time: each atom's term
-    w (tau^2 + d2)^{-nu/2} is formed in a block-sized scratch buffer
-    and added to the block, which is raised to q while it is still in
-    cache.  Every cell sees the same operations in the same order
-    whatever the block size.
+    The table is built one block of tau rows at a time, which is raised
+    to q while it is still in cache.  The first atom writes its term
+    w (tau^2 + d2)^{-nu/2} into the block itself; each later one is
+    formed in a block-sized scratch buffer and added.  For nu = 2, the
+    Poisson kernel of a line edge, the term is one division
+    w / (tau^2 + d2).  Every cell sees the same operations in the same
+    order whatever the block size.
     """
     t2 = (tau ** 2)[:, None]
     out = np.empty((tau.size, d2.shape[1]))
@@ -207,13 +209,16 @@ def _kernel_sum(tau, d2, mu, nu, q):
     scratch = np.empty((min(rows, tau.size), d2.shape[1]))
     for r0 in range(0, tau.size, rows):
         acc = out[r0:r0 + rows]
-        term = scratch[:acc.shape[0]]
-        acc.fill(0.0)
-        for w, d in zip(mu.weights, d2):
+        for k, (w, d) in enumerate(zip(mu.weights, d2)):
+            term = scratch[:acc.shape[0]] if k else acc
             np.add(t2[r0:r0 + rows], d, out=term)
-            np.power(term, -0.5 * nu, out=term)
-            term *= w
-            acc += term
+            if nu == 2.0:
+                np.divide(w, term, out=term)
+            else:
+                np.power(term, -0.5 * nu, out=term)
+                term *= w
+            if k:
+                acc += term
         np.power(acc, q, out=acc)
     return out
 
@@ -234,23 +239,27 @@ def _widen(shell, tail_bound, vals, errs, Y, rtol):
     ``shell(edges)`` -- per-row (values, errors) of the integrand on
     (Y, Y 2^n), given the doubling edges Y 2^k, k = 0..n -- is added to
     the totals in one call.  The bound at Y 2^n lands in the error; a
-    bound still above ``0.3 rtol`` after 29 doublings raises
-    :class:`AccuracyError` carrying the totals.
+    bound still above ``0.3 rtol`` after 29 doublings, or at the last
+    doubling below the largest double, raises :class:`AccuracyError`
+    carrying the totals.
     """
     def negligible(tail, vals):
         return tail <= 0.3 * rtol * float(np.min(np.abs(vals))) or tail < 1e-300
 
-    doublings = Y * 2.0 ** np.arange(30)   # Y grows at most 2^29-fold
-    n = next((n for n, end in enumerate(doublings)
-              if negligible(tail_bound(end), vals)), 29)
-    if n:
-        v, e = shell(doublings[:n + 1])
-        vals, errs = vals + v, errs + e
-    tail = tail_bound(doublings[n])
+    # a bound beyond a double is inf (or nan, as inf * 0), and not negligible
+    with np.errstate(over="ignore", invalid="ignore"):
+        doublings = Y * 2.0 ** np.arange(30)   # Y grows at most 2^29-fold
+        doublings = doublings[doublings < np.inf]
+        n = next((n for n, end in enumerate(doublings)
+                  if negligible(tail_bound(end), vals)), doublings.size - 1)
+        if n:
+            v, e = shell(doublings[:n + 1])
+            vals, errs = vals + v, errs + e
+        tail = tail_bound(doublings[n])
     if negligible(tail, vals):
         return vals, errs + tail
     raise AccuracyError("tail bound %.3g beyond %.3g still above 0.3 rtol "
-                        "(rtol %.3g) after 29 doublings" % (tail, doublings[n], rtol),
+                        "(rtol %.3g) after %d doublings" % (tail, doublings[n], rtol, n),
                         value=vals, error=errs + tail)
 
 
@@ -353,7 +362,7 @@ def _F_m1(tau_arr, mu, params, quad, truncated, radii=None):
     # shell Y < |y| < Y 2^n is one call with both signs folded, and the power
     # decay of the kernel bounds the tail beyond it
     nuq = params.nu * params.q
-    amp = mu.n_atoms ** (params.q - 1.0) * float(np.sum(mu.weights ** params.q))
+    amp = _amp(mu, params.q)
 
     def folded(y):
         out = table(np.concatenate([y, -y]))
@@ -409,7 +418,7 @@ def _F_m2(tau_arr, mu, params, quad, truncated):
     def tail_bound(Y):
         # beyond |y| = Y every atom is at least |y| - rho away: the
         # integrand is at most (mass (|y| - rho)^-nu)^q
-        return 2.0 * math.pi * mu.mass ** params.q * (
+        return 2.0 * math.pi * np.float64(mu.mass) ** params.q * (
             (Y - rho) ** (2.0 - nuq) / (nuq - 2.0)
             + rho * (Y - rho) ** (1.0 - nuq) / (nuq - 1.0))
 
@@ -422,12 +431,18 @@ def _F_m2(tau_arr, mu, params, quad, truncated):
 
 def h_sigma_j(tau, sigma, j, q):
     """Reduction weight: tau^{(sigma+1)q+j-2} (1+tau)^{-(sigma+1)q} for j >= 2,
-    e^{-tau} tau^{(sigma+1)q-1} for j = 1."""
+    e^{-tau} tau^{(sigma+1)q-1} for j = 1.
+
+    Each is formed so that no factor overflows where the weight itself
+    is a double: tau^{j-2} (tau/(1+tau))^p as tau^{j-2} exp(-p log1p(1/tau)),
+    which keeps its relative accuracy where p/tau is small but p is not,
+    and j = 1 as one exponential of (p-1) log tau - tau.
+    """
     tau = np.asarray(tau, float)
     p = (sigma + 1.0) * q
     if j >= 2:
-        return tau ** (p + j - 2.0) / (1.0 + tau) ** p
-    return np.exp(-tau) * tau ** (p - 1.0)
+        return tau ** (j - 2.0) * np.exp(-p * np.log1p(1.0 / tau))
+    return np.exp((p - 1.0) * np.log(tau) - tau)
 
 
 def _small_tau_exponent(params, weight_pow):
@@ -451,10 +466,14 @@ def _tau_edges(lo, hi, *marks):
 
     Every tau node is a whole y x atom row of the kernel table, so the
     start is deliberately coarse; the K17-G8 refinement adds panels
-    only where the error estimate asks for them.
+    only where the error estimate asks for them.  A log-graded edge
+    within a factor 1.5 of a mark (an end, the midpoint or one of
+    ``marks``) is dropped, so it leaves no sliver panel beside the mark.
     """
-    return merge_edges(lo, hi, geometric_edges(lo, hi, per_decade=1),
-                       np.linspace(lo, hi, 3), *marks)
+    fixed = merge_edges(lo, hi, np.linspace(lo, hi, 3), *marks)
+    graded = geometric_edges(lo, hi, per_decade=1)
+    near = np.abs(np.log(graded[:, None] / fixed)).min(axis=1) < math.log(1.5)
+    return merge_edges(lo, hi, graded[~near], fixed)
 
 
 def _tau_ladder(f, cutoffs, Y, tail_bound, quad, marks=()):
@@ -602,10 +621,15 @@ def _M_weight(params):
     return (lambda tau: tau ** p), p
 
 
+def _amp(mu, q):
+    """n^{q-1} sum_i w_i^q, so that (sum_i w_i k_i)^q <= amp max_i k_i^q;
+    inf where it overflows a double."""
+    with np.errstate(over="ignore"):
+        return np.float64(mu.n_atoms) ** (q - 1.0) * np.sum(mu.weights ** q)
+
+
 def _tail_amp(mu, params):
-    q = params.q
-    return (mu.n_atoms ** (q - 1.0) * float(np.sum(mu.weights ** q))
-            * _c_ball(params.nu * q))
+    return _amp(mu, params.q) * _c_ball(params.nu * params.q)
 
 
 def _reduction_pieces(mu, params):
@@ -614,6 +638,8 @@ def _reduction_pieces(mu, params):
     _require_line_edge(params)
     sigma, j, q = params.sigma, params.j, params.q
     p = (sigma + 1.0) * q
+    if not math.isfinite(p):
+        raise DomainError("need (sigma + 1) q finite")
     wpow = p + j - 2.0 if j >= 2 else p - 1.0
     ampc = _tail_amp(mu, params)
     if j >= 2:
@@ -629,7 +655,7 @@ def _reduction_pieces(mu, params):
         c = params.m - params.nu * q + p - 1.0
 
         def tail_bound(Y):
-            return 2.0 * ampc * Y ** c * math.exp(-Y)
+            return 2.0 * ampc * np.exp(c * np.log(Y) - Y)
         Y = 20.0
 
     def w(tau):

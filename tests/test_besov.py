@@ -132,8 +132,18 @@ class TestPositiveNorm:
         X, Y = np.meshgrid(ax, ax, indexing="ij")
         f = np.clip(1 - np.hypot(X, Y), 0, None)
         v = besov_pos_norm(f, (ax, ax), 0.5, 2.0)
-        assert v > 0
+        assert v == 4.117417641645603
         assert abs(besov_pos_norm(2 * f, (ax, ax), 0.5, 2.0) - 2 * v) < 1e-10 * v
+
+    def test_2d_coarse_grid_raises(self):
+        # as in 1-D, the norm on the 2x-coarsened grid must agree within
+        # 5 %: the cone above moves by 1.2 % from 17 x 17 to 33 x 33
+        # points, but by 8.1 % from 5 x 5 to 9 x 9
+        ax = np.linspace(-1.5, 1.5, 9)
+        X, Y = np.meshgrid(ax, ax, indexing="ij")
+        f = np.clip(1 - np.hypot(X, Y), 0, None)
+        with pytest.raises(ResolutionError):
+            besov_pos_norm(f, (ax, ax), 0.5, 2.0)
 
     @pytest.mark.parametrize("s, p", [(0.5, 2.0), (0.3, 1.5)])
     def test_2d_pair_blocks(self, monkeypatch, s, p):

@@ -126,13 +126,11 @@ def test_overflowing_gamma_is_a_numerical_error():
 
 @pytest.mark.parametrize("argv", [
     ("besov", "--measure", "tests/golden/measure.json", "--s", "0.9", "--q", "400"),
-    ("kernel", "--measure", "tests/golden/measure.json", "--nu", "3", "--m", "1",
-     "--q", "2", "--sigma", "100", "--j", "2", "--tau", "0.5", "--eps", "0.5"),
 ])
 def test_overflowing_integrand_fails_fast(capsys, monkeypatch, argv):
-    # k^q overflows at q = 400, and h_sigma_j is inf/inf at p = 202: the
-    # first non-finite row ends the solve (each halved panels to the
-    # 4096 budget first, for 40 s and 5 s); a RuntimeWarning is an error
+    # k^q overflows at q = 400: the first non-finite row ends the solve
+    # (it halved panels to the 4096 budget first, for 40 s); a
+    # RuntimeWarning is an error
     monkeypatch.chdir(ROOT)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
@@ -140,6 +138,34 @@ def test_overflowing_integrand_fails_fast(capsys, monkeypatch, argv):
     assert code == 3
     assert out == ""
     assert "integrand overflowed" in err
+
+
+def test_large_p_weight_is_finite(capsys, monkeypatch):
+    # at p = (sigma + 1) q = 202 the weight tau^{p+j-2} / (1+tau)^p was
+    # inf/inf and the command exited 3; as tau^{j-2} exp(-p log1p(1/tau))
+    # it is a double wherever the integral is (see TestClosedFormOracles)
+    monkeypatch.chdir(ROOT)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "kernel", "--measure", "tests/golden/measure.json",
+                             "--nu", "3", "--m", "1", "--q", "2", "--sigma", "100",
+                             "--j", "2", "--tau", "0.5", "--eps", "0.5")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and err == ""
+    reduced = json.loads(out)["result"]["reduced_I"]
+    assert 0.0 < reduced["error"] < 1e-6 * reduced["value"] < math.inf
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--R", "1e300"), "left the range of a double"),
+    (("--R", "1e100", "--q", "1.3"), "underflowed to 0"),
+])
+def test_heat_beyond_double_range_is_a_numerical_error(capsys, argv, message):
+    # R = 1e300 overflows the DST eigenvalues (RuntimeWarnings, then nan
+    # metrics); at R = 1e100 a gradient functional underflows to 0, and the
+    # ratio spread divided by it (ZeroDivisionError)
+    code, out, err = run_cli(capsys, "verify", "heat", *argv)
+    assert code == 3 and out == ""
+    assert "numerical error" in err and message in err
 
 
 def test_m2_aggregate_names_the_edge_dimension(tmp_path, capsys):
@@ -533,3 +559,59 @@ def test_classify_fuzzed_documents_never_raise(tmp_path, data, flag):
             contextlib.redirect_stderr(io.StringIO()):
         code = main(classify_argv(flag, path))
     assert code in (0, 2, 3)
+
+
+_GAMMA_FLAGS = (("--N", st.integers(0, 5)), ("--k", st.integers(0, 4)),
+                ("--alpha1", _REALS), ("--gamma", _REALS), ("--tol", _REALS))
+# every flag of each numeric command but --out and --format; --n-measures is
+# the workload size of the equivalence experiment (about 0.03 s a measure),
+# so it stays small.  capacity is left out: at alpha = 400 one call takes
+# about 37 s until its source window is sized from the kernel, and it joins
+# here then, over alpha's full range
+_NUMERIC = {
+    ("kernel",): (("--nu", _REALS), ("--m", st.integers(0, 3)), ("--q", _REALS),
+                  ("--s", _REALS), ("--sigma", _REALS), ("--j", st.integers(0, 4)),
+                  ("--R", _REALS), ("--tau", _REALS), ("--eps", _REALS)),
+    ("besov",): (("--s", _REALS), ("--q", _REALS), ("--eps", _REALS)),
+    ("verify", "dichotomy"): _GAMMA_FLAGS + (("--q", _REALS),),
+    ("verify", "equivalence"): _GAMMA_FLAGS + (
+        ("--q", _REALS), ("--R", _REALS), ("--n-measures", st.integers(-1, 3)),
+        ("--seed", st.integers(-1, 2 ** 64))),
+    ("verify", "remainder"): (("--nu", _REALS), ("--sigma", _REALS),
+                              ("--m", st.integers(0, 3)), ("--j", st.integers(0, 4)),
+                              ("--q", _REALS)),
+    ("verify", "harmonicity"): (("--alpha1", _REALS),
+                                ("--target", st.sampled_from(["v_A", "martin", "u"]))),
+    ("verify", "heat"): (("--q", _REALS), ("--R", _REALS)),
+}
+MEASURES = [os.path.join(ROOT, "tests", "golden", name)
+            for name in ("measure.json", "measure_plane.json")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data(), command=st.sampled_from(sorted(_NUMERIC)))
+def test_numeric_commands_fuzzed_never_raise(tmp_path, data, command):
+    # each flag present with probability 3/4, and for kernel and besov a
+    # measure document, one of the golden inputs mutated or any JSON; a
+    # solve that overflows or exhausts its budget must end at once (exit 3)
+    argv = list(command)
+    for flag, values in _NUMERIC[command]:
+        if data.draw(st.integers(0, 3)):
+            argv.append("%s=%r" % (flag, data.draw(values)))
+    if command[-1] in ("dichotomy", "equivalence"):
+        for a, b in data.draw(st.lists(st.tuples(_REALS, _REALS), max_size=2)):
+            argv.append("--interval=%r,%r" % (a, b))
+    if command[0] in ("kernel", "besov"):
+        with open(data.draw(st.sampled_from(MEASURES)), encoding="utf-8") as fh:
+            demo = json.load(fh)
+        doc = _mutated(demo, data) if data.draw(st.integers(0, 3)) else data.draw(_JSON)
+        argv += ["--measure", write(tmp_path, "measure.json", doc)]
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 5.0, argv
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

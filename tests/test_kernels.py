@@ -264,7 +264,8 @@ def _two_atom_F_plane(tau, R, nu=3.0, q=1.8):
 def test_kernel_table_matches_atom_loop():
     # the blocked in-place table must equal the plain per-atom expression
     # raised to q bit for bit, also where the tau rows cross block
-    # boundaries (300 x 2000) and where a block holds one row (40 000)
+    # boundaries (300 x 2000) and where a block holds one row (40 000);
+    # at nu = 2 the term is w / (tau^2 + d^2), within 2 ulp of w x^{-1}
     mu = DiscreteMeasure(1, [((0.3,), 1.0), ((-0.45,), 0.7), ((2.0,), 0.25)])
     shapes = ((37, 401), (300, 2000), (5, 40000))
     for (n_tau, n_y) in shapes:
@@ -272,11 +273,16 @@ def test_kernel_table_matches_atom_loop():
         y = np.linspace(-30.0, 30.0, n_y)
         for nu in (2.0, 3.3):
             ref = np.zeros((tau.size, y.size))
+            power = np.zeros((tau.size, y.size))
             for z, w in zip(mu.positions[:, 0], mu.weights):
-                ref += w * ((tau ** 2)[:, None] + (y[None, :] - z) ** 2) ** (-0.5 * nu)
+                base = (tau ** 2)[:, None] + (y[None, :] - z) ** 2
+                ref += w / base if nu == 2.0 else w * base ** (-0.5 * nu)
+                power += w * base ** (-0.5 * nu)
             for q in (1.0, 1.8):
                 table = kernels._kernel_sum(tau, kernels._sq_dists(mu, y), mu, nu, q)
                 assert np.array_equal(table, ref ** q)
+            table = kernels._kernel_sum(tau, kernels._sq_dists(mu, y), mu, nu, 1.0)
+            assert np.all(np.abs(table - power) <= 2.0 * np.spacing(power))
 
 
 def test_full_line_widening_evaluates_each_node_once(monkeypatch):
@@ -479,6 +485,31 @@ def test_ladder_widening_integrates_each_tau_once(monkeypatch):
     for c, v in zip(cutoffs, vals):
         ref, ref_err = reduced_I(dirac(1), p, quad=quad, eps=c)
         assert abs(v - ref) <= err + ref_err
+
+
+def _check_tau_start(lo, hi, marks):
+    """Every mark is an edge, and a panel narrower than a factor 1.5 lies
+    between two marks (the ends, the midpoint or ``marks``)."""
+    edges = kernels._tau_edges(lo, hi, *marks)
+    fixed = _quad.merge_edges(lo, hi, np.linspace(lo, hi, 3), *marks)
+    assert np.all(np.isin(fixed, edges))
+    sliver = edges[1:] < 1.5 * edges[:-1]
+    assert np.all(np.isin(edges[:-1][sliver], fixed) & np.isin(edges[1:][sliver], fixed))
+    return edges
+
+
+def test_tau_start_has_no_sliver_panels():
+    # the equivalence proxy start (eps = 1e-2, Y = 20) had the panel
+    # [8.66e-3, 1e-2], and the dichotomy start three panels as narrow as
+    # [9.999999999999997e-06, 1e-05]: each costs 17 whole table rows
+    cutoffs = [1e-2 / 2 ** k for k in range(4)]
+    assert _check_tau_start(cutoffs[-1], 20.0, (cutoffs,)).size == 9   # 8 panels
+    decades = 10.0 ** -np.arange(6.0, 1.0, -1.0)
+    edges = _check_tau_start(1e-6, 1.0, (decades,))
+    assert np.all(edges[1:] >= 1.5 * edges[:-1])
+    for lo, hi, marks in ((1e-2, 8.0, ()), (2e-6, 40.0, ([2.0, 4.0, 8.0],)),
+                          (40.0, 40.0 * 2 ** 7, ()), (3e-3, 0.0101, ([0.01],))):
+        _check_tau_start(lo, hi, marks)
 
 
 def test_equivalence_op_tau_work(monkeypatch):
@@ -707,6 +738,29 @@ class TestClosedFormOracles:
             exact = float(c * mpmath.quad(
                 lambda t: t ** -4.4 * t ** 2.7 / (1 + t) ** 2.7, [60, 240, mpmath.inf]))
         assert abs(v - exact) <= e
+
+    @pytest.mark.parametrize("sigma, j", [(100.0, 2), (1e16, 2), (60.0, 1), (84.5, 1)])
+    def test_large_p_weights_against_mpmath(self, sigma, j):
+        # p = (sigma + 1) q = 202, 2e16, 122 and 171: tau^p or (1+tau)^p
+        # overflows inside the solve (the j = 2 weight was inf/inf, the
+        # j = 1 weight and tail bound inf * 0), and at p = 2e16 the ratio
+        # tau/(1+tau) rounds to a step function of tau, while the
+        # integral is a double
+        q, nu, eps = 2.0, 3.0, 0.5
+        p = (sigma + 1.0) * q
+        v, e = reduced_I(dirac(1), KernelParams(nu=nu, m=1, q=q, sigma=sigma, j=j),
+                         eps=eps)
+        with mpmath.workdps(30):
+            c = mpmath.sqrt(mpmath.pi) * mpmath.gamma(2.5) / mpmath.gamma(3)
+            if j == 2:
+                # in u = p / tau the integrand peaks near u = nu q - 3
+                top = p / eps
+                exact = c * p ** (2 - nu * q) * mpmath.quad(
+                    lambda u: u ** (nu * q - 3) * mpmath.exp(-p * mpmath.log1p(u / p)),
+                    [0] + [u for u in (1, 4, 10, 40, 100) if u < top] + [top])
+            else:
+                exact = c * mpmath.gammainc(p - nu * q + 1, eps)
+        assert abs(v - float(exact)) <= e
 
     @pytest.mark.parametrize("j", [2, 3, 4])
     def test_angular_factor_mpmath(self, j):
