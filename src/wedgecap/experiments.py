@@ -24,8 +24,8 @@ from .besov import besov_neg_proxy, besov_pos_norm
 from .errors import AccuracyError, AnomalyError, ConfigurationError, DomainError
 from .exponents import _require_q, capacity_index_s, critical_exponents
 from .geometry import DiscreteMeasure, dirac
-from .kernels import (DEFAULT_QUAD, KernelParams, QuadratureSpec, _box_ladder,
-                      _M_weight, _reduction_pieces, _tau_ladder,
+from .kernels import (DEFAULT_QUAD, KernelParams, QuadratureSpec, _aggregate,
+                      _M_pieces, _reduction_pieces, _tau_ladder,
                       params_from_report)
 
 DEFAULT_SEED = 42
@@ -260,13 +260,12 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
             "proxy divergence detector contradicts the s = m/q' threshold",
             None)
 
-    # M at every truncation radius from one box ladder per measure
+    # M at every truncation radius from one box call per measure
     kp = params_from_report(rep, q, R=R)
-    weight, _ = _M_weight(kp)
     radii = sorted(set(R_grid) | {R})
 
     def M_radii(mu):
-        vals, _ = _box_ladder(mu, kp, quad, weight, radii, eps)
+        vals, _ = _aggregate(mu, kp, quad, _M_pieces(kp), [eps], radii)
         return dict(zip(radii, vals.tolist()))
 
     ratios = []
@@ -324,7 +323,8 @@ def remainder_experiment(nu, sigma, m, j, q, mu=None, R_grid=(2.0, 4.0, 8.0, 16.
     truncated functionals, integrates the kernel against h over the
     complement of the box (0, R) x (-R, R); all R come from one solve.
     The fitted R-exponent must stay below (sigma+1-nu)q + m + j - 1
-    (+0.1 slack) and Delta must be nonincreasing.
+    (+0.1 slack) and Delta must be nonincreasing; a Delta that
+    underflows to 0 raises :class:`AccuracyError`.
     """
     t0 = time.perf_counter()
     quad = DEFAULT_QUAD
@@ -340,9 +340,12 @@ def remainder_experiment(nu, sigma, m, j, q, mu=None, R_grid=(2.0, 4.0, 8.0, 16.
         raise DomainError("need m < nu q and j - 1 < nu q")
     bound = (sigma + 1.0 - nu) * q + m + j - 1.0
 
-    w, _, tail_bound, Y = _reduction_pieces(mu, params)
-    deltas = _box_ladder(mu, params, quad, w, R_grid, 1e-6 * R_grid[0],
-                         tail_bound, Y)[0].tolist()
+    deltas = _aggregate(mu, params, quad, _reduction_pieces(mu, params),
+                        [1e-6 * R_grid[0]], R_grid)[0].tolist()
+    if min(deltas) <= 0.0:
+        raise AccuracyError("Delta(R) underflows to 0 at R = %g; no exponent to fit"
+                            % R_grid[deltas.index(min(deltas))],
+                            value=np.array(deltas))
 
     slope, _, r2, se = fit_loglog(R_grid, deltas)
     monotone = bool(np.all(np.diff(deltas) <= 1e-12 * np.array(deltas[:-1])))

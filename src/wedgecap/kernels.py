@@ -14,9 +14,10 @@ for an atomic measure mu on R^m.  On top of it sit
 Atoms make the functionals singular at tau -> 0; whenever the parameter
 combination makes an integral divergent the functions refuse to chase it
 and demand an explicit inner cutoff ``eps`` (the cutoff-scaling API used
-by the experiment layer).  All quadrature is deterministic panel
-refinement from :mod:`._quad`; every functional returns ``(value,
-error_estimate)``.
+by the experiment layer).  Every tau-aggregate -- above one cutoff, on a
+ladder of cutoffs, or on boxes of several radii -- is one call of
+:func:`_aggregate`.  All quadrature is deterministic panel refinement
+from :mod:`._quad`; every functional returns ``(value, error_estimate)``.
 
 Normalization: the Martin-kernel constant is fixed to c_A = 1 and the
 opening eigenfunction is max-normalized.  Every downstream statement is
@@ -268,26 +269,28 @@ def _c_ball(nuq):
     return math.sqrt(math.pi) * _gamma(0.5 * (nuq - 1.0)) / _gamma(0.5 * nuq)
 
 
-_LADDER = 4.0 ** np.arange(0, 20)
-
-
 def _atom_edges_m1(mu, lo, hi, tau_floor):
     """Mandatory panel edges around each atom position.
 
     Each atom z_i gets a 4-fold ladder z_i +- r0 4^k starting at
-    r0 = half of min(tau, nearest-atom distance).  On each side the
-    ladder stops before the neighbouring atom (rungs < z_{i+1} - z_i to
-    the right, < z_i - z_{i-1} to the left), where the neighbour's own
-    ladder takes over; only the outer sides of the two extreme atoms run
-    up to hi - lo.  A single atom gets the full ladder on both sides.
+    r0 = half of min(tau, nearest-atom distance), or 1e-9 for coincident
+    atoms.  It has 20 rungs, plus as many as the smallest r0 needs to
+    climb to 1e-9, so a spike narrower than 1e-9 is marked down to its
+    width.  On each side the ladder stops before the neighbouring atom
+    (rungs < z_{i+1} - z_i to the right, < z_i - z_{i-1} to the left),
+    where the neighbour's own ladder takes over; only the outer sides of
+    the two extreme atoms run up to hi - lo.  A single atom gets the
+    full ladder on both sides.
     """
     zs = np.sort(mu.positions[:, 0])
     gaps = zs[1:] - zs[:-1]
     left = np.concatenate([[np.inf], gaps])[:, None]    # gap to the atom below
     right = np.concatenate([gaps, [np.inf]])[:, None]   # and above
     nearest = np.minimum(np.minimum(left, right), 1e9)
-    r0 = np.maximum(0.5 * np.minimum(max(tau_floor, 1e-9), nearest), 1e-9)
-    ladder = r0 * _LADDER
+    r0 = 0.5 * np.minimum(tau_floor, nearest)
+    r0[r0 == 0.0] = 1e-9
+    below = math.log(1e-9, 4.0) - math.log(r0.min(), 4.0)
+    ladder = r0 * 4.0 ** np.arange(20 + max(0, math.ceil(below)))
     ladder[ladder > hi - lo] = np.inf   # fails both side tests below
     z = zs[:, None]
     return np.concatenate([zs, (z + ladder)[ladder < right],
@@ -334,6 +337,16 @@ def F_nu_m(tau, mu, params, quad=None, truncated=True):
     return vals, errs
 
 
+def _core(mu, params, tau_arr, truncated):
+    """Y of the slice integral's first solve over (-Y, Y): R, or for the
+    whole of R^m a core around the atoms that :func:`_widen` extends."""
+    tau_max = float(np.max(tau_arr))
+    Y = params.R if truncated else mu.support_radius() + max(10.0, 4.0 * tau_max)
+    if not 2.0 * Y < math.inf:
+        raise DomainError("the slice range (-%.3g, %.3g) overflows a double" % (Y, Y))
+    return Y
+
+
 def _F_m1(tau_arr, mu, params, quad, truncated, radii=None):
     """F on m = 1, or with ``radii`` the (radii, tau) slices of the box
     (0, R_i) x (-R_i, R_i), or of its complement if not ``truncated``:
@@ -341,9 +354,7 @@ def _F_m1(tau_arr, mu, params, quad, truncated, radii=None):
     row is exact and meets rtol on its own however small a part of F."""
     tau_floor = float(np.min(tau_arr))
     rho = mu.support_radius()
-    # the ball |y| < R, or for the full line a core around the atoms that
-    # _widen extends in one shell
-    Y = params.R if truncated else rho + max(10.0, 4.0 * float(np.max(tau_arr)))
+    Y = _core(mu, params, tau_arr, truncated)
     f = table = _slice_integrand_m1(tau_arr, mu, params)
     cuts = ()
     if radii is not None:
@@ -381,7 +392,7 @@ def _F_m2(tau_arr, mu, params, quad, truncated):
     """F on m = 2 in polar coordinates y = r (cos t, sin t).
 
     The r-integral runs on the disk r < R, or for the full plane on the
-    core of :func:`_F_m1` that :func:`_widen` extends in one shell.  Each
+    core (see :func:`_core`) that :func:`_widen` extends in one shell.  Each
     of its rounds makes one t-solve over (0, 2 pi) whose rows are all the
     (tau, r) pairs of the round, on panels marked at every atom's angle
     and radius.  Each inner row meets rtol on a positive integrand, so
@@ -389,7 +400,7 @@ def _F_m2(tau_arr, mu, params, quad, truncated):
     """
     tau_floor = float(np.min(tau_arr))
     rho = mu.support_radius()
-    Y = params.R if truncated else rho + max(10.0, 4.0 * float(np.max(tau_arr)))
+    Y = _core(mu, params, tau_arr, truncated)
     radii = np.hypot(*mu.positions.T)
     angles = np.arctan2(mu.positions[:, 1], mu.positions[:, 0])
     spread = tau_floor / np.maximum(radii, tau_floor)
@@ -445,11 +456,6 @@ def h_sigma_j(tau, sigma, j, q):
     return np.exp((p - 1.0) * np.log(tau) - tau)
 
 
-def _small_tau_exponent(params, weight_pow):
-    """Power of the aggregate integrand as tau -> 0 for an atomic measure."""
-    return params.m - params.nu * params.q + weight_pow
-
-
 def _tau_integrand(mu, params, quad, weight, truncated, radii=None):
     """tau -> F(tau) * weight(tau) as one quadrature row, or with
     ``radii`` as one row per radius of the box slices (see :func:`_F_m1`)."""
@@ -483,14 +489,11 @@ def _tau_ladder(f, cutoffs, Y, tail_bound, quad, marks=()):
     adaptive decomposition of (min cutoff, Y), so each value is the
     exact aggregate of the refined panels above its cutoff.  With
     ``tail_bound(Y)``, a rigorous bound on the integral beyond Y, the
-    range is widened from max(Y, 2 * max cutoff) in one shell (see
-    :func:`_widen`) that is added to every value; with None, Y is the
-    upper limit.
+    range is widened from Y in one shell (see :func:`_widen`) that is
+    added to every value; with None, Y is the upper limit.
     Returns (values in the order of ``cutoffs``, error); a multi-row
     ``f`` takes one cutoff and returns one value and error per row.
     """
-    if tail_bound is not None:
-        Y = max(Y, 2.0 * max(cutoffs))
     vals, err = integrate_partials(f, _tau_edges(min(cutoffs), Y, cutoffs, marks),
                                    cutoffs, rtol=quad.rtol)
     if tail_bound is None:
@@ -503,21 +506,6 @@ def _tau_ladder(f, cutoffs, Y, tail_bound, quad, marks=()):
     return vals, errs if np.ndim(err) else float(errs[0])
 
 
-def _box_ladder(mu, params, quad, weight, radii, lo, tail_bound=None, Y=0.0):
-    """Integrals over tau > lo of F * weight on the box (0, R_i) x (-R_i, R_i)
-    for every radius R_i from one tau solve with the R_i as panel edges;
-    with a ``tail_bound``, on each box's complement, widened from
-    max(Y, R_i) as in :func:`_tau_ladder`.  Returns (values, errors)."""
-    _require_line_edge(params)
-    radii = np.asarray(radii, float)
-    f = _tau_integrand(mu, params, quad, weight, tail_bound is None, radii)
-    vals, errs = _tau_ladder(f, [lo], max(Y, float(np.max(radii))), tail_bound,
-                             quad, radii)
-    # the flat term stands in for the dropped inner F error, as in
-    # reduced_I_ladder
-    return vals, errs + 0.3 * quad.rtol * np.abs(vals)
-
-
 def _require_line_edge(params):
     if params.m != 1:
         raise ConfigurationError(
@@ -525,100 +513,11 @@ def _require_line_edge(params):
             "slice integral F itself supports m = 2")
 
 
-def _tau_aggregate(mu, params, quad, weight, weight_pow, Y, eps, truncated,
-                   tail_bound=None):
-    """integral_(eps,Y) F(tau) * weight(tau) dtau with divergence guards.
-
-    weight_pow is the small-tau power of the weight.  With a
-    ``tail_bound`` the upper limit is infinity and Y is where the
-    widening starts (see :func:`_tau_ladder`).  eps <= 0 integrates from
-    0, which needs a convergent small-tau exponent.
-    """
-    if not math.isfinite(eps):
-        raise DomainError("eps must be finite")
-    if mu.n_atoms == 0:
-        return 0.0, 0.0
-    _require_line_edge(params)
-    q = params.q
-    p0 = _small_tau_exponent(params, weight_pow)
-    if eps <= 0.0 and p0 <= -1.0:
-        raise DivergenceError(
-            "aggregate diverges at tau -> 0 for atomic data (exponent %.4g); "
-            "pass an inner cutoff eps > 0" % p0)
-
-    lo = eps if eps > 0.0 else min(1e-4 * Y, 1e-4)
-    if tail_bound is None and not (lo < Y):
-        raise ConfigurationError("empty integration range (eps >= upper limit)")
-
-    if eps <= 0.0:
-        # atoms decouple as tau -> 0, so the below-floor piece has the
-        # closed form  A tau^{p0+1}/(p0+1)  with A = c_ball * sum w_i^q,
-        # accurate to O((lo/gap)^2); the floor is placed deep within the
-        # decoupling scale and the piece added analytically
-        if mu.n_atoms > 1:
-            d = mu.positions[:, None, :] - mu.positions[None, :, :]
-            gaps = np.linalg.norm(d, axis=2)
-            gap = float(np.min(gaps[gaps > 0])) if np.any(gaps > 0) else 1.0
-        else:
-            gap = min(1.0, Y)
-        lo = min(lo, 1e-3 * gap, 1e-6 * Y)
-
-    f = _tau_integrand(mu, params, quad, weight, truncated)
-    vals, err = _tau_ladder(f, [lo], Y, tail_bound, quad)
-    value = float(vals[0])
-
-    if eps <= 0.0:
-        a_dec = float(np.sum(mu.weights ** q)) * _c_ball(params.nu * q)
-        correction = a_dec * lo ** (p0 + 1.0) / (p0 + 1.0)
-        value += correction
-        err += correction * min(1.0, (lo / gap) ** 2 + lo / Y) + 1e-3 * quad.rtol * abs(value)
-
-    # the flat term stands in for the dropped inner F error, as in
-    # reduced_I_ladder
-    return value, err + 0.3 * quad.rtol * abs(value)
-
-
-def M_nu_s(mu, params, quad=None, eps=0.0):
-    """Aggregate integral_0^R F^R(tau) tau^{(s+nu-m)q-1} dtau.
-
-    Positive measures supported in B_{R/2} only.  For atomic data with
-    s <= m/q' the integral diverges at tau -> 0; pass eps > 0 to get the
-    cutoff-regularized value (exactly the integral over (eps, R)).
-    q-homogeneous in the measure: M(t mu) = t^q M(mu).
-    """
-    quad = quad or DEFAULT_QUAD
-    if params.s is None or params.R is None:
-        raise ConfigurationError("M needs params.s and params.R")
-    if mu.support_radius() > 0.5 * params.R + 1e-12:
-        raise DomainError("measure must be supported in B_{R/2}")
-    w, p = _M_weight(params)
-    return _tau_aggregate(mu, params, quad, w, p, params.R, eps, truncated=True)
-
-
-def _M_nodes(mu, params, quad, eps):
-    """A fixed tensor rule for M_nu_s over (eps, R) x (-R, R), eps > 0.
-
-    The tau panels are the final panels of one adaptive solve of M's
-    tau-integrand at ``mu`` from the :func:`_tau_edges` start; the y
-    panels are one refinement of the slice integrand at all of their
-    tau nodes from the :func:`_F_m1` start.  Returns the K17 tau nodes,
-    their weights times the tau weight of M, and the K17 y nodes and
-    weights: summing k(tau, y)^q against both weights gives M(mu) to
-    ``quad.rtol`` on nodes that no longer move with the weights of mu.
-    """
-    w, _ = _M_weight(params)
-    R = params.R
-    tau, tw = refined_nodes(_tau_integrand(mu, params, quad, w, truncated=True),
-                            _tau_edges(eps, R), quad.rtol)
-    y, yw = refined_nodes(_slice_integrand_m1(tau, mu, params),
-                          _y_edges_m1(mu, R, float(tau.min())), quad.rtol)
-    return tau, tw * w(tau), y, yw
-
-
-def _M_weight(params):
-    """The weight tau^p of M_nu_s and its power p = (s + nu - m) q - 1."""
+def _M_pieces(params):
+    """The aggregate pieces of M_nu_s (see :func:`_aggregate`): the weight
+    tau^p, its power p = (s + nu - m) q - 1, no tail and the upper limit R."""
     p = (params.s + params.nu - params.m) * params.q - 1.0
-    return (lambda tau: tau ** p), p
+    return (lambda tau: tau ** p), p, None, params.R
 
 
 def _amp(mu, q):
@@ -628,20 +527,17 @@ def _amp(mu, q):
         return np.float64(mu.n_atoms) ** (q - 1.0) * np.sum(mu.weights ** q)
 
 
-def _tail_amp(mu, params):
-    return _amp(mu, params.q) * _c_ball(params.nu * params.q)
-
-
 def _reduction_pieces(mu, params):
-    """Weight, its small-tau power, the rigorous large-tau tail bound and
-    the Y at which the tail widening starts."""
+    """The aggregate pieces of reduced_I (see :func:`_aggregate`): the
+    weight h_{sigma,j}, its small-tau power, the rigorous large-tau tail
+    bound and the Y at which the tail widening starts."""
     _require_line_edge(params)
     sigma, j, q = params.sigma, params.j, params.q
     p = (sigma + 1.0) * q
     if not math.isfinite(p):
         raise DomainError("need (sigma + 1) q finite")
     wpow = p + j - 2.0 if j >= 2 else p - 1.0
-    ampc = _tail_amp(mu, params)
+    ampc = _amp(mu, q) * _c_ball(params.nu * q)
     if j >= 2:
         tp = params.m - params.nu * q + j - 2.0
         if tp >= -1.0:
@@ -664,14 +560,123 @@ def _reduction_pieces(mu, params):
     return w, wpow, tail_bound, Y
 
 
+def _aggregate(mu, params, quad, pieces, cutoffs, radii=None):
+    """Integrals of F(tau) * weight(tau) above each cutoff from one tau solve.
+
+    ``pieces`` = (weight, its small-tau power, tail bound or None, Y)
+    come from :func:`_M_pieces` or :func:`_reduction_pieces`.  Without a
+    tail bound F is truncated to |y| < R and Y is the upper limit; with
+    one F runs over the whole line, widened to infinity from max(Y, 2 max
+    cutoff) (see :func:`_tau_ladder`).  ``radii`` take one cutoff and give
+    one row per R_i: the box (0, R_i) x (-R_i, R_i), or its complement
+    with a tail bound.  A single cutoff <= 0 integrates from 0.  Returns
+    (values in the order of ``cutoffs``, error), or per radius.
+    """
+    _require_line_edge(params)
+    weight, wpow, tail_bound, Y = pieces
+    if radii is not None:
+        radii = np.asarray(radii, float)
+        Y = max(Y, float(np.max(radii)))
+    p0 = params.m - params.nu * params.q + wpow   # power of F * weight at tau -> 0
+    floor = min(cutoffs) <= 0.0
+    if floor:
+        if p0 <= -1.0:
+            raise DivergenceError(
+                "aggregate diverges at tau -> 0 for atomic data (exponent %.4g); "
+                "pass an inner cutoff eps > 0" % p0)
+        # atoms decouple as tau -> 0, so the below-floor piece has the
+        # closed form  A tau^{p0+1}/(p0+1)  with A = c_ball * sum w_i^q,
+        # accurate to O((lo/gap)^2); the floor is placed deep within the
+        # decoupling scale and the piece added analytically
+        if mu.n_atoms > 1:
+            d = mu.positions[:, None, :] - mu.positions[None, :, :]
+            gaps = np.linalg.norm(d, axis=2)
+            gap = float(np.min(gaps[gaps > 0])) if np.any(gaps > 0) else 1.0
+        else:
+            gap = min(1.0, Y)
+        lo = min(1e-4, 1e-3 * gap, 1e-6 * Y)
+        cutoffs = [lo]
+    elif tail_bound is None and not max(cutoffs) < Y:
+        raise ConfigurationError("empty integration range (eps >= upper limit)")
+    if tail_bound is not None:
+        Y = max(Y, 2.0 * max(cutoffs))
+    if not 2.0 * Y < math.inf:
+        raise DomainError("the tau range (%.3g, %.3g) overflows a double"
+                          % (min(cutoffs), Y))
+
+    f = _tau_integrand(mu, params, quad, weight, tail_bound is None, radii)
+    vals, err = _tau_ladder(f, cutoffs, Y, tail_bound, quad, () if radii is None else radii)
+    if floor:
+        a_dec = float(np.sum(mu.weights ** params.q)) * _c_ball(params.nu * params.q)
+        correction = a_dec * lo ** (p0 + 1.0) / (p0 + 1.0)
+        vals = vals + correction
+        err += (correction * min(1.0, (lo / gap) ** 2 + lo / Y)
+                + 1e-3 * quad.rtol * abs(vals[0]))
+
+    # The flat 0.3 rtol |value| term stands in for the inner F error,
+    # which _tau_integrand drops (fv, _ = F_nu_m(...)).  On 180 seeded
+    # unit-atom ladders against the closed form (a in [-0.5, 0.6],
+    # q in [1.6, 3], rtol 1e-8, 1e-6, 1e-4) the worst true/reported error
+    # ratio is 0.13 with the term and 0.90 without it; with the former
+    # start grid of 6 log panels per decade and 9 uniform edges it was
+    # 0.11 and 273.
+    scale = np.abs(vals) if radii is not None else float(np.max(np.abs(vals)))
+    return vals, err + 0.3 * quad.rtol * scale
+
+
+def _at_cutoff(mu, params, quad, pieces, eps):
+    """The aggregate of ``pieces`` above one inner cutoff eps (from 0 if
+    eps <= 0) as floats (value, error); an empty measure gives zeros."""
+    if not math.isfinite(eps):
+        raise DomainError("eps must be finite")
+    if mu.n_atoms == 0:
+        return 0.0, 0.0
+    vals, err = _aggregate(mu, params, quad, pieces, [eps])
+    return float(vals[0]), float(err)
+
+
+def M_nu_s(mu, params, quad=None, eps=0.0):
+    """Aggregate integral_0^R F^R(tau) tau^{(s+nu-m)q-1} dtau.
+
+    Positive measures supported in B_{R/2} only.  For atomic data with
+    s <= m/q' the integral diverges at tau -> 0; pass eps > 0 to get the
+    cutoff-regularized value (exactly the integral over (eps, R)).
+    q-homogeneous in the measure: M(t mu) = t^q M(mu).
+    """
+    quad = quad or DEFAULT_QUAD
+    if params.s is None or params.R is None:
+        raise ConfigurationError("M needs params.s and params.R")
+    if mu.support_radius() > 0.5 * params.R + 1e-12:
+        raise DomainError("measure must be supported in B_{R/2}")
+    return _at_cutoff(mu, params, quad, _M_pieces(params), eps)
+
+
+def _M_nodes(mu, params, quad, eps):
+    """A fixed tensor rule for M_nu_s over (eps, R) x (-R, R), eps > 0.
+
+    The tau panels are the final panels of one adaptive solve of M's
+    tau-integrand at ``mu`` from the :func:`_tau_edges` start; the y
+    panels are one refinement of the slice integrand at all of their
+    tau nodes from the :func:`_F_m1` start.  Returns the K17 tau nodes,
+    their weights times the tau weight of M, and the K17 y nodes and
+    weights: summing k(tau, y)^q against both weights gives M(mu) to
+    ``quad.rtol`` on nodes that no longer move with the weights of mu.
+    """
+    w = _M_pieces(params)[0]
+    R = params.R
+    tau, tw = refined_nodes(_tau_integrand(mu, params, quad, w, truncated=True),
+                            _tau_edges(eps, R), quad.rtol)
+    y, yw = refined_nodes(_slice_integrand_m1(tau, mu, params),
+                          _y_edges_m1(mu, R, float(tau.min())), quad.rtol)
+    return tau, tw * w(tau), y, yw
+
+
 def reduced_I(mu, params, quad=None, eps=0.0):
     """integral_0^inf F(tau) h_{sigma,j}(tau) dtau (the 1-D reduction)."""
     quad = quad or DEFAULT_QUAD
     if params.sigma is None or params.j is None:
         raise ConfigurationError("reduced_I needs params.sigma and params.j")
-    w, wpow, tail_bound, Y = _reduction_pieces(mu, params)
-    return _tau_aggregate(mu, params, quad, w, wpow, Y, eps,
-                          truncated=False, tail_bound=tail_bound)
+    return _at_cutoff(mu, params, quad, _reduction_pieces(mu, params), eps)
 
 
 def reduced_I_ladder(mu, params, cutoffs, quad=None):
@@ -679,7 +684,7 @@ def reduced_I_ladder(mu, params, cutoffs, quad=None):
 
     Each ladder value is the exact aggregate of the refined panels above
     its cutoff, and every widening shell beyond the core is added to
-    every rung (see :func:`_tau_ladder`).  Returns (values, error) with
+    every rung (see :func:`_aggregate`).  Returns (values, error) with
     values in the order of ``cutoffs``.
     """
     quad = quad or DEFAULT_QUAD
@@ -690,17 +695,7 @@ def reduced_I_ladder(mu, params, cutoffs, quad=None):
         raise DomainError("ladder cutoffs must be finite and > 0")
     if mu.n_atoms == 0:
         return np.zeros(len(cutoffs)), 0.0
-    w, _, tail_bound, Y = _reduction_pieces(mu, params)
-    f = _tau_integrand(mu, params, quad, w, truncated=False)
-    vals, err = _tau_ladder(f, cutoffs, Y, tail_bound, quad)
-    # The flat 0.3 rtol |value| term stands in for the inner F error,
-    # which _tau_integrand drops (fv, _ = F_nu_m(...)).  On 180 seeded
-    # unit-atom ladders against the closed form (a in [-0.5, 0.6],
-    # q in [1.6, 3], rtol 1e-8, 1e-6, 1e-4) the worst true/reported error
-    # ratio is 0.13 with the term and 0.90 without it; with the former
-    # start grid of 6 log panels per decade and 9 uniform edges it was
-    # 0.11 and 273.
-    return vals, err + 0.3 * quad.rtol * float(np.max(np.abs(vals)))
+    return _aggregate(mu, params, quad, _reduction_pieces(mu, params), cutoffs)
 
 
 def _I_angular(tau, sigma, j, q, rtol):
@@ -729,18 +724,18 @@ def I_m_j(mu, params, quad=None, eps=0.0):
     if params.sigma is None or params.j is None:
         raise ConfigurationError("I needs params.sigma and params.j")
     sigma, j, q = params.sigma, params.j, params.q
-    if j == 1:
-        return reduced_I(mu, params, quad=quad, eps=eps)
-    # reduced_I's power tail, scaled by c 2^{p/2} Gamma(p): the angular
-    # factor I_j ~ tau^{-p} kills the tau^p part of the weight
-    _, wpow, tail_bound, Y = _reduction_pieces(mu, params)
-    c = 2.0 * math.pi ** (0.5 * (j - 1.0)) / _gamma(0.5 * (j - 1.0))
-    p = (sigma + 1.0) * q
-    scale = c * 2.0 ** (0.5 * p) * _gamma(p)
+    pieces = _reduction_pieces(mu, params)
+    if j >= 2:
+        # reduced_I's power tail, scaled by c 2^{p/2} Gamma(p): the angular
+        # factor I_j ~ tau^{-p} kills the tau^p part of the weight
+        _, wpow, tail_bound, Y = pieces
+        c = 2.0 * math.pi ** (0.5 * (j - 1.0)) / _gamma(0.5 * (j - 1.0))
+        p = (sigma + 1.0) * q
+        scale = c * 2.0 ** (0.5 * p) * _gamma(p)
 
-    def w(tau):
-        tau = np.asarray(tau, float)
-        return c * tau ** (p + j - 2.0) * _I_angular(tau, sigma, j, q, quad.rtol)
+        def w(tau):
+            tau = np.asarray(tau, float)
+            return c * tau ** (p + j - 2.0) * _I_angular(tau, sigma, j, q, quad.rtol)
 
-    return _tau_aggregate(mu, params, quad, w, wpow, Y, eps, truncated=False,
-                          tail_bound=lambda y: scale * tail_bound(y))
+        pieces = (w, wpow, lambda y: scale * tail_bound(y), Y)
+    return _at_cutoff(mu, params, quad, pieces, eps)

@@ -156,6 +156,44 @@ def test_large_p_weight_is_finite(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
+    (("--sigma", "0.5", "--j", "2", "--eps", "1.7e308"), "tau range"),
+    (("--s", "0.5", "--R", "1e308", "--eps", "0.1"), "tau range"),
+    (("--tau", "1e308"), "slice range"),
+])
+def test_kernel_beyond_double_range_is_refused(capsys, monkeypatch, argv, message):
+    # the ladder end 2 eps, a truncation radius near the largest double and
+    # the full-line core rho + 4 tau overflowed: an OverflowError traceback
+    # in geometric_edges, and RuntimeWarnings in np.linspace
+    monkeypatch.chdir(ROOT)
+    code, out, err = run_cli(capsys, "kernel", "--measure", "tests/golden/measure.json",
+                             "--nu", "3", "--m", "1", "--q", "2", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_narrow_spike_is_marked_at_its_width(capsys, tmp_path):
+    # at eps = 1e-300 the y-spike of each atom is about 1e-300 wide; the
+    # atom ladders started at 1e-9, and the solve halved one panel per
+    # round for 13 s before it exited 3
+    path = write(tmp_path, "pair.json", {"m": 1, "atoms": [{"z": [0.0], "w": 1.0},
+                                                           {"z": [0.3], "w": 0.5}]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "besov", "--measure", path, "--s", "1",
+                             "--q", "2", "--eps", "1e-300")
+    assert time.perf_counter() - start < 5.0
+    assert code == 3 and out == ""
+    assert "numerical error" in err
+
+
+def test_remainder_underflow_is_a_numerical_error(capsys):
+    # at sigma = 1e300 every Delta(R) underflows to 0; the log-log fit
+    # raised a ValueError, reported as a validation error (exit 2)
+    code, out, err = run_cli(capsys, "verify", "remainder", "--sigma", "1e300")
+    assert code == 3 and out == ""
+    assert "underflows to 0" in err
+
+
+@pytest.mark.parametrize("argv, message", [
     (("--R", "1e300"), "left the range of a double"),
     (("--R", "1e100", "--q", "1.3"), "underflowed to 0"),
 ])

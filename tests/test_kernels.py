@@ -581,14 +581,33 @@ def test_remainder_is_one_tau_solve(monkeypatch):
 
 @pytest.mark.parametrize("member", [0, 1])
 def test_box_ladder_matches_per_radius_M(member):
+    # the box rows of the equivalence call share one solve, so they meet
+    # M at each radius to rtol; a one-radius call is M's own solve
     mu = measure_family(1, 8.0, n_measures=2, seed=42)[member]
     q, quad, radii = 1.8, QuadratureSpec(rtol=1e-6), (4.0, 8.0, 16.0)
     params = params_from_report(QUARTER, q, R=8.0)
-    weight, _ = kernels._M_weight(params)
-    vals, errs = kernels._box_ladder(mu, params, quad, weight, radii, 1e-2)
+    vals, errs = kernels._aggregate(mu, params, quad, kernels._M_pieces(params),
+                                    [1e-2], radii)
+    assert vals.shape == errs.shape == (3,)
     for R, v in zip(radii, vals):
-        ref, _ = M_nu_s(mu, params_from_report(QUARTER, q, R=R), quad=quad, eps=1e-2)
+        p_R = params_from_report(QUARTER, q, R=R)
+        ref, ref_err = M_nu_s(mu, p_R, quad=quad, eps=1e-2)
         assert abs(v - ref) <= quad.rtol * ref
+        one, one_err = kernels._aggregate(mu, p_R, quad, kernels._M_pieces(p_R),
+                                          [1e-2], [R])
+        assert (float(one[0]), float(one_err[0])) == (ref, ref_err)
+
+
+@pytest.mark.parametrize("nu, q, sigma, j", [(2.0, 1.8, 0.3, 1), (3.0, 2.0, 2.0, 2),
+                                             (4.0, 1.6, 0.5, 3)])
+def test_one_rung_is_the_ladder_solve(nu, q, sigma, j):
+    # reduced_I above eps and the one-rung ladder at eps run one aggregate
+    # call: value and error agree bit for bit
+    mu = DiscreteMeasure(1, [((0.1,), 1.0), ((-0.3,), 0.5)])
+    p = KernelParams(nu=nu, m=1, q=q, sigma=sigma, j=j)
+    for eps in (1e-2, 0.37):
+        vals, err = reduced_I_ladder(mu, p, [eps])
+        assert (float(vals[0]), err) == reduced_I(mu, p, eps=eps)
 
 
 def test_dirac_proxy_table_work(monkeypatch):
