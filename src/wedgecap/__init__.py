@@ -22,18 +22,15 @@ from .capacity import (CapacityResult, bessel_capacity, bessel_kernel_radial,
 from .classify import (GoodMeasureResult, RemovabilityResult, Verdict,
                        classify_polyhedron, good_measure_check,
                        removable_check, stratum_report, stratum_verdict)
-from .exponents import (ExponentReport, absorption_coefficient,
-                        capacity_index_s, critical_exponents, identity_check,
+from .exponents import (ExponentReport, capacity_index_s, critical_exponents,
                         kappa_from_gamma, kappa_roots)
 from .geometry import (CompactSetDescription, ConeOpening, DiscreteMeasure,
                        PolyhedronSpec, SetPiece, Stratum, WedgeSpec,
                        cartesian_to_spherical, decompose_measure, dirac,
                        spherical_to_cartesian, validate_wedge)
-from .kernels import (KernelParams, QuadratureSpec, F_nu_m, I_m_j, M_nu_s,
-                      default_R, k_nu_m, martin_kernel,
-                      params_from_report, poisson_potential, reduced_I)
+from .kernels import (KernelParams, QuadratureSpec, F_nu_m, M_nu_s, default_R,
+                      martin_kernel, params_from_report, reduced_I)
 from .spectral import (EigenResult, SLProblem, gamma_first_eigenvalue,
-                       omega_SA, opening_eigenfunction, sl_eigen_1d,
-                       sl_eigen_fd)
+                       opening_eigenfunction, sl_eigen_1d, sl_eigen_fd)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -388,19 +388,18 @@ def rho_capacity(points, report, q, R=None, levels=4):
 
 
 def capacity_null_test(piece, alpha, p, ell):
-    """Analytic null/positive decision for point and ball pieces.
+    """Analytic null/positive decision for a piece of R^ell.
 
-    A point is null iff alpha p <= ell; a piece of intrinsic dimension d
-    is null iff alpha p <= ell - d (nonempty interior, d = ell, is always
-    positive).  Grids defer to the numeric program.
+    A point is null iff alpha p <= ell, and so is a grid, a finite union
+    of points (capacity is countably subadditive).  A ball of intrinsic
+    dimension d is null iff alpha p <= ell - d (nonempty interior,
+    d = ell, is always positive).
     """
     if not (0.0 < alpha < math.inf and 1.0 < p < math.inf):
         raise DomainError("need finite alpha > 0 and p > 1")
-    if piece.kind == "point":
-        return "null" if alpha * p <= ell else "positive"
     if piece.kind == "ball":
         d = piece.dim if piece.dim is not None else ell
         if d >= ell:
             return "positive"
         return "null" if alpha * p <= ell - d else "positive"
-    return "needs-numeric"
+    return "null" if alpha * p <= ell else "positive"

@@ -12,9 +12,11 @@ paired with exponent q' on the edge space R^{N-k}; a verdict at exactly
 q = q_c carries a warning flag, since the norm equivalence behind the
 capacity criterion needs small supports at the endpoint.
 
-Capacity evidence is an explicit input: point and ball pieces are
-decided analytically, grids take supplied evidence or come back as
-"needs-numeric".  An honest third state is always preferred to a guess.
+Null sets follow from the regime.  A point of the edge is
+C_{s,q'}-null exactly when s q' <= N-k, and since s q' = 2q' - k -
+kappa_plus that inequality is q >= q_c: in the capacity window every
+point, and every finite point set (capacity is countably subadditive),
+is null.  Only ball pieces need the analytic dimension rule.
 """
 
 from dataclasses import dataclass
@@ -100,13 +102,13 @@ def classify_polyhedron(poly, q, tol=1e-8):
 @dataclass(frozen=True)
 class StratumDecision:
     stratum: str
-    status: str        # pass | reject | needs-numeric
+    status: str        # pass | reject
     reason: str
 
 
 @dataclass(frozen=True)
 class GoodMeasureResult:
-    verdict: str       # accept | reject | needs-numeric
+    verdict: str       # accept | reject
     per_stratum: tuple
 
     def to_dict(self):
@@ -115,31 +117,15 @@ class GoodMeasureResult:
                                  "reason": d.reason} for d in self.per_stratum]}
 
 
-def _atom_on_piece(z, piece):
-    import numpy as np
-    z = np.asarray(z, float)
-    if piece.kind == "point":
-        return bool(np.allclose(z, np.asarray(piece.z, float), atol=1e-12))
-    if piece.kind == "ball":
-        center = np.asarray(piece.z, float) if piece.z is not None else np.zeros_like(z)
-        return bool(np.linalg.norm(z - center) <= piece.radius + 1e-12)
-    return any(bool(np.allclose(z, np.asarray(p, float), atol=1e-12))
-               for p in piece.points)
-
-
-def good_measure_check(poly, mu, q, evidence=None, tol=1e-8):
+def good_measure_check(poly, mu, q, tol=1e-8):
     """Decide whether per-stratum boundary data is admissible at exponent q.
 
-    mu maps stratum ids to measures (see ``decompose_measure``).
-    ``evidence`` is an optional sequence of (SetPiece, "null"|"positive")
-    pairs; atoms sitting on a supplied null piece are rejected directly.
-    Point atoms in the capacity regime are decided analytically: a point
-    of the edge R^{N-k} is null exactly when s q' <= N-k, which holds
-    throughout the capacity window.
+    mu maps stratum ids to measures (see ``decompose_measure``).  In the
+    capacity regime every point of the edge R^{N-k} is C_{s,q'}-null
+    (s q' <= N-k is the inequality q >= q_c), so any atom charges a null
+    set and the measure is rejected.
     """
-    evidence = list(evidence or ())
     decisions = []
-    overall = "accept"
     for stratum in poly.strata:
         meas = mu.get(stratum.id)
         if meas is None or meas.mass == 0.0:
@@ -149,42 +135,19 @@ def good_measure_check(poly, mu, q, evidence=None, tol=1e-8):
         if v.regime == "subcritical":
             decisions.append(StratumDecision(stratum.id, "pass",
                                              "subcritical stratum (q < q_c)"))
-            continue
-        if v.regime in ("removable-stratum", "vertex-supercritical"):
+        elif v.regime == "capacity-regime":
+            z = meas.positions[meas.weights > 0.0][0]
+            decisions.append(StratumDecision(
+                stratum.id, "reject",
+                "atom at %s charges a C_{s,q'}-null piece (mu(E) = 0 required)"
+                % (tuple(float(c) for c in z),)))
+        else:
             decisions.append(StratumDecision(
                 stratum.id, "reject",
                 "%s: mu restricted to this stratum must be zero" % v.regime))
-            overall = "reject"
-            continue
-        # capacity regime: reject mass on any null piece
-        qp = q / (q - 1.0)
-        ell = poly.N - stratum.k
-        status, reason = "pass", "no atom sits on a null piece"
-        for z, w in zip(meas.positions, meas.weights):
-            if w == 0.0:
-                continue
-            hit = None
-            for piece, tag in evidence:
-                if piece.stratum == stratum.id and _atom_on_piece(z, piece):
-                    hit = tag
-                    break
-            if hit is None:
-                # analytic shortcut: a single point is always decidable
-                hit = "null" if v.s * qp <= ell else "positive"
-            if hit == "null":
-                status = "reject"
-                reason = ("atom at %s charges a C_{s,q'}-null piece "
-                          "(mu(E) = 0 required)" % (tuple(z),))
-                break
-            if hit == "needs-numeric":
-                status = "needs-numeric"
-                reason = "capacity evidence missing for a supporting piece"
-        decisions.append(StratumDecision(stratum.id, status, reason))
-        if status == "reject":
-            overall = "reject"
-        elif status == "needs-numeric" and overall != "reject":
-            overall = "needs-numeric"
-    return GoodMeasureResult(overall, tuple(decisions))
+    verdict = ("reject" if any(d.status == "reject" for d in decisions)
+               else "accept")
+    return GoodMeasureResult(verdict, tuple(decisions))
 
 
 # --------------------------------------------------------------------------
@@ -195,13 +158,13 @@ def good_measure_check(poly, mu, q, evidence=None, tol=1e-8):
 class PieceDecision:
     stratum: str
     piece_index: int
-    status: str        # removable | not-removable | needs-numeric
+    status: str        # removable | not-removable
     reason: str
 
 
 @dataclass(frozen=True)
 class RemovabilityResult:
-    removable: str     # removable | not-removable | needs-numeric
+    removable: str     # removable | not-removable
     per_piece: tuple
 
     def to_dict(self):
@@ -211,56 +174,35 @@ class RemovabilityResult:
                               for d in self.per_piece]}
 
 
-def removable_check(poly, E, q, evidence=None, tol=1e-8):
+def removable_check(poly, E, q, tol=1e-8):
     """Removability of a compact boundary set, stratum by stratum.
 
     The set is removable iff every stratum L it meets passes: for k < N
     either q >= q_c_star(L), or q lies in the capacity window and every
-    piece of E on L is capacity-null; for k = N simply q >= q_c(L).
-    ``evidence`` maps piece indices to "null"/"positive" for grid pieces
-    the analytic shortcuts cannot decide.
+    piece of E on L is capacity-null; for k = N simply q >= q_c(L).  In
+    the window a point is null (s q' <= N-k is q >= q_c), and so is a
+    grid, a finite union of points; a ball goes to the analytic rule of
+    :func:`capacity_null_test`.
     """
     E.validate_against(poly)
-    evidence = dict(evidence or {})
     out = []
-    overall = "removable"
     for idx, piece in enumerate(E.pieces):
         stratum = poly.stratum(piece.stratum)
         v = stratum_verdict(stratum, q, N=poly.N, tol=tol)
-        ell = poly.N - stratum.k
-        if stratum.k == poly.N:
-            if v.regime == "vertex-supercritical":
-                out.append(PieceDecision(stratum.id, idx, "removable",
-                                         "vertex with q >= q_c"))
-            else:
-                out.append(PieceDecision(stratum.id, idx, "not-removable",
-                                         "vertex with q < q_c: Dirac data exists"))
-                overall = "not-removable"
-            continue
-        if v.regime == "removable-stratum":
-            out.append(PieceDecision(stratum.id, idx, "removable",
-                                     "whole stratum removable (q >= q_c_star)"))
-            continue
-        if v.regime == "subcritical":
-            out.append(PieceDecision(stratum.id, idx, "not-removable",
-                                     "subcritical stratum: point data exists"))
-            overall = "not-removable"
-            continue
-        # capacity regime: the piece must be null for C_{s, q'} on R^ell
-        qp = q / (q - 1.0)
-        tag = evidence.get(idx)
-        if tag is None:
-            tag = capacity_null_test(piece, v.s, qp, ell)
-        if tag == "null":
-            out.append(PieceDecision(stratum.id, idx, "removable",
-                                     "piece is C_{s,q'}-null (s=%.6g)" % v.s))
-        elif tag == "positive":
-            out.append(PieceDecision(stratum.id, idx, "not-removable",
-                                     "piece has positive C_{s,q'} capacity"))
-            overall = "not-removable"
+        if v.regime == "vertex-supercritical":
+            status, reason = "removable", "vertex with q >= q_c"
+        elif stratum.k == poly.N:
+            status, reason = "not-removable", "vertex with q < q_c: Dirac data exists"
+        elif v.regime == "removable-stratum":
+            status, reason = "removable", "whole stratum removable (q >= q_c_star)"
+        elif v.regime == "subcritical":
+            status, reason = "not-removable", "subcritical stratum: point data exists"
+        elif piece.kind != "ball" or capacity_null_test(
+                piece, v.s, q / (q - 1.0), poly.N - stratum.k) == "null":
+            status, reason = "removable", "piece is C_{s,q'}-null (s=%.6g)" % v.s
         else:
-            out.append(PieceDecision(stratum.id, idx, "needs-numeric",
-                                     "grid piece: supply capacity evidence"))
-            if overall != "not-removable":
-                overall = "needs-numeric"
-    return RemovabilityResult(overall, tuple(out))
+            status, reason = "not-removable", "piece has positive C_{s,q'} capacity"
+        out.append(PieceDecision(stratum.id, idx, status, reason))
+    removable = ("removable" if all(d.status == "removable" for d in out)
+                 else "not-removable")
+    return RemovabilityResult(removable, tuple(out))

@@ -32,8 +32,8 @@ from .classify import (classify_polyhedron, good_measure_check,
                        removable_check)
 from .errors import (AccuracyError, AnomalyError, ConfigurationError,
                      DivergenceError, DomainError, GeometryError,
-                     IncompleteEvidenceError, ResolutionError, SolverError,
-                     UnknownStratumError, WedgecapError)
+                     ResolutionError, SolverError, UnknownStratumError,
+                     WedgecapError)
 from .exponents import critical_exponents
 from .geometry import (WedgeSpec, dumps, measure_from_dict, polyhedron_from_dict,
                        set_from_dict, validate_wedge)
@@ -42,8 +42,7 @@ from .spectral import gamma_first_eigenvalue
 from . import experiments as _exp
 
 _VALIDATION_ERRORS = (GeometryError, ConfigurationError, DomainError,
-                      ResolutionError, IncompleteEvidenceError,
-                      UnknownStratumError, json.JSONDecodeError,
+                      ResolutionError, UnknownStratumError, json.JSONDecodeError,
                       FileNotFoundError, KeyError, ValueError)
 _NUMERICAL_ERRORS = (AccuracyError, DivergenceError, SolverError, AnomalyError)
 

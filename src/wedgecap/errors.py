@@ -65,10 +65,6 @@ class ConfigurationError(WedgecapError, ValueError):
     """Inconsistent or incomplete run configuration."""
 
 
-class IncompleteEvidenceError(WedgecapError, ValueError):
-    """A capacity decision was required but no evidence was supplied."""
-
-
 class AnomalyError(WedgecapError, RuntimeError):
     """A numerical experiment contradicts an analytic prediction.
 

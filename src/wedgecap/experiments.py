@@ -25,7 +25,7 @@ from .errors import AccuracyError, AnomalyError, ConfigurationError, DomainError
 from .exponents import _require_q, capacity_index_s, critical_exponents
 from .geometry import DiscreteMeasure, dirac
 from .kernels import (DEFAULT_QUAD, KernelParams, QuadratureSpec, _aggregate,
-                      _M_pieces, _reduction_pieces, _tau_ladder,
+                      _M_pieces, _reduction_pieces, _tau_ladder, martin_kernel,
                       params_from_report)
 
 DEFAULT_SEED = 42
@@ -385,37 +385,9 @@ def _wedge_points(alpha, h_max):
     return pts[dist > 10.0 * h_max]
 
 
-def harmonicity_experiment(target="v_A", alpha=math.pi / 2):
-    """Second-order decay of the discrete Laplacian on the wedge profiles
-    of the N = 3, k = 2 wedge, at the steps HARMONIC_H_GRID.
-
-    target 'v_A' is the homogeneous positive profile |x'|^kappa
-    sin(kappa theta_1); 'martin' is the edge kernel with pole at the
-    origin.  Polynomial cases (integer kappa for v_A) sit at machine
-    epsilon; all others must show order-2 decay of the residual.
-    """
-    t0 = time.perf_counter()
-    if not 0.0 < alpha < math.inf:
-        raise DomainError("alpha must be finite and > 0")
-    kappa = math.pi / alpha
-    nu = 1.0 + 2.0 * kappa   # N - 2 + 2 kappa
-
-    def v_A(x):
-        rp = np.hypot(x[..., 0], x[..., 1])
-        th = np.arctan2(x[..., 0], x[..., 1]) % (2.0 * math.pi)
-        return rp ** kappa * np.sin(kappa * th)
-
-    if target == "v_A":
-        fn = v_A
-    elif target == "martin":
-        def fn(x):
-            r2 = np.sum(x ** 2, axis=-1)
-            return v_A(x) * r2 ** (-0.5 * nu)
-    else:
-        raise ConfigurationError("target must be v_A|martin")
-
-    h_grid = HARMONIC_H_GRID
-    pts = _wedge_points(alpha, h_grid[0])
+def _stencil_residuals(fn, pts, h_grid):
+    """max |7-point discrete Laplacian of fn| over the (n, 3) points pts,
+    one value per step in h_grid."""
     residuals = []
     for h in h_grid:
         acc = -2.0 * 3 * fn(pts)
@@ -424,6 +396,38 @@ def harmonicity_experiment(target="v_A", alpha=math.pi / 2):
             e[axis] = h
             acc += fn(pts + e) + fn(pts - e)
         residuals.append(float(np.max(np.abs(acc / h ** 2))))
+    return residuals
+
+
+def harmonicity_experiment(target="v_A", alpha=math.pi / 2):
+    """Second-order decay of the discrete Laplacian on the wedge profiles
+    of the N = 3, k = 2 wedge, at the steps HARMONIC_H_GRID.
+
+    target 'v_A' is the homogeneous positive profile |x'|^kappa
+    sin(kappa theta_1); 'martin' is :func:`martin_kernel` with pole at
+    the origin.  Polynomial cases (integer kappa for v_A) sit at machine
+    epsilon; all others must show order-2 decay of the residual.
+    """
+    t0 = time.perf_counter()
+    if not 0.0 < alpha < math.inf:
+        raise DomainError("alpha must be finite and > 0")
+    kappa = math.pi / alpha
+
+    if target == "v_A":
+        def fn(x):
+            rp = np.hypot(x[..., 0], x[..., 1])
+            th = np.arctan2(x[..., 0], x[..., 1]) % (2.0 * math.pi)
+            return rp ** kappa * np.sin(kappa * th)
+    elif target == "martin":
+        report = critical_exponents(3, 2, kappa * kappa)
+
+        def fn(x):
+            return martin_kernel(x, 0.0, report)
+    else:
+        raise ConfigurationError("target must be v_A|martin")
+
+    h_grid = HARMONIC_H_GRID
+    residuals = _stencil_residuals(fn, _wedge_points(alpha, h_grid[0]), h_grid)
     orders = [math.log2(residuals[i] / residuals[i + 1])
               for i in range(len(residuals) - 1)]
     exact = max(residuals) <= 1e-9

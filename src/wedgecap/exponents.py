@@ -64,12 +64,6 @@ def q_c_from_kappa(N, kappa_plus):
     return (kappa_plus + N) / den
 
 
-def cone_q_c_direct(N, lambda_A):
-    """Vertex-cone threshold written directly in terms of lambda_A."""
-    disc = _sqrt_clamped((N - 2.0) ** 2 + 4.0 * lambda_A)
-    return (N + 2.0 + disc) / (N - 2.0 + disc)
-
-
 def capacity_index_s(k, kappa_plus, q):
     """Smoothness index s = 2 - (k + kappa_plus)/q' of the governing capacity.
 
@@ -78,26 +72,6 @@ def capacity_index_s(k, kappa_plus, q):
     """
     _require_q(q)
     return 2.0 - (k + kappa_plus) * (q - 1.0) / q
-
-
-def absorption_coefficient(N, q):
-    """a_{N,q} = (2/(q-1)) ((2q/(q-1)) - N), the self-similar absorption rate."""
-    _require_q(q)
-    t = 2.0 / (q - 1.0)
-    return t * (t * q - N)   # 2q/(q-1) = t*q
-
-
-def identity_check(N, lambda_A):
-    """True iff a_{N, q_c} == lambda_A to 1e-10, with q_c derived from lambda_A.
-
-    An algebraic identity equivalent to kappa_plus (kappa_plus + N - 2)
-    = lambda_A; it pins the point criticality threshold to the absorption
-    rate of the self-similar profile.
-    """
-    kp, _ = kappa_roots(N, lambda_A)
-    qc = q_c_from_kappa(N, kp)
-    a = absorption_coefficient(N, qc)
-    return abs(a - lambda_A) <= 1e-10 * abs(lambda_A)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,16 @@ The building block is the fractional-order kernel
 
     k_{nu,m}[mu](tau, zeta) = sum_i w_i tau^{nu-m} (tau^2 + |zeta-z_i|^2)^{-nu/2}
 
-for an atomic measure mu on R^m.  On top of it sit
+for an atomic measure mu on R^m; :func:`martin_kernel` is the wedge's
+positive harmonic kernel with its pole on the edge.  On top of the edge
+kernel sit
 
     F_{nu,m}[mu](tau)        the L^q slice integral over R^m (or the ball B_R),
     M_{nu,s}^m(mu; R)        the tau-weighted aggregate on (0, R),
-    I / reduced_I            the exponential-weight variants and their
-                             1-D reduction with weight h_{sigma,j}.
+    reduced_I                the 1-D reduction, with weight h_{sigma,j}, of the
+                             exponential-weight functional on the
+                             (m+j)-dimensional half space (for j = 1 the
+                             functional itself).
 
 Atoms make the functionals singular at tau -> 0; whenever the parameter
 combination makes an integral divergent the functions refuse to chase it
@@ -117,66 +121,36 @@ def params_from_report(report, q, R=None):
 
 
 # --------------------------------------------------------------------------
-# pointwise kernels
-
-
-def k_nu_m(tau, zeta, mu, nu):
-    """Exact atom sum of the order-nu kernel at (tau, zeta), tau > 0."""
-    tau = np.asarray(tau, float)
-    if not np.all((0.0 < tau) & (tau < np.inf)):
-        raise DomainError("tau must be finite and > 0")
-    zeta = np.atleast_1d(np.asarray(zeta, float))
-    if zeta.size != mu.m:
-        raise DomainError("zeta must live in R^m")
-    acc = 0.0
-    for z, w in zip(mu.positions, mu.weights):
-        acc = acc + w * (tau ** 2 + float(np.sum((zeta - z) ** 2))) ** (-0.5 * nu)
-    out = tau ** (nu - mu.m) * acc
-    return float(out) if np.isscalar(out) or out.ndim == 0 else out
-
-
-def _split_x(x, k):
-    x = np.asarray(x, float)
-    return x[:k], x[k:]
+# the Martin kernel
 
 
 def martin_kernel(x, z, report, omega=None):
     """Normalized positive harmonic kernel of the wedge with pole at z.
 
-    x = (x', x'') in the wedge, z on the edge (intrinsic coordinates).
-    ``omega`` evaluates the opening eigenfunction on unit vectors of
-    R^k; for k = 2 the closed form sin(kappa_plus * theta_1) is used
-    when omega is omitted.
+    x = (x', x'') in the wedge, one point or a (..., N) array of points;
+    z on the edge (intrinsic coordinates).  ``omega`` evaluates the
+    opening eigenfunction on one unit vector of R^k; for k = 2 the closed
+    form sin(kappa_plus * theta_1) is used when omega is omitted.
     """
     k = report.k
-    xp, xpp = _split_x(x, k)
+    x = np.asarray(x, float)
+    pts = x.reshape(-1, x.shape[-1])
+    xp, xpp = pts[:, :k], pts[:, k:]
     z = np.atleast_1d(np.asarray(z, float))
-    rp = float(np.linalg.norm(xp))
-    if rp == 0.0 and np.allclose(xpp, z):
+    rp = np.linalg.norm(xp, axis=1)
+    dist2 = rp ** 2 + np.sum((xpp - z) ** 2, axis=1)
+    on_edge = rp == 0.0
+    if np.any(on_edge & np.all(np.isclose(xpp, z), axis=1)) or np.any(dist2 == 0.0):
         raise SingularityError("kernel pole reached")
-    dist2 = rp ** 2 + float(np.sum((xpp - z) ** 2))
-    if dist2 == 0.0:
-        raise SingularityError("kernel pole reached")
-    if rp == 0.0:
-        return 0.0
     if omega is None:
         if k != 2:
             raise ConfigurationError("omega handle required for k != 2")
-        theta1 = math.atan2(xp[0], xp[1])
-        if theta1 < 0.0:
-            theta1 += 2.0 * math.pi
-        w = math.sin(report.kappa_plus * theta1)
+        w = np.sin(report.kappa_plus * (np.arctan2(xp[:, 0], xp[:, 1]) % (2.0 * math.pi)))
     else:
-        w = float(omega(xp / rp))
-    return C_A * rp ** report.kappa_plus * w * dist2 ** (-0.5 * report.nu)
-
-
-def poisson_potential(mu, x, report, omega=None):
-    """Edge potential of an atomic measure: weighted sum of Martin kernels."""
-    acc = 0.0
-    for z, w in zip(mu.positions, mu.weights):
-        acc += w * martin_kernel(x, z, report, omega=omega)
-    return acc
+        w = np.array([0.0 if r == 0.0 else float(omega(v / r)) for v, r in zip(xp, rp)])
+    out = np.where(on_edge, 0.0, C_A * rp ** report.kappa_plus * w
+                   * dist2 ** (-0.5 * report.nu))
+    return float(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
 
 
 # --------------------------------------------------------------------------
@@ -696,46 +670,3 @@ def reduced_I_ladder(mu, params, cutoffs, quad=None):
     if mu.n_atoms == 0:
         return np.zeros(len(cutoffs)), 0.0
     return _aggregate(mu, params, quad, _reduction_pieces(mu, params), cutoffs)
-
-
-def _I_angular(tau, sigma, j, q, rtol):
-    """I_j(tau) = integral_0^{pi/2} e^{-tau cos f} cos^{(sigma+1)q-1} f sin^{j-2} f df,
-    one adaptive row per tau, each to ``rtol``."""
-    pw = (sigma + 1.0) * q - 1.0
-    tau = np.asarray(tau, float)
-    tref = max(1.0, float(np.max(tau)))
-    marks = math.pi / 2.0 - np.minimum(math.pi / 2.0, 2.0 ** np.arange(-3, 4) / tref)
-    edges = merge_edges(0.0, math.pi / 2.0, np.linspace(0, math.pi / 2, 7), marks)
-
-    def rows(phi):
-        c = np.cos(phi)
-        return np.exp(-np.outer(tau, c)) * (c ** pw * np.sin(phi) ** (j - 2.0))
-
-    return integrate_rows(rows, edges, rtol=rtol)[0]
-
-
-def I_m_j(mu, params, quad=None, eps=0.0):
-    """Exponential-weight functional over the (m+j)-dimensional half space.
-
-    j = 1 coincides with reduced_I exactly; j >= 2 integrates the polar
-    form c_{m,j} * F(tau) tau^{(sigma+1)q+j-2} I_j(tau).
-    """
-    quad = quad or DEFAULT_QUAD
-    if params.sigma is None or params.j is None:
-        raise ConfigurationError("I needs params.sigma and params.j")
-    sigma, j, q = params.sigma, params.j, params.q
-    pieces = _reduction_pieces(mu, params)
-    if j >= 2:
-        # reduced_I's power tail, scaled by c 2^{p/2} Gamma(p): the angular
-        # factor I_j ~ tau^{-p} kills the tau^p part of the weight
-        _, wpow, tail_bound, Y = pieces
-        c = 2.0 * math.pi ** (0.5 * (j - 1.0)) / _gamma(0.5 * (j - 1.0))
-        p = (sigma + 1.0) * q
-        scale = c * 2.0 ** (0.5 * p) * _gamma(p)
-
-        def w(tau):
-            tau = np.asarray(tau, float)
-            return c * tau ** (p + j - 2.0) * _I_angular(tau, sigma, j, q, quad.rtol)
-
-        pieces = (w, wpow, lambda y: scale * tail_bound(y), Y)
-    return _at_cutoff(mu, params, quad, pieces, eps)

@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, GeometryError,
                      PoleEndpointError)
-from .exponents import kappa_from_gamma
 from .geometry import cartesian_to_spherical, validate_wedge
 
 PI = math.pi
@@ -314,47 +313,14 @@ def opening_eigenfunction_factors(spec):
     return gamma, (f1,) + factors[1:]
 
 
-def omega_SA(spec, gamma, kappa_plus, sigma):
-    """First eigenfunction of the wedge's spherical section, max-normalized.
-
-    omega(sigma) = (sin theta_{N-1} ... sin theta_k)^{kappa_plus}
-                   * f_1(theta_1) * prod_j f_j(theta_j)
-
-    Vanishes on the boundary of the section; raises DomainError strictly
-    outside its closure.
-    """
-    validate_wedge(spec)
-    sigma = np.asarray(sigma, float)
-    if sigma.size != spec.N - 1:
-        raise DomainError("sigma must have N-1 = %d angles" % (spec.N - 1))
-    k = spec.k
-    kp_ref = kappa_from_gamma(k, gamma)
-    if abs(kp_ref - kappa_plus) > 1e-6 * max(1.0, kp_ref):
-        raise DomainError("kappa_plus inconsistent with gamma (expected %.12g)" % kp_ref)
-
-    theta1 = sigma[0]
-    if not (0.0 <= theta1 <= spec.alpha1):
-        raise DomainError("theta_1 outside [0, alpha1]")
-    for j in range(2, k):
-        a, b = spec.intervals[j - 2]
-        if not (a <= sigma[j - 1] <= b):
-            raise DomainError("theta_%d outside its interval" % j)
-    for ell in range(k, spec.N):
-        if not (0.0 <= sigma[ell - 1] <= PI):
-            raise DomainError("theta_%d outside [0, pi]" % ell)
-
-    g_chain, factors = opening_eigenfunction_factors(spec)
-    value = factors[0](theta1)
-    for j in range(2, k):
-        value *= float(factors[j - 1](sigma[j - 1]))
-    pref = 1.0
-    for ell in range(k, spec.N):
-        pref *= math.sin(sigma[ell - 1])
-    return pref ** kappa_plus * value if pref > 0.0 else 0.0
-
-
 def opening_eigenfunction(spec):
-    """Eigenfunction of the opening as a callable on unit vectors of R^k."""
+    """Eigenfunction of the opening as a callable on unit vectors of R^k.
+
+    Returns (gamma, phi); phi is the ``omega`` handle of
+    :func:`wedgecap.kernels.martin_kernel`.  On the wedge's spherical
+    section the first eigenfunction is phi of the opening angles times
+    (sin theta_k ... sin theta_{N-1})^{kappa_plus}.
+    """
     validate_wedge(spec)
     gamma, factors = opening_eigenfunction_factors(spec)
     k = spec.k
@@ -375,34 +341,3 @@ def opening_eigenfunction(spec):
         return val
 
     return gamma, phi
-
-
-# --------------------------------------------------------------------------
-# discrete Laplace-Beltrami operator (convergence checks)
-
-
-def laplace_beltrami(fn, sigma, h):
-    """Second-order FD value of the sphere Laplacian at sigma.
-
-    Uses the unrolled form
-    sum_l [prod_{j>l} sin^{-2} theta_j] (d^2/dtheta_l^2 + (l-1) cot theta_l d/dtheta_l).
-    """
-    sigma = np.asarray(sigma, float)
-    nang = sigma.size
-    total = 0.0
-    f0 = fn(sigma)
-    for ell in range(1, nang + 1):
-        e = np.zeros(nang)
-        e[ell - 1] = h
-        fp = fn(sigma + e)
-        fm = fn(sigma - e)
-        d2 = (fp - 2.0 * f0 + fm) / h ** 2
-        d1 = (fp - fm) / (2.0 * h)
-        pref = 1.0
-        for j in range(ell + 1, nang + 1):
-            pref /= math.sin(sigma[j - 1]) ** 2
-        term = d2
-        if ell > 1:
-            term += (ell - 1) * (math.cos(sigma[ell - 1]) / math.sin(sigma[ell - 1])) * d1
-        total += pref * term
-    return total

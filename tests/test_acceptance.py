@@ -14,15 +14,15 @@ import pytest
 from wedgecap.capacity import bessel_capacity, bessel_kernel_radial
 from wedgecap.classify import classify_polyhedron, removable_check
 from wedgecap.errors import DivergenceError
-from wedgecap.exponents import (absorption_coefficient,
-                                bookkeeping_identity_gap, cone_q_c_direct,
-                                critical_exponents, kappa_roots)
+from wedgecap.exponents import (bookkeeping_identity_gap, critical_exponents,
+                                kappa_roots)
 from wedgecap.experiments import (dichotomy_experiment, equivalence_experiment,
                                   harmonicity_experiment, heat_lifting,
                                   remainder_experiment)
 from wedgecap.geometry import (CompactSetDescription, ConeOpening,
                                PolyhedronSpec, SetPiece, Stratum, WedgeSpec)
 from wedgecap.spectral import SLProblem, gamma_first_eigenvalue, sl_eigen_1d
+from oracles import absorption_coefficient, cone_q_c_direct
 
 PI = math.pi
 

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import re
 
 import numpy as np
@@ -13,12 +15,13 @@ from wedgecap.capacity import (CapacityResult, _cell_matrix, _J_phi,
                                rho_capacity)
 from wedgecap.errors import DomainError, SingularityError, SolverError
 from wedgecap.exponents import critical_exponents
-from wedgecap.geometry import DiscreteMeasure, SetPiece
+from wedgecap.geometry import DiscreteMeasure, SetPiece, set_from_dict
 from wedgecap.kernels import (DEFAULT_QUAD, M_nu_s, QuadratureSpec, _M_nodes,
                               params_from_report)
 from wedgecap._quad import geometric_edges, integrate_rows, merge_edges
 
 QUARTER = critical_exponents(3, 2, 4.0)
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def _uniform(pts):
@@ -344,8 +347,26 @@ class TestNullTest:
         assert capacity_null_test(flat, 0.6, 2.0, 2) == "positive"
 
     def test_grid_defers(self):
+        # a grid defers to the point rule: a finite union of points is null
+        # exactly when a point is
         grid = SetPiece("s", "grid", points=((0.0,), (1.0,)))
-        assert capacity_null_test(grid, 0.5, 2.0, 1) == "needs-numeric"
+        assert capacity_null_test(grid, 0.5, 2.0, 1) == "null"
+        assert capacity_null_test(grid, 0.6, 2.0, 1) == "positive"
+        plane = SetPiece("s", "grid", points=((0.0, 0.0), (1.0, 0.5)))
+        assert capacity_null_test(plane, 0.9, 2.0, 2) == "null"
+
+    def test_numeric_verdict_matches_the_point_rule(self):
+        # alpha p = 0.5, 0.85, 1.3 and 1.9, away from the threshold alpha p = 1:
+        # the refinement extrapolation of the numeric program agrees with
+        # the analytic rule on the golden grid
+        with open(os.path.join(GOLDEN, "grid_set.json"), encoding="utf-8") as fh:
+            piece = set_from_dict(json.load(fh)).pieces[0]
+        points = np.array(piece.points)[:, 0]
+        for alpha in (0.25, 0.425, 0.65, 0.95):
+            numeric = bessel_capacity(points, alpha, 2.0).verdict
+            analytic = capacity_null_test(piece, alpha, 2.0, 1)
+            expect = ("vanishing", "null") if 2.0 * alpha < 1.0 else ("positive", "positive")
+            assert (numeric, analytic) == expect, alpha
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -86,11 +86,14 @@ class TestGoodMeasures:
         res = good_measure_check(cube(), {"edge": dirac(1, [0.3])}, 1.7)
         assert res.verdict == "reject"
 
-    def test_supplied_null_evidence(self):
-        piece = SetPiece("edge", "point", z=(0.3,))
-        res = good_measure_check(cube(), {"edge": dirac(1, [0.3])}, 1.7,
-                                 evidence=[(piece, "null")])
+    def test_atom_rejected_by_the_regime(self):
+        # every point of the edge is null in the capacity window, so an atom
+        # is rejected whatever the capacity of a larger piece around it
+        res = good_measure_check(cube(), {"edge": dirac(1, [0.0])}, 1.7)
         assert res.verdict == "reject"
+        edge = [d for d in res.per_stratum if d.stratum == "edge"]
+        assert edge[0].status == "reject"
+        assert edge[0].reason.startswith("atom at (0.0,) charges")
 
     def test_zero_measure_accepted_everywhere(self):
         res = good_measure_check(cube(), {}, 1.9)
@@ -116,15 +119,21 @@ class TestRemovability:
         # whole-edge removability kicks in at q_c_star
         assert removable_check(cube(), E, 2.0).removable == "removable"
 
-    def test_grid_needs_numeric(self):
+    def test_grid_removable_by_the_point_rule(self):
+        # a grid is a finite union of points: null in the capacity window,
+        # carrying point data below q_c
         E = CompactSetDescription(
             (SetPiece("edge", "grid", points=((0.0,), (0.5,))),))
         res = removable_check(cube(), E, 1.7)
-        assert res.removable == "needs-numeric"
-        res2 = removable_check(cube(), E, 1.7, evidence={0: "null"})
-        assert res2.removable == "removable"
-        res3 = removable_check(cube(), E, 1.7, evidence={0: "positive"})
-        assert res3.removable == "not-removable"
+        assert res.removable == "removable"
+        assert res.per_piece[0].status == "removable"
+        assert removable_check(cube(), E, 1.6).removable == "not-removable"
+        # one piece of positive capacity makes the set not removable
+        E2 = CompactSetDescription(E.pieces + (
+            SetPiece("edge", "ball", radius=0.5, dim=1, z=(0.0,)),))
+        res2 = removable_check(cube(), E2, 1.7)
+        assert [d.status for d in res2.per_piece] == ["removable", "not-removable"]
+        assert res2.removable == "not-removable"
 
     def test_monotone_in_q(self):
         pieces = {
@@ -179,3 +188,25 @@ def test_decomposed_family_feeds_good_measure_check():
     fam = decompose_measure(poly, {"edge": dirac(1, [0.3])})
     assert good_measure_check(poly, fam, 1.6).verdict == "accept"
     assert good_measure_check(poly, fam, 1.7).verdict == "reject"
+
+
+@pytest.mark.parametrize("N, k", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)])
+def test_points_null_at_exact_q_c(monkeypatch, N, k):
+    # at q = q_c, s q' = N - k in exact arithmetic, and the computed product
+    # exceeds N - k by a few ulp in 1 210 of these 2 400 cases (for N = 3,
+    # k = 2, gamma = (pi/0.5)^2 it is 1 + 2.7e-15): the regime alone must
+    # decide that a point is null there
+    import wedgecap.classify as classify
+
+    poly = PolyhedronSpec(N=N, strata=(Stratum(
+        "edge", k, WedgeSpec(N, k, PI / 2, intervals=((0.5, 2.5),) * (k - 2))),))
+    point = CompactSetDescription((SetPiece("edge", "point", z=(0.0,) * (N - k)),))
+    atom = {"edge": dirac(N - k)}
+    gammas = list(np.linspace(0.3, 40.0, 400))
+    if (N, k) == (3, 2):
+        gammas.append((PI / 0.5) ** 2)
+    for gamma in gammas:
+        rep = critical_exponents(N, k, gamma)
+        monkeypatch.setattr(classify, "stratum_report", lambda *a, **kw: rep)
+        assert removable_check(poly, point, rep.q_c).removable == "removable", gamma
+        assert good_measure_check(poly, atom, rep.q_c).verdict == "reject", gamma

@@ -255,6 +255,17 @@ def test_classify_cube(tmp_path, capsys):
     assert regimes["vertex"] == "vertex-supercritical"
 
 
+def test_classify_cube_grid_is_removable(capsys):
+    # s q' = 0.857 <= 1 at q = 1.7: every point of the grid, and so the
+    # grid, is null for the edge capacity
+    code, out, _ = run_cli(capsys, "classify", "--poly", DEMO["--poly"], "--q", "1.7",
+                           "--set", os.path.join(ROOT, "tests", "golden", "grid_set.json"))
+    assert code == 0
+    removability = json.loads(out)["result"]["removability"]
+    assert removability["removable"] == "removable"
+    assert [p["status"] for p in removability["per_piece"]] == ["removable"]
+
+
 def test_byte_identical_outputs(tmp_path, capsys):
     poly = write(tmp_path, "cube.json", CUBE)
     out1 = os.path.join(tmp_path, "a.json")

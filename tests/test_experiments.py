@@ -172,6 +172,24 @@ class TestHarmonicity:
         assert r.metrics["mode"] == "order2"
         assert r.passed
 
+    @pytest.mark.parametrize("alpha", [math.pi / 2, 3 * math.pi / 4])
+    def test_martin_target_evaluates_the_library_kernel(self, monkeypatch, alpha):
+        # the experiment checks kernels.martin_kernel itself, once for the
+        # centre points and twice per axis at each step
+        calls = []
+        original = experiments.martin_kernel
+
+        def counting(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "martin_kernel", counting)
+        r = harmonicity_experiment("martin", alpha=alpha)
+        assert len(calls) == 7 * len(r.params["h_grid"])
+        assert all(len(shape) == 2 and shape[1] == 3 for shape in calls)
+        assert all(1.8 <= o <= 2.2 for o in r.metrics["orders"])
+        assert r.passed
+
 
 @pytest.fixture(scope="module")
 def heat_run():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from wedgecap.errors import DomainError
-from wedgecap.exponents import (ExponentReport, absorption_coefficient,
-                                bookkeeping_identity_gap, capacity_index_s,
-                                cone_q_c_direct, critical_exponents,
-                                identity_check, kappa_from_gamma, kappa_roots)
+from wedgecap.exponents import (ExponentReport, bookkeeping_identity_gap,
+                                capacity_index_s, critical_exponents,
+                                kappa_from_gamma, kappa_roots)
+from oracles import absorption_coefficient, cone_q_c_direct, identity_check
 
 
 def test_kappa_from_gamma_examples():

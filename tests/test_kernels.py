@@ -12,14 +12,14 @@ from wedgecap import _quad
 from wedgecap.besov import besov_neg_proxy
 from wedgecap.errors import (AccuracyError, DivergenceError, DomainError,
                              SingularityError)
-from wedgecap.experiments import (equivalence_experiment, measure_family,
-                                  remainder_experiment)
+from wedgecap.experiments import (_stencil_residuals, equivalence_experiment,
+                                  measure_family, remainder_experiment)
 from wedgecap.exponents import critical_exponents
 from wedgecap.geometry import DiscreteMeasure, dirac
-from wedgecap.kernels import (KernelParams, QuadratureSpec, F_nu_m, I_m_j,
-                              M_nu_s, default_R, k_nu_m, martin_kernel,
-                              params_from_report, poisson_potential, reduced_I,
-                              reduced_I_ladder)
+from wedgecap.kernels import (KernelParams, QuadratureSpec, F_nu_m, M_nu_s,
+                              default_R, martin_kernel, params_from_report,
+                              reduced_I, reduced_I_ladder)
+from oracles import k_nu_m, poisson_potential
 
 QUARTER = critical_exponents(3, 2, 4.0)
 
@@ -104,17 +104,28 @@ class TestMartinKernel:
                 mu, x, QUARTER) * (1 + 1e-12)
 
     def test_discrete_harmonicity(self):
-        x = np.array([0.4, 0.6, 0.5])
-        res = []
-        for h in (0.02, 0.01):
-            acc = -6.0 * martin_kernel(x, np.array([0.0]), QUARTER)
-            for ax in range(3):
-                e = np.zeros(3)
-                e[ax] = h
-                acc += martin_kernel(x + e, np.array([0.0]), QUARTER)
-                acc += martin_kernel(x - e, np.array([0.0]), QUARTER)
-            res.append(abs(acc) / h ** 2)
+        res = _stencil_residuals(lambda x: martin_kernel(x, np.array([0.0]), QUARTER),
+                                 np.array([[0.4, 0.6, 0.5]]), (0.02, 0.01))
         assert 3.0 <= res[0] / res[1] <= 5.5
+
+    def test_points_array_is_pointwise(self):
+        # a (..., N) array of points is the kernel at each point: the closed
+        # form |x'|^2 sin(2 theta_1) |x - z|^{-5} of the quarter wedge, 0 on
+        # the edge, and the pole still refused
+        x = np.array([[[0.3, 0.5, 0.7], [0.0, 0.5, 0.3]],
+                      [[0.0, 0.0, 0.9], [0.1, 0.9, -0.4]]])
+        z = np.array([0.2])
+        got = martin_kernel(x, z, QUARTER)
+        assert got.shape == (2, 2)
+        for idx in np.ndindex(2, 2):
+            x1, x2, x3 = x[idx]
+            expect = ((x1 * x1 + x2 * x2) * math.sin(2.0 * math.atan2(x1, x2))
+                      * (x1 * x1 + x2 * x2 + (x3 - 0.2) ** 2) ** -2.5)
+            assert abs(got[idx] - expect) <= 1e-14 * abs(expect)
+            assert got[idx] == martin_kernel(x[idx], z, QUARTER)
+        assert got[1, 0] == 0.0
+        with pytest.raises(SingularityError):
+            martin_kernel(np.vstack([x[0], [[0.0, 0.0, 0.2]]]), z, QUARTER)
 
 
 class TestF:
@@ -686,25 +697,10 @@ class TestAggregates:
 
 
 class TestExponentialFamily:
-    def test_j1_equals_reduction(self):
-        p = KernelParams(nu=3.0, m=1, q=2.0, sigma=2.0, j=1)
-        v_full, _ = I_m_j(dirac(1), p)
-        v_red, _ = reduced_I(dirac(1), p)
-        assert v_full == v_red
-
-    def test_j2_ratio_stable(self):
-        p = KernelParams(nu=3.0, m=1, q=2.0, sigma=2.0, j=2)
-        ratios = []
-        for t in (0.5, 1.0, 2.0):
-            mu = dirac(1, [t])
-            ratios.append(I_m_j(mu, p)[0] / reduced_I(mu, p)[0])
-        mid = ratios[1]
-        assert all(abs(r / mid - 1.0) < 0.2 for r in ratios)
-
     def test_I_homogeneous(self):
         p = KernelParams(nu=3.0, m=1, q=2.0, sigma=2.0, j=2)
-        v1, _ = I_m_j(dirac(1), p)
-        v2, _ = I_m_j(dirac(1).scaled(3.0), p)
+        v1, _ = reduced_I(dirac(1), p)
+        v2, _ = reduced_I(dirac(1).scaled(3.0), p)
         assert abs(v2 / v1 - 3.0 ** 2.0) < 1e-8
 
     def test_ladder_matches_single_runs(self):
@@ -738,7 +734,7 @@ class TestClosedFormOracles:
 
     def test_j1_gamma_integral(self):
         p = KernelParams(nu=3.0, m=1, q=2.0, sigma=2.0, j=1)
-        v, _ = I_m_j(dirac(1), p)
+        v, _ = reduced_I(dirac(1), p)
         assert abs(v - self.C) < 1e-7 * self.C
 
     def test_j2_beta_integral(self):
@@ -781,32 +777,6 @@ class TestClosedFormOracles:
                 exact = c * mpmath.gammainc(p - nu * q + 1, eps)
         assert abs(v - float(exact)) <= e
 
-    @pytest.mark.parametrize("j", [2, 3, 4])
-    def test_angular_factor_mpmath(self, j):
-        # I_j(tau) in u = cos f is integral_0^1 e^{-tau u} u^{(sigma+1)q-1}
-        # (1-u^2)^{(j-3)/2} du; one batch spanning 7 decades of tau shares
-        # its panels, whose start edges fit only the largest tau
-        sigma, q, rtol = 0.5, 1.8, 1e-8
-        pw = (sigma + 1.0) * q - 1.0
-        taus = np.array([1e-3, 0.1, 1.0, 7.0, 50.0, 400.0, 3000.0, 2e4])
-        with mpmath.workdps(30):
-            ref = np.array([float(mpmath.quad(
-                lambda u: mpmath.exp(-t * u) * u ** pw
-                * (1 - u * u) ** (mpmath.mpf(j - 3) / 2),
-                [0] + [c / t for c in (1, 10, 100) if c / t < 0.5] + [0.5, 1]))
-                for t in taus])
-        got = kernels._I_angular(taus, sigma, j, q, rtol)
-        assert np.max(np.abs(got / ref - 1.0)) <= rtol
-        for t, r in zip(taus, ref):
-            assert abs(kernels._I_angular(np.array([t]), sigma, j, q, rtol)[0] / r
-                       - 1.0) <= rtol
-
-    def test_j2_full_is_half_pi(self):
-        # c = 3 pi / 8 and the polar reduction integrates to exactly pi/2
-        p = KernelParams(nu=3.0, m=1, q=2.0, sigma=2.0, j=2)
-        v, _ = I_m_j(dirac(1), p)
-        assert abs(v - math.pi / 2.0) < 1e-7
-
 
 class TestVertexCone:
     def test_martin_kernel_octant_harmonic(self):
@@ -822,15 +792,8 @@ class TestVertexCone:
         v = martin_kernel(x0, np.zeros(0), rep, omega=phi)
         r = np.linalg.norm(x0)
         assert abs(v - r ** rep.kappa_minus * phi(x0 / r)) < 1e-10 * abs(v)
-        res = []
-        for h in (0.02, 0.01):
-            acc = -6.0 * martin_kernel(x0, np.zeros(0), rep, omega=phi)
-            for ax in range(3):
-                e = np.zeros(3)
-                e[ax] = h
-                acc += martin_kernel(x0 + e, np.zeros(0), rep, omega=phi)
-                acc += martin_kernel(x0 - e, np.zeros(0), rep, omega=phi)
-            res.append(abs(acc) / h ** 2)
+        res = _stencil_residuals(lambda x: martin_kernel(x, np.zeros(0), rep, omega=phi),
+                                 x0[None, :], (0.02, 0.01))
         assert 3.0 <= res[0] / res[1] <= 5.5
 
 

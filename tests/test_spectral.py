@@ -9,8 +9,8 @@ from wedgecap.errors import DomainError, PoleEndpointError
 from wedgecap.exponents import critical_exponents
 from wedgecap.geometry import WedgeSpec
 from wedgecap.spectral import (SLProblem, gamma_first_eigenvalue,
-                               laplace_beltrami, omega_SA,
                                opening_eigenfunction, sl_eigen_1d, sl_eigen_fd)
+from oracles import laplace_beltrami, omega_SA
 
 PI = math.pi
 
