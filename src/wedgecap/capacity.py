@@ -317,9 +317,9 @@ def _J_phi(uniform, params, eps):
     """
     tau, tw, y, yw = _M_nodes(uniform, params, DEFAULT_QUAD, eps)
     zs, q = uniform.positions[:, 0], params.q
-    K = ((tau[:, None, None] ** 2 + (y[None, :, None] - zs[None, None, :]) ** 2)
+    K = ((tau[:, None, None] ** 2 + (y[:, :, None] - zs) ** 2)
          ** (-0.5 * params.nu)).reshape(-1, zs.size)
-    cw = np.outer(tw, yw).ravel()
+    cw = (tw[:, None] * yw).ravel()
 
     def phi(w):
         S = K @ w

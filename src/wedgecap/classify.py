@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .capacity import capacity_null_test
 from .errors import ConfigurationError
 from .exponents import _require_q, critical_exponents
-from .geometry import ConeOpening, WedgeSpec
+from .geometry import ConeOpening, WedgeSpec, decompose_measure
 from .spectral import gamma_first_eigenvalue
 
 Q_C_WARNING = ("q equals q_c exactly: the capacity criterion at the endpoint "
@@ -120,15 +120,16 @@ class GoodMeasureResult:
 def good_measure_check(poly, mu, q, tol=1e-8):
     """Decide whether per-stratum boundary data is admissible at exponent q.
 
-    mu maps stratum ids to measures (see ``decompose_measure``).  In the
-    capacity regime every point of the edge R^{N-k} is C_{s,q'}-null
-    (s q' <= N-k is the inequality q >= q_c), so any atom charges a null
-    set and the measure is rejected.
+    mu maps stratum ids to measures; ``decompose_measure`` refuses an
+    unknown id or a measure not on R^{N-k}.  In the capacity regime every
+    point of the edge is C_{s,q'}-null (s q' <= N-k is the inequality
+    q >= q_c), so any atom charges a null set and the measure is rejected.
     """
+    mu = decompose_measure(poly, mu)
     decisions = []
     for stratum in poly.strata:
-        meas = mu.get(stratum.id)
-        if meas is None or meas.mass == 0.0:
+        meas = mu[stratum.id]
+        if meas.mass == 0.0:
             decisions.append(StratumDecision(stratum.id, "pass", "no mass here"))
             continue
         v = stratum_verdict(stratum, q, N=poly.N, tol=tol)

@@ -427,7 +427,11 @@ def harmonicity_experiment(target="v_A", alpha=math.pi / 2):
         raise ConfigurationError("target must be v_A|martin")
 
     h_grid = HARMONIC_H_GRID
-    residuals = _stencil_residuals(fn, _wedge_points(alpha, h_grid[0]), h_grid)
+    pts = _wedge_points(alpha, h_grid[0])
+    if pts.size == 0:
+        raise DomainError("alpha = %.3g is too narrow: no test point lies 10 h from "
+                          "both walls" % alpha)
+    residuals = _stencil_residuals(fn, pts, h_grid)
     orders = [math.log2(residuals[i] / residuals[i + 1])
               for i in range(len(residuals) - 1)]
     exact = max(residuals) <= 1e-9

@@ -160,33 +160,26 @@ def martin_kernel(x, z, report, omega=None):
 _BLOCK_CELLS = 1 << 15   # table cells per block: accumulator + scratch fit in L2
 
 
-def _sq_dists(mu, *coords):
-    """(n_atoms, n_points) squared distances from each atom to the points
-    with these coordinates, one coordinate array per axis of R^m."""
-    return sum((c - z[:, None]) ** 2 for c, z in zip(coords, mu.positions.T))
+def _kernel_sum(shape, base, mu, nu, q):
+    """(n_tau, n_points) table of the inner kernel sum raised to q.
 
-
-def _kernel_sum(tau, d2, mu, nu, q):
-    """(n_tau, n_points) table of the inner kernel sum raised to q, given
-    each atom's squared distances ``d2`` to the points (:func:`_sq_dists`).
-
-    The table is built one block of tau rows at a time, which is raised
-    to q while it is still in cache.  The first atom writes its term
-    w (tau^2 + d2)^{-nu/2} into the block itself; each later one is
-    formed in a block-sized scratch buffer and added.  For nu = 2, the
-    Poisson kernel of a line edge, the term is one division
-    w / (tau^2 + d2).  Every cell sees the same operations in the same
-    order whatever the block size.
+    ``base(k, rows, out)`` writes tau^2 + d^2 (or 1 + (d / tau)^2) into
+    ``out``, d the distances from atom k to the points of the tau rows
+    ``rows`` (a slice).  Blocks of rows are raised to q while in cache; the
+    first atom writes w (tau^2 + d^2)^{-nu/2} into the block, each later one
+    goes through a scratch block and is added, at nu = 2 (the Poisson
+    kernel of a line edge) as one division.  Every cell sees the same
+    operations whatever the block size.
     """
-    t2 = (tau ** 2)[:, None]
-    out = np.empty((tau.size, d2.shape[1]))
-    rows = max(1, _BLOCK_CELLS // d2.shape[1])
-    scratch = np.empty((min(rows, tau.size), d2.shape[1]))
-    for r0 in range(0, tau.size, rows):
-        acc = out[r0:r0 + rows]
-        for k, (w, d) in enumerate(zip(mu.weights, d2)):
+    out = np.empty(shape)
+    rows = max(1, _BLOCK_CELLS // shape[1])
+    scratch = np.empty((min(rows, shape[0]), shape[1]))
+    for r0 in range(0, shape[0], rows):
+        block = slice(r0, r0 + rows)
+        acc = out[block]
+        for k, w in enumerate(mu.weights):
             term = scratch[:acc.shape[0]] if k else acc
-            np.add(t2[r0:r0 + rows], d, out=term)
+            base(k, block, term)
             if nu == 2.0:
                 np.divide(w, term, out=term)
             else:
@@ -198,25 +191,16 @@ def _kernel_sum(tau, d2, mu, nu, q):
     return out
 
 
-def _slice_integrand_m1(tau_arr, mu, params):
-    """y -> k(tau, y)^q for every tau row."""
-    def f(y):
-        return _kernel_sum(tau_arr, _sq_dists(mu, y), mu, params.nu, params.q)
-    return f
-
-
 def _widen(shell, tail_bound, vals, errs, Y, rtol):
-    """Extend integrals known up to Y to infinity in one shell.
+    """Extend integrals known up to Y to infinity in one shell (the plane's
+    F and the tau tails).
 
     The widening stops at the first doubling Y 2^n whose rigorous tail
-    bound is negligible against the smallest value known before widening
-    (the integrands are positive, so the values only grow), and
-    ``shell(edges)`` -- per-row (values, errors) of the integrand on
-    (Y, Y 2^n), given the doubling edges Y 2^k, k = 0..n -- is added to
-    the totals in one call.  The bound at Y 2^n lands in the error; a
-    bound still above ``0.3 rtol`` after 29 doublings, or at the last
-    doubling below the largest double, raises :class:`AccuracyError`
-    carrying the totals.
+    bound is negligible against the smallest value known so far (the
+    values only grow), and ``shell(edges)``, the per-row (values, errors)
+    on the doubling edges Y 2^k, k = 0..n, is added in one call.  The
+    bound at Y 2^n lands in the error; one still above 0.3 rtol after 29
+    doublings, or at the largest double, raises :class:`AccuracyError`.
     """
     def negligible(tail, vals):
         return tail <= 0.3 * rtol * float(np.min(np.abs(vals))) or tail < 1e-300
@@ -243,55 +227,19 @@ def _c_ball(nuq):
     return math.sqrt(math.pi) * _gamma(0.5 * (nuq - 1.0)) / _gamma(0.5 * nuq)
 
 
-def _atom_edges_m1(mu, lo, hi, tau_floor):
-    """Mandatory panel edges around each atom position.
-
-    Each atom z_i gets a 4-fold ladder z_i +- r0 4^k starting at
-    r0 = half of min(tau, nearest-atom distance), or 1e-9 for coincident
-    atoms.  It has 20 rungs, plus as many as the smallest r0 needs to
-    climb to 1e-9, so a spike narrower than 1e-9 is marked down to its
-    width.  On each side the ladder stops before the neighbouring atom
-    (rungs < z_{i+1} - z_i to the right, < z_i - z_{i-1} to the left),
-    where the neighbour's own ladder takes over; only the outer sides of
-    the two extreme atoms run up to hi - lo.  A single atom gets the
-    full ladder on both sides.
-    """
-    zs = np.sort(mu.positions[:, 0])
-    gaps = zs[1:] - zs[:-1]
-    left = np.concatenate([[np.inf], gaps])[:, None]    # gap to the atom below
-    right = np.concatenate([gaps, [np.inf]])[:, None]   # and above
-    nearest = np.minimum(np.minimum(left, right), 1e9)
-    r0 = 0.5 * np.minimum(tau_floor, nearest)
-    r0[r0 == 0.0] = 1e-9
-    below = math.log(1e-9, 4.0) - math.log(r0.min(), 4.0)
-    ladder = r0 * 4.0 ** np.arange(20 + max(0, math.ceil(below)))
-    ladder[ladder > hi - lo] = np.inf   # fails both side tests below
-    z = zs[:, None]
-    return np.concatenate([zs, (z + ladder)[ladder < right],
-                           (z - ladder)[ladder < left]])
-
-
-def _y_edges_m1(mu, Y, tau_floor, cuts=()):
-    """Initial y panels of a slice integral over (-Y, Y): 8 uniform
-    panels, each atom's ladder (see :func:`_atom_edges_m1`) and the cuts."""
-    return merge_edges(-Y, Y, np.linspace(-Y, Y, 9),
-                       _atom_edges_m1(mu, -Y, Y, tau_floor), cuts)
-
-
 def F_nu_m(tau, mu, params, quad=None, truncated=True):
     """L^q integral over R^m (or the ball |y| < R) of the inner kernel sum.
 
     tau may be a scalar or an array; all values share one adaptively
     refined panel set.  Returns (values, errors) with tau's shape.  Both
-    edge dimensions run on one kernel table, panel refinement and tail
-    widening, and every value meets ``quad.rtol`` or raises
-    :class:`AccuracyError`.
+    edge dimensions run on one kernel table and panel refinement, and
+    every value meets ``quad.rtol`` or raises :class:`AccuracyError`.
     """
     quad = quad or DEFAULT_QUAD
     tau_arr = np.atleast_1d(np.asarray(tau, float))
     if not np.all((0.0 < tau_arr) & (tau_arr < np.inf)):
         raise DomainError("tau must be finite and > 0")
-    if mu.n_atoms == 0:
+    if mu.mass == 0.0:
         z = np.zeros_like(tau_arr)
         return (float(z[0]), 0.0) if np.isscalar(tau) else (z, z)
     nuq = params.nu * params.q
@@ -311,62 +259,107 @@ def F_nu_m(tau, mu, params, quad=None, truncated=True):
     return vals, errs
 
 
-def _core(mu, params, tau_arr, truncated):
-    """Y of the slice integral's first solve over (-Y, Y): R, or for the
-    whole of R^m a core around the atoms that :func:`_widen` extends."""
-    tau_max = float(np.max(tau_arr))
-    Y = params.R if truncated else mu.support_radius() + max(10.0, 4.0 * tau_max)
-    if not 2.0 * Y < math.inf:
-        raise DomainError("the slice range (-%.3g, %.3g) overflows a double" % (Y, Y))
-    return Y
+def _slice_m1(tau, rb, mu, params, quad, truncated):
+    """The m = 1 slice integrand of every tau row on shared reference
+    panels, in sinh coordinates (Johnston & Elliott, IJNME 62 (2005) 564).
+
+    Each distinct atom z_i of positive weight has a left and a right
+    Voronoi half-cell (side -1, +1), the panel (h, h + 1) in u, where
+    y = z_i + side tau sinh(s), s = s_lo + (s_hi - s_lo)(u - h): the own
+    term tau^{1-nu q} cosh^{1-nu q}(s) is analytic and decays exponentially,
+    the others are smooth.  Distances are (z_i - z_j) / tau + side sinh(s)
+    in units of tau, never taken from a rounded y, and the integrand
+    leaves out tau^{1-nu q}.  Row r keeps |y| < rb_r if ``truncated``, else
+    |y| >= rb_r (atoms inside); rb_r = -inf keeps nothing, or everything.
+    Every atom is at least tau sinh(s) away, so a half-cell holds at most
+    mass^q tau^{1-nu q} 2^{nu q-1} e^{-(nu q-1) s} / (nu q-1) beyond s and at
+    least w^q tau^{1-nu q} e^{-(nu q-1) s_lo} / (nu q-1) from its atom's
+    weight w: it ends where the ratio is rtol / 100, whatever tau, or is
+    capped where y or sinh(s)^2 leave the doubles.  Returns the integrand,
+    its start edges (two panels per half-cell), ``cells(u)`` (each node's
+    atom, side sinh(s) and dy/du / tau), the rows' tail bounds in units of
+    tau^{1-nu q} and which rows were capped.
+    """
+    zs, inv = np.unique(mu.positions[:, 0], return_inverse=True)
+    w = np.bincount(inv.ravel(), weights=mu.weights)
+    zs, w = zs[w > 0.0], w[w > 0.0]
+    centre, side = np.repeat(zs, 2), np.tile([-1.0, 1.0], zs.size)
+    length = np.concatenate([[np.inf], np.repeat(0.5 * np.diff(zs), 2), [np.inf]])
+    t, rb, sc = tau[:, None], rb[:, None], side * centre
+    if truncated:
+        a, b = np.maximum(0.0, -rb - sc), np.minimum(length, rb - sc)
+    else:
+        a, b = np.maximum(0.0, rb - sc), length
+    with np.errstate(over="ignore"):   # a subnormal tau overflows here and in F
+        s_lo, s_end = (np.where(a < b, np.arcsinh(v / t), 0.0) for v in (a, b))
+        inv_tau = 1.0 / t
+    nuq, q = params.nu * params.q, params.q
+    delta = (q * np.log(mu.mass / np.repeat(w, 2)) + (nuq - 1.0) * math.log(2.0)
+             - math.log(1e-2 * quad.rtol)) / (nuq - 1.0)
+    s_cap = np.minimum(354.0, 709.0 - np.log(t))   # sinh(s)^2 and y stay doubles
+    s_hi = np.minimum(s_end, np.minimum(s_lo + delta, s_cap))
+    cut = s_hi < s_end
+    if np.any(cut & (s_cap <= s_lo)):
+        raise DomainError("the slice range overflows a double at tau = %.3g"
+                          % float(np.max(tau)))
+    capped = np.any(cut & (s_hi < s_lo + delta), axis=1)
+    tail = np.where(cut, np.exp(q * math.log(mu.mass)
+                                - (nuq - 1.0) * (s_hi - math.log(2.0))), 0.0)
+    ds = s_hi - s_lo
+
+    def cells(u):
+        h = np.minimum(u.astype(int), centre.size - 1)
+        dsh = ds[:, h]
+        s = s_lo[:, h] + dsh * (u - h)
+        return centre[h], side[h] * np.sinh(s), np.cosh(s) * dsh
+
+    def f(u):
+        at, x, jac = cells(u)
+        off = at - mu.positions[:, :1]
+
+        def base(k, rows, out):
+            np.multiply(inv_tau[rows], off[k], out=out)
+            out += x[rows]
+            np.square(out, out=out)
+            out += 1.0
+        return _kernel_sum(x.shape, base, mu, params.nu, q) * jac
+
+    return (f, np.arange(2 * centre.size + 1.0) / 2.0, cells,
+            tail.sum(axis=1) / (nuq - 1.0), capped)
 
 
 def _F_m1(tau_arr, mu, params, quad, truncated, radii=None):
     """F on m = 1, or with ``radii`` the (radii, tau) slices of the box
-    (0, R_i) x (-R_i, R_i), or of its complement if not ``truncated``:
-    masks of one kernel table whose cuts +-R_i are panel edges, so each
-    row is exact and meets rtol on its own however small a part of F."""
-    tau_floor = float(np.min(tau_arr))
-    rho = mu.support_radius()
-    Y = _core(mu, params, tau_arr, truncated)
-    f = table = _slice_integrand_m1(tau_arr, mu, params)
-    cuts = ()
-    if radii is not None:
-        Y = float(np.max(radii)) if truncated else Y + float(np.max(radii))
-        half, cuts = radii[:, None, None], np.concatenate([radii, -radii])
-
-        def f(y):
-            in_box = (tau_arr[:, None] < half) & (np.abs(y) < half)
-            return (table(y) * (in_box == truncated)).reshape(-1, y.size)
-    vals, errs = integrate_rows(f, _y_edges_m1(mu, Y, tau_floor, cuts), rtol=quad.rtol)
-    if radii is not None:
-        vals, errs = vals.reshape(radii.size, -1), errs.reshape(radii.size, -1)
-    if truncated:
-        return vals, errs
-    # beyond Y > max R_i every row of a column is the same full-line row: the
-    # shell Y < |y| < Y 2^n is one call with both signs folded, and the power
-    # decay of the kernel bounds the tail beyond it
-    nuq = params.nu * params.q
-    amp = _amp(mu, params.q)
-
-    def folded(y):
-        out = table(np.concatenate([y, -y]))
-        return out[:, :y.size] + out[:, y.size:]
-
-    def shell(edges):
-        return integrate_rows(folded, edges, rtol=quad.rtol)
-
-    def tail_bound(Y):
-        return 2.0 * amp * (Y - rho) ** (1.0 - nuq) / (nuq - 1.0)
-
-    return _widen(shell, tail_bound, vals, errs, Y, quad.rtol)
+    (0, R_i) x (-R_i, R_i), or of its complement if not ``truncated``, in
+    one solve of :func:`_slice_m1` where each row meets rtol on its own;
+    a row beyond the doubles, or with a tail bound above 0.3 rtol where its
+    cells are capped (nu q near 1), raises :class:`AccuracyError`."""
+    if radii is None:
+        tau, rb = tau_arr, np.full(tau_arr.size, params.R if truncated else -np.inf)
+    else:
+        tau = np.tile(tau_arr, radii.size)
+        rb = np.where(tau_arr < radii[:, None], radii[:, None], -np.inf).ravel()
+    f, edges, _, tail, capped = _slice_m1(tau, rb, mu, params, quad, truncated)
+    vals, errs = integrate_rows(f, edges, rtol=quad.rtol)
+    with np.errstate(over="ignore"):
+        scale = tau ** (1.0 - params.nu * params.q)
+        vals, errs, tail = vals * scale, (errs + tail) * scale, tail * scale
+    if not np.all(np.isfinite(vals + errs)):
+        raise AccuracyError("integrand overflowed: F beyond the doubles at tau = %.3g"
+                            % float(np.min(tau)), value=vals, error=errs)
+    if np.any(capped & (tail > 0.3 * quad.rtol * vals)):
+        raise AccuracyError("slice tail bound %.3g above 0.3 rtol of the value %.3g where "
+                            "the cells leave the doubles"
+                            % (float(np.max(tail)), float(np.min(vals))), value=vals, error=errs)
+    shape = (-1,) if radii is None else (radii.size, -1)
+    return vals.reshape(shape), errs.reshape(shape)
 
 
 def _F_m2(tau_arr, mu, params, quad, truncated):
     """F on m = 2 in polar coordinates y = r (cos t, sin t).
 
-    The r-integral runs on the disk r < R, or for the full plane on the
-    core (see :func:`_core`) that :func:`_widen` extends in one shell.  Each
+    The r-integral runs on the disk r < R, or for the full plane on a
+    core around the atoms that :func:`_widen` extends in one shell.  Each
     of its rounds makes one t-solve over (0, 2 pi) whose rows are all the
     (tau, r) pairs of the round, on panels marked at every atom's angle
     and radius.  Each inner row meets rtol on a positive integrand, so
@@ -374,7 +367,9 @@ def _F_m2(tau_arr, mu, params, quad, truncated):
     """
     tau_floor = float(np.min(tau_arr))
     rho = mu.support_radius()
-    Y = _core(mu, params, tau_arr, truncated)
+    Y = params.R if truncated else rho + max(10.0, 4.0 * float(np.max(tau_arr)))
+    if not 2.0 * Y < math.inf:
+        raise DomainError("the slice range (-%.3g, %.3g) overflows a double" % (Y, Y))
     radii = np.hypot(*mu.positions.T)
     angles = np.arctan2(mu.positions[:, 1], mu.positions[:, 0])
     spread = tau_floor / np.maximum(radii, tau_floor)
@@ -382,11 +377,17 @@ def _F_m2(tau_arr, mu, params, quad, truncated):
                           np.concatenate([angles, angles + spread,
                                           angles - spread]) % (2.0 * math.pi))
 
+    t2 = (tau_arr ** 2)[:, None]
+
     def radial(r):
         def ring(t):
-            d2 = _sq_dists(mu, np.outer(r, np.cos(t)).ravel(),
-                           np.outer(r, np.sin(t)).ravel())
-            return _kernel_sum(tau_arr, d2, mu, params.nu, params.q).reshape(-1, t.size)
+            d2 = ((np.outer(r, np.cos(t)).ravel() - mu.positions[:, :1]) ** 2
+                  + (np.outer(r, np.sin(t)).ravel() - mu.positions[:, 1:]) ** 2)
+
+            def base(k, rows, out):
+                np.add(t2[rows], d2[k], out=out)
+            return _kernel_sum((tau_arr.size, d2.shape[1]), base, mu, params.nu,
+                               params.q).reshape(-1, t.size)
         v, _ = integrate_rows(ring, t_edges, rtol=quad.rtol)
         return v.reshape(tau_arr.size, r.size) * r
 
@@ -494,13 +495,6 @@ def _M_pieces(params):
     return (lambda tau: tau ** p), p, None, params.R
 
 
-def _amp(mu, q):
-    """n^{q-1} sum_i w_i^q, so that (sum_i w_i k_i)^q <= amp max_i k_i^q;
-    inf where it overflows a double."""
-    with np.errstate(over="ignore"):
-        return np.float64(mu.n_atoms) ** (q - 1.0) * np.sum(mu.weights ** q)
-
-
 def _reduction_pieces(mu, params):
     """The aggregate pieces of reduced_I (see :func:`_aggregate`): the
     weight h_{sigma,j}, its small-tau power, the rigorous large-tau tail
@@ -511,7 +505,9 @@ def _reduction_pieces(mu, params):
     if not math.isfinite(p):
         raise DomainError("need (sigma + 1) q finite")
     wpow = p + j - 2.0 if j >= 2 else p - 1.0
-    ampc = _amp(mu, q) * _c_ball(params.nu * q)
+    with np.errstate(over="ignore"):   # (sum_i w_i k_i)^q <= n^{q-1} sum_i w_i^q max_i k_i^q
+        ampc = np.float64(mu.n_atoms) ** (q - 1.0) * np.sum(mu.weights ** q) * _c_ball(
+            params.nu * q)
     if j >= 2:
         tp = params.m - params.nu * q + j - 2.0
         if tp >= -1.0:
@@ -591,9 +587,10 @@ def _aggregate(mu, params, quad, pieces, cutoffs, radii=None):
     # which _tau_integrand drops (fv, _ = F_nu_m(...)).  On 180 seeded
     # unit-atom ladders against the closed form (a in [-0.5, 0.6],
     # q in [1.6, 3], rtol 1e-8, 1e-6, 1e-4) the worst true/reported error
-    # ratio is 0.13 with the term and 0.90 without it; with the former
-    # start grid of 6 log panels per decade and 9 uniform edges it was
-    # 0.11 and 273.
+    # ratio is 0.066 with the term and 0.58 without it; F on one y grid
+    # shared by every tau row gave 0.10 and 0.74 on the same draws, and
+    # with the former tau start of 6 log panels per decade and 9 uniform
+    # edges 0.11 and 273 on another.
     scale = np.abs(vals) if radii is not None else float(np.max(np.abs(vals)))
     return vals, err + 0.3 * quad.rtol * scale
 
@@ -626,23 +623,20 @@ def M_nu_s(mu, params, quad=None, eps=0.0):
 
 
 def _M_nodes(mu, params, quad, eps):
-    """A fixed tensor rule for M_nu_s over (eps, R) x (-R, R), eps > 0.
-
-    The tau panels are the final panels of one adaptive solve of M's
-    tau-integrand at ``mu`` from the :func:`_tau_edges` start; the y
-    panels are one refinement of the slice integrand at all of their
-    tau nodes from the :func:`_F_m1` start.  Returns the K17 tau nodes,
-    their weights times the tau weight of M, and the K17 y nodes and
-    weights: summing k(tau, y)^q against both weights gives M(mu) to
-    ``quad.rtol`` on nodes that no longer move with the weights of mu.
-    """
+    """A fixed tensor rule for M_nu_s over (eps, R) x (-R, R), eps > 0:
+    the final panels of one adaptive solve of M's tau-integrand at ``mu``
+    and, at all their tau nodes, of :func:`_slice_m1`.  Returns the K17
+    tau nodes, their weights times the tau weight of M, and per tau row
+    the mapped y nodes and weights; summing k(tau, y)^q against both gives
+    M(mu) to ``quad.rtol`` on nodes that do not move with the weights."""
     w = _M_pieces(params)[0]
-    R = params.R
     tau, tw = refined_nodes(_tau_integrand(mu, params, quad, w, truncated=True),
-                            _tau_edges(eps, R), quad.rtol)
-    y, yw = refined_nodes(_slice_integrand_m1(tau, mu, params),
-                          _y_edges_m1(mu, R, float(tau.min())), quad.rtol)
-    return tau, tw * w(tau), y, yw
+                            _tau_edges(eps, params.R), quad.rtol)
+    f, edges, cells, _, _ = _slice_m1(tau, np.full(tau.size, params.R), mu, params,
+                                      quad, truncated=True)
+    u, uw = refined_nodes(f, edges, quad.rtol)
+    at, x, jac = cells(u)
+    return tau, tw * w(tau), at + tau[:, None] * x, uw * tau[:, None] * jac
 
 
 def reduced_I(mu, params, quad=None, eps=0.0):

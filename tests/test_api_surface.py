@@ -20,7 +20,6 @@ KEEP = {
                     "point set on the edge; only the benchmark tracer names it",
     "bessel_kernel_radial": "the Bessel kernel G_alpha itself, shown in "
                             "demo_capacity.py against e^{-|x|}/2",
-    "decompose_measure": "builds the per-stratum family good_measure_check reads",
     "spherical_to_cartesian": "the chart whose inverse opening_eigenfunction "
                               "evaluates in",
     "opening_eigenfunction": "the omega handle martin_kernel needs for k != 2",

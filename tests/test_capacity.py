@@ -295,12 +295,13 @@ class TestRhoCapacity:
         assert abs(res.value * opt.fun - 1.0) <= 1e-9
 
     def test_node_set_work_guard(self):
-        # the five-point finest level sums J on 126 582 (tau, y) cells;
-        # the fixed grid used 378 880
+        # the five-point finest level sums J on 34 680 (tau, y) cells, y
+        # per tau row; 126 582 on one y grid shared by every row, and the
+        # fixed grid used 378 880
         pts = np.array([[-1.0], [-0.2], [0.3], [0.9], [1.6]])
         params = params_from_report(QUARTER, 1.5, R=16.0)
         tau, _, y, _ = _M_nodes(_uniform(pts), params, DEFAULT_QUAD, 1e-2 / 8)
-        assert tau.size * y.size <= 130_000
+        assert y.shape[0] == tau.size and y.size <= 130_000
 
     @pytest.mark.parametrize("levels", [0, -1, 2.5])
     def test_levels_must_be_a_positive_integer(self, levels):

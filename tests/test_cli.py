@@ -266,6 +266,12 @@ def test_classify_cube_grid_is_removable(capsys):
     assert [p["status"] for p in removability["per_piece"]] == ["removable"]
 
 
+def test_harmonicity_narrowest_wedge_passes(capsys):
+    # alpha = 0.3 still has test points 10 h from both walls
+    code, out, _ = run_cli(capsys, "verify", "harmonicity", "--alpha1", "0.3")
+    assert code == 0 and json.loads(out)["result"]["passed"]
+
+
 def test_byte_identical_outputs(tmp_path, capsys):
     poly = write(tmp_path, "cube.json", CUBE)
     out1 = os.path.join(tmp_path, "a.json")
@@ -444,6 +450,11 @@ def test_verify_equivalence_rejects_empty_family(capsys, n):
     # named a "family" that callers cannot pass
     (("verify", "equivalence") + QUARTER + ("--R", "16", "--n-measures", "2"),
      "R must be finite and in (0, 8]"),
+    # below alpha ~ 0.29 no test point lies 10 h from both walls, and the
+    # empty point set reached np.max ("zero-size array to reduction ...")
+    (("verify", "harmonicity", "--alpha1", "0.25"), "alpha = 0.25 is too narrow"),
+    (("verify", "harmonicity", "--alpha1", "0.28", "--target", "martin"),
+     "alpha = 0.28 is too narrow"),
 ])
 def test_non_finite_flags_exit_2(capsys, monkeypatch, argv, message):
     # each used to hang, fail only while serializing NaN or raise a traceback
@@ -539,6 +550,12 @@ def classify_argv(flag, path):
     ("capacity", "--set", {"pieces": [{"stratum": "edge", "kind": "ball",
                                        "radius": 1.0, "dim": 0.5}]},
      "'dim' must be an integer"),
+    # an unknown stratum id, and a plane measure on the cube's 1-D edge, were
+    # accepted ("no mass here", or decided as if on the edge)
+    ("classify", "--measure", {"edgee": {"m": 1, "atoms": [{"z": [0.25], "w": 1.0}]}},
+     "edgee"),
+    ("classify", "--measure", {"edge": {"m": 2, "atoms": [{"z": [0.25, 0.0], "w": 1.0}]}},
+     "expected N-k=1"),
 ])
 def test_malformed_documents_exit_2(tmp_path, capsys, command, flag, doc, message):
     # the first ten used to raise a traceback (exit 1, the usage-error code);

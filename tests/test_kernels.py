@@ -274,50 +274,61 @@ def _two_atom_F_plane(tau, R, nu=3.0, q=1.8):
 
 def test_kernel_table_matches_atom_loop():
     # the blocked in-place table must equal the plain per-atom expression
-    # raised to q bit for bit, also where the tau rows cross block
-    # boundaries (300 x 2000) and where a block holds one row (40 000);
-    # at nu = 2 the term is w / (tau^2 + d^2), within 2 ulp of w x^{-1}
+    # raised to q bit for bit, on distances that differ from row to row,
+    # also where the tau rows cross block boundaries (300 x 2000) and
+    # where a block holds one row (40 000); at nu = 2 the term is
+    # w / (tau^2 + d^2), within 2 ulp of w x^{-1}
     mu = DiscreteMeasure(1, [((0.3,), 1.0), ((-0.45,), 0.7), ((2.0,), 0.25)])
     shapes = ((37, 401), (300, 2000), (5, 40000))
     for (n_tau, n_y) in shapes:
         tau = np.geomspace(1e-3, 20.0, n_tau)
-        y = np.linspace(-30.0, 30.0, n_y)
+        y = np.linspace(-30.0, 30.0, n_y) * (1.0 + tau[:, None])   # per row
+        d2 = (y - mu.positions[:, :1, None]) ** 2
+        t2 = (tau ** 2)[:, None]
         for nu in (2.0, 3.3):
-            ref = np.zeros((tau.size, y.size))
-            power = np.zeros((tau.size, y.size))
-            for z, w in zip(mu.positions[:, 0], mu.weights):
-                base = (tau ** 2)[:, None] + (y[None, :] - z) ** 2
+            ref = np.zeros((tau.size, n_y))
+            power = np.zeros((tau.size, n_y))
+            for d, w in zip(d2, mu.weights):
+                base = t2 + d
                 ref += w / base if nu == 2.0 else w * base ** (-0.5 * nu)
                 power += w * base ** (-0.5 * nu)
+
+            def fill(k, rows, out):
+                np.add(t2[rows], d2[k, rows], out=out)
             for q in (1.0, 1.8):
-                table = kernels._kernel_sum(tau, kernels._sq_dists(mu, y), mu, nu, q)
+                table = kernels._kernel_sum(y.shape, fill, mu, nu, q)
                 assert np.array_equal(table, ref ** q)
-            table = kernels._kernel_sum(tau, kernels._sq_dists(mu, y), mu, nu, 1.0)
+            table = kernels._kernel_sum(y.shape, fill, mu, nu, 1.0)
             assert np.all(np.abs(table - power) <= 2.0 * np.spacing(power))
 
 
-def test_full_line_widening_evaluates_each_node_once(monkeypatch):
-    seen = []
-    sq_dists = kernels._sq_dists
-
-    def recording(mu, y):
-        seen.append(np.array(y))
-        return sq_dists(mu, y)
-
-    calls = []
+def test_full_line_F_is_one_solve(monkeypatch):
+    # m = 1 F over the whole line is one integrate_rows call in sinh
+    # coordinates: no widening shell, and no node evaluated twice
+    seen, calls = [], []
     rows = kernels.integrate_rows
 
-    def counting(*args, **kwargs):
+    def counting(f, edges, **kwargs):
         calls.append(1)
-        return rows(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "_sq_dists", recording)
+        def recording(u):
+            seen.append(np.array(u))
+            return f(u)
+        return rows(recording, edges, **kwargs)
+
+    def widen(*args):
+        raise AssertionError("m = 1 F widened")
+
     monkeypatch.setattr(kernels, "integrate_rows", counting)
+    monkeypatch.setattr(kernels, "_widen", widen)
     tau = np.geomspace(1e-3, 20.0, 12)
-    F_nu_m(tau, dirac(1), KernelParams(nu=2.0, m=1, q=1.8), truncated=False)
-    assert len(calls) == 2   # the core solve and one widening
-    nodes = np.concatenate(seen)
-    assert np.unique(nodes).size == nodes.size
+    for mu in (dirac(1), DiscreteMeasure(1, [((0.3,), 1.0), ((-0.45,), 0.7)])):
+        calls.clear()
+        seen.clear()
+        F_nu_m(tau, mu, KernelParams(nu=2.0, m=1, q=1.8), truncated=False)
+        assert len(calls) == 1
+        nodes = np.concatenate(seen)
+        assert np.unique(nodes).size == nodes.size
 
 
 TWO_ATOMS = ((0.3, 1.0), (-0.45, 0.7))
@@ -358,42 +369,39 @@ def test_two_atom_F_within_reported_error(tau, truncated, rtol):
 @pytest.mark.parametrize("truncated", [True, False])
 @pytest.mark.parametrize("tau", [1e-3, 0.1, 5.0])
 def test_close_pair_F_within_reported_error(tau, truncated, rtol):
-    # the light atom's ladder stops short of the heavy one 1e-3 away
+    # the light atom's cells end halfway to the heavy one 1e-3 away
     _check_two_atom_F(CLOSE_PAIR, tau, truncated, rtol)
 
 
-def test_single_atom_ladder_unchanged():
-    # one atom keeps the full 4-fold ladder on both sides, bit for bit
-    for z, tau_floor, Y in ((0.0, 1e-3, 12.0), (0.37, 0.2, 8.0), (-1.3, 4.0, 30.0)):
-        r0 = max(0.5 * min(max(tau_floor, 1e-9), 1e9), 1e-9)
-        ladder = r0 * 4.0 ** np.arange(0, 20)
-        ladder = ladder[ladder <= 2.0 * Y]
-        ref = np.concatenate([[z], z + ladder, z - ladder])
-        got = kernels._atom_edges_m1(dirac(1, z=[z]), -Y, Y, tau_floor)
-        assert np.array_equal(np.sort(got), np.sort(ref))
+@pytest.mark.parametrize("tau", [1e-14, 1e-16, 1e-17, 1e-20, 1e-30])
+def test_two_atom_spikes_below_the_double_spacing(tau):
+    # the spike at 0.3 is narrower than the spacing of doubles there
+    # (5.6e-17) from tau ~ 1e-17 on; in sinh coordinates each atom's
+    # distance is never formed from a rounded y, so both atoms count (the
+    # shared y grid was 1.1e-4 low at 1e-14 and 20 % low from 1e-17 on).
+    # The limit sum_i w_i^q c_ball(4) tau^{-3}, c_ball(4) = pi / 2, is
+    # exact to 1e-26 relative here
+    mu = DiscreteMeasure(1, [((0.0,), 1.0), ((0.3,), 0.5)])
+    v, e = F_nu_m(tau, mu, KernelParams(nu=2.0, m=1, q=2.0), truncated=False)
+    exact = (1.0 + 0.5 ** 2) * 0.5 * math.pi * tau ** -3.0
+    assert abs(v - exact) <= e <= 1e-6 * exact
 
 
-@pytest.mark.parametrize("zs", [(-0.35, -1.66, 1.21, 1.29, -0.51, -1.56),
-                                (0.0, 1e-3), (-2.0, 0.0, 0.01, 0.02, 3.5)])
-def test_atom_ladders_stop_at_neighbours(zs):
-    mu = DiscreteMeasure(1, [((z,), 1.0) for z in zs])
-    Y, tau_floor = 8.0, 1e-3
-    edges = kernels._atom_edges_m1(mu, -Y, Y, tau_floor)
-    zs = np.sort(zs)
-    expected = set(zs)
-    for i, z in enumerate(zs):
-        left = z - zs[i - 1] if i > 0 else np.inf
-        right = zs[i + 1] - z if i + 1 < zs.size else np.inf
-        ladder = 0.5 * min(tau_floor, left, right) * 4.0 ** np.arange(0, 20)
-        right_rungs = z + ladder[(ladder < right) & (ladder <= 2.0 * Y)]
-        left_rungs = z - ladder[(ladder < left) & (ladder <= 2.0 * Y)]
-        # no interior-side rung reaches the neighbouring atom
-        assert i + 1 == zs.size or right_rungs.max() < zs[i + 1]
-        assert i == 0 or left_rungs.min() > zs[i - 1]
-        expected |= set(right_rungs) | set(left_rungs)
-    assert set(edges) == expected
-    # the outer sides of the two extreme atoms run out to 2Y
-    assert edges.max() > zs[-1] + 0.5 * Y and edges.min() < zs[0] - 0.5 * Y
+@pytest.mark.parametrize("truncated", [True, False])
+def test_coincident_atoms_are_one_atom(truncated):
+    # two atoms at one position weigh as one atom with the summed weight,
+    # and an atom of weight 0 drops out
+    tau = np.geomspace(1e-4, 10.0, 9)
+    p = KernelParams(nu=3.0, m=1, q=1.7, R=6.0)
+    split = DiscreteMeasure(1, [((0.2,), 0.4), ((-1.1,), 1.0), ((0.2,), 0.6),
+                                ((3.0,), 0.0)])
+    whole = DiscreteMeasure(1, [((0.2,), 1.0), ((-1.1,), 1.0)])
+    v1, e1 = F_nu_m(tau, split, p, truncated=truncated)
+    v2, e2 = F_nu_m(tau, whole, p, truncated=truncated)
+    assert np.allclose(v1, v2, rtol=1e-13, atol=0.0)
+    assert np.allclose(e1, e2, rtol=1e-3, atol=0.0)   # |K17 - G8| cancels
+    zero = DiscreteMeasure(1, [((0.2,), 0.0)])
+    assert not np.any(F_nu_m(tau, zero, p, truncated=truncated)[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -404,30 +412,41 @@ def test_full_line_dirac_within_reported_error(nu, q, tau, log_rtol):
     nuq = nu * q
     exact = (tau ** (1.0 - nuq) * math.sqrt(math.pi)
              * math.gamma(0.5 * (nuq - 1.0)) / math.gamma(0.5 * nuq))
-    try:
-        v, e = F_nu_m(tau, dirac(1), KernelParams(nu=nu, m=1, q=q),
-                      quad=QuadratureSpec(rtol=10.0 ** log_rtol), truncated=False)
-    except AccuracyError as exc:
-        # at nu q near 1 the widening runs out; the raise carries the totals
-        v, e = float(exc.value[0]), float(exc.error[0])
-    # at nu q near 1 the power tail bound is nearly exact, so the error
-    # bar meets the true error up to the rounding of both sides
+    v, e = F_nu_m(tau, dirac(1), KernelParams(nu=nu, m=1, q=q),
+                  quad=QuadratureSpec(rtol=10.0 ** log_rtol), truncated=False)
+    # the bound 2^{nu q-1} e^{-(nu q-1) s} on the dropped tail is nearly
+    # exact, so the error bar meets the true error up to the rounding of
+    # both sides
     assert abs(v - exact) <= e + 1e-13 * exact
 
 
-def test_exhausted_full_line_widening_raises():
-    # the power tail bound decays like Y^{1 - nu q} = Y^{-0.265625}: 29
-    # doublings leave it near 3e-3 relative, above the requested 1e-3
+def _dirac_F(tau, nuq):
+    with mpmath.workdps(30):
+        return float(mpmath.mpf(tau) ** (1 - nuq) * mpmath.sqrt(mpmath.pi)
+                     * mpmath.gamma((nuq - 1) / 2) / mpmath.gamma(mpmath.mpf(nuq) / 2))
+
+
+def test_slow_full_line_tail_meets_rtol():
+    # the tail decays like e^{-(nu q - 1) s} = e^{-0.265625 s}: the sinh
+    # cells reach s = 45 and meet rtol (a power-law widening in y ran out
+    # after 29 doublings near 3e-3 relative)
     nuq = 1.125 * 1.125
-    exact = (2.19 ** (1.0 - nuq) * math.sqrt(math.pi)
-             * math.gamma(0.5 * (nuq - 1.0)) / math.gamma(0.5 * nuq))
+    v, e = F_nu_m(2.19, dirac(1), KernelParams(nu=1.125, m=1, q=1.125),
+                  quad=QuadratureSpec(rtol=1e-3), truncated=False)
+    assert abs(v - _dirac_F(2.19, nuq)) <= e <= 1e-3 * v
+
+
+def test_full_line_tail_beyond_the_doubles_raises():
+    # at nu q - 1 = 2e-4 the tail cut s_max ~ 1e5 leaves the doubles: the
+    # cells stop where sinh(s)^2 would overflow, near s = 354, and the
+    # raise carries a bound on the rest
+    nu = q = math.sqrt(1.0002)
     with pytest.raises(AccuracyError) as exc:
-        F_nu_m(2.19, dirac(1), KernelParams(nu=1.125, m=1, q=1.125),
+        F_nu_m(2.19, dirac(1), KernelParams(nu=nu, m=1, q=q),
                quad=QuadratureSpec(rtol=1e-3), truncated=False)
     v, e = float(exc.value.value[0]), float(exc.value.error[0])
     assert e > 1e-3 * v
-    # the tail bound is exact to rounding here, as in the oracle test above
-    assert abs(v - exact) <= e + 1e-13 * exact
+    assert abs(v - _dirac_F(2.19, nu * q)) <= e
 
 
 def test_exhausted_ladder_widening_raises():
@@ -525,10 +544,10 @@ def test_tau_start_has_no_sliver_panels():
 
 def test_equivalence_op_tau_work(monkeypatch):
     # one criterion-6 op on a 6-atom member: the tau start grid is coarse
-    # and refined on demand (221 tau-nodes; 1037 with 6 log panels per
-    # decade and 9 uniform edges), and each atom's y ladder stops at its
-    # neighbours (298 248 tau x y cells; 437 546 with every ladder
-    # running across the whole line)
+    # and refined on demand (204 tau-nodes; 1037 with 6 log panels per
+    # decade and 9 uniform edges), and each tau row integrates its atoms'
+    # cells in sinh coordinates (83 232 tau x y cells; 272 816 on one y
+    # grid shared by every row, with a 4-fold ladder around each atom)
     mu = next(mu for mu in measure_family(1, 8.0, n_measures=60, seed=42)
               if mu.n_atoms == 6)
     q, quad = 1.8, QuadratureSpec(rtol=1e-4)
@@ -540,9 +559,10 @@ def test_equivalence_op_tau_work(monkeypatch):
         nodes.append(np.size(tau))
         return F(tau, *args, **kwargs)
 
-    def counting(tau, d2, mu, nu, q):
-        cells.append(np.size(tau) * d2.shape[1])
-        return table(tau, d2, mu, nu, q)
+    def counting(*args):
+        out = table(*args)
+        cells.append(out.size)
+        return out
 
     monkeypatch.setattr(kernels, "F_nu_m", recording)
     monkeypatch.setattr(kernels, "_kernel_sum", counting)
@@ -622,15 +642,16 @@ def test_one_rung_is_the_ladder_solve(nu, q, sigma, j):
 
 
 def test_dirac_proxy_table_work(monkeypatch):
-    # every tail, in y and in tau, is widened in one coarse call (one y
-    # panel per doubling): 106 352 tau x y cells (324 836 with one call
-    # per doubling, 8 uniform y panels each)
+    # the y tails end in the sinh cells and the tau tail is widened in one
+    # coarse call: 25 432 tau x y cells (96 526 with a y core and one
+    # widening shell, 324 836 with a y call per doubling)
     cells = []
     table = kernels._kernel_sum
 
-    def recording(tau, d2, mu, nu, q):
-        cells.append(np.size(tau) * d2.shape[1])
-        return table(tau, d2, mu, nu, q)
+    def recording(*args):
+        out = table(*args)
+        cells.append(out.size)
+        return out
 
     monkeypatch.setattr(kernels, "_kernel_sum", recording)
     besov_neg_proxy(dirac(1), 0.7, 2.0, eps=2e-2)
