@@ -33,8 +33,9 @@ def geometric_edges(lo, hi, per_decade=8):
     """Edges of log-graded panels covering [lo, hi], 0 < lo < hi."""
     if not (0.0 < lo < hi):
         raise ValueError("geometric_edges needs 0 < lo < hi")
-    n = max(1, int(np.ceil(per_decade * np.log10(hi / lo))))
-    return lo * (hi / lo) ** np.linspace(0.0, 1.0, n + 1)
+    # counted in logs, since hi / lo overflows for a subnormal lo
+    n = max(1, int(np.ceil(per_decade * (np.log10(hi) - np.log10(lo)))))
+    return np.geomspace(lo, hi, n + 1)
 
 
 def merge_edges(lo, hi, *edge_sets):

@@ -442,40 +442,54 @@ def _tau_integrand(mu, params, quad, weight, truncated, radii=None):
 
 
 def _tau_edges(lo, hi, *marks):
-    """Initial panels of a tau-integral over (lo, hi): one log-graded
-    panel per decade, the midpoint and the mandatory marks.
+    """Initial panels of a tau-integral over (lo, hi), as edges in
+    t = log tau: one panel per decade, uniform in t, and the mandatory
+    marks.
 
     Every tau node is a whole y x atom row of the kernel table, so the
     start is deliberately coarse; the K17-G8 refinement adds panels
-    only where the error estimate asks for them.  A log-graded edge
-    within a factor 1.5 of a mark (an end, the midpoint or one of
-    ``marks``) is dropped, so it leaves no sliver panel beside the mark.
+    only where the error estimate asks for them.  A graded edge within
+    log 1.5 of a mark (an end or one of ``marks``) is dropped, so it
+    leaves no sliver panel beside the mark.  Each mark c enters as
+    np.log(c) exactly, so a cutoff mapped the same way is an edge.
     """
-    fixed = merge_edges(lo, hi, np.linspace(lo, hi, 3), *marks)
-    graded = geometric_edges(lo, hi, per_decade=1)
-    near = np.abs(np.log(graded[:, None] / fixed)).min(axis=1) < math.log(1.5)
-    return merge_edges(lo, hi, graded[~near], fixed)
+    fixed = np.log(merge_edges(lo, hi, *marks))
+    graded = np.log(geometric_edges(lo, hi, per_decade=1))
+    near = np.abs(graded[:, None] - fixed).min(axis=1) < math.log(1.5)
+    return merge_edges(fixed[0], fixed[-1], graded[~near], fixed)
+
+
+def _in_log_tau(f):
+    """The tau-integrand ``f`` as g(t) = f(e^t) e^t in t = log tau, where
+    a power tau^{a-1} at tau -> 0 becomes the analytic e^{a t}."""
+    def g(t):
+        tau = np.exp(t)
+        return f(tau) * tau
+    return g
 
 
 def _tau_ladder(f, cutoffs, Y, tail_bound, quad, marks=()):
     """Integrals of the tau-integrand ``f`` above each cutoff, one solve.
 
-    The cutoffs and ``marks`` are mandatory panel edges of a single
-    adaptive decomposition of (min cutoff, Y), so each value is the
-    exact aggregate of the refined panels above its cutoff.  With
-    ``tail_bound(Y)``, a rigorous bound on the integral beyond Y, the
-    range is widened from Y in one shell (see :func:`_widen`) that is
+    The integral runs in t = log tau (see :func:`_in_log_tau`) on the
+    panels of :func:`_tau_edges`.  The cutoffs and ``marks`` are
+    mandatory panel edges of a single adaptive decomposition of
+    (min cutoff, Y), so each value is the exact aggregate of the refined
+    panels above its cutoff.  With ``tail_bound(Y)``, a rigorous bound on
+    the integral beyond Y, the range is widened from Y in one shell (see
+    :func:`_widen`), started from :func:`_tau_edges` of its two ends and
     added to every value; with None, Y is the upper limit.
     Returns (values in the order of ``cutoffs``, error); a multi-row
     ``f`` takes one cutoff and returns one value and error per row.
     """
-    vals, err = integrate_partials(f, _tau_edges(min(cutoffs), Y, cutoffs, marks),
-                                   cutoffs, rtol=quad.rtol)
+    g = _in_log_tau(f)
+    vals, err = integrate_partials(g, _tau_edges(min(cutoffs), Y, cutoffs, marks),
+                                   np.log(cutoffs), rtol=quad.rtol)
     if tail_bound is None:
         return vals, err
 
     def shell(edges):
-        return integrate_rows(f, _tau_edges(edges[0], edges[-1]), rtol=quad.rtol)
+        return integrate_rows(g, _tau_edges(edges[0], edges[-1]), rtol=quad.rtol)
 
     vals, errs = _widen(shell, tail_bound, vals, np.atleast_1d(err), Y, quad.rtol)
     return vals, errs if np.ndim(err) else float(errs[0])
@@ -548,6 +562,9 @@ def _aggregate(mu, params, quad, pieces, cutoffs, radii=None):
         radii = np.asarray(radii, float)
         Y = max(Y, float(np.max(radii)))
     p0 = params.m - params.nu * params.q + wpow   # power of F * weight at tau -> 0
+    if 0.0 < min(cutoffs) < np.finfo(float).tiny:
+        raise DomainError("inner cutoff eps = %.3g is below the smallest normal double %.3g"
+                          % (min(cutoffs), np.finfo(float).tiny))
     floor = min(cutoffs) <= 0.0
     if floor:
         if p0 <= -1.0:
@@ -584,13 +601,14 @@ def _aggregate(mu, params, quad, pieces, cutoffs, radii=None):
                 + 1e-3 * quad.rtol * abs(vals[0]))
 
     # The flat 0.3 rtol |value| term stands in for the inner F error,
-    # which _tau_integrand drops (fv, _ = F_nu_m(...)).  On 180 seeded
-    # unit-atom ladders against the closed form (a in [-0.5, 0.6],
-    # q in [1.6, 3], rtol 1e-8, 1e-6, 1e-4) the worst true/reported error
-    # ratio is 0.066 with the term and 0.58 without it; F on one y grid
-    # shared by every tau row gave 0.10 and 0.74 on the same draws, and
-    # with the former tau start of 6 log panels per decade and 9 uniform
-    # edges 0.11 and 273 on another.
+    # which _tau_integrand drops (fv, _ = F_nu_m(...)); in log tau the
+    # tau estimate is far below that error and no longer covers it.  On
+    # 180 seeded unit-atom ladders against the closed form (a in
+    # [-0.5, 0.6], q in [1.6, 3], log10 eps in [-2.5, -1], 60 each at
+    # rtol 1e-8, 1e-6, 1e-4) the worst true/reported error ratio is 0.11,
+    # 0.017 and 0.016 with the term and 12.8, 787 and 6.9e4 without it;
+    # on linear-tau panels the same draws gave 0.081, 0.015, 0.015 with
+    # it and 0.48, 0.20, 0.64 without.
     scale = np.abs(vals) if radii is not None else float(np.max(np.abs(vals)))
     return vals, err + 0.3 * quad.rtol * scale
 
@@ -624,19 +642,21 @@ def M_nu_s(mu, params, quad=None, eps=0.0):
 
 def _M_nodes(mu, params, quad, eps):
     """A fixed tensor rule for M_nu_s over (eps, R) x (-R, R), eps > 0:
-    the final panels of one adaptive solve of M's tau-integrand at ``mu``
-    and, at all their tau nodes, of :func:`_slice_m1`.  Returns the K17
-    tau nodes, their weights times the tau weight of M, and per tau row
+    the final panels of M's own log-tau solve at ``mu`` (the panels and
+    integrand of :func:`_tau_ladder`) and, at all their tau nodes, of
+    :func:`_slice_m1`.  Returns the K17 nodes mapped to tau, their
+    weights times dtau/dt and the tau weight of M, and per tau row
     the mapped y nodes and weights; summing k(tau, y)^q against both gives
     M(mu) to ``quad.rtol`` on nodes that do not move with the weights."""
     w = _M_pieces(params)[0]
-    tau, tw = refined_nodes(_tau_integrand(mu, params, quad, w, truncated=True),
-                            _tau_edges(eps, params.R), quad.rtol)
+    t, tw = refined_nodes(_in_log_tau(_tau_integrand(mu, params, quad, w, truncated=True)),
+                          _tau_edges(eps, params.R), quad.rtol)
+    tau = np.exp(t)
     f, edges, cells, _, _ = _slice_m1(tau, np.full(tau.size, params.R), mu, params,
                                       quad, truncated=True)
     u, uw = refined_nodes(f, edges, quad.rtol)
     at, x, jac = cells(u)
-    return tau, tw * w(tau), at + tau[:, None] * x, uw * tau[:, None] * jac
+    return tau, tw * tau * w(tau), at + tau[:, None] * x, uw * tau[:, None] * jac
 
 
 def reduced_I(mu, params, quad=None, eps=0.0):

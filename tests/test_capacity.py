@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gamma as G, kv, modstruve
 
-from wedgecap import capacity
+from wedgecap import _quad, capacity, kernels
 from wedgecap.capacity import (CapacityResult, _cell_matrix, _J_phi,
                                _orthant_newton, _ray_start, bessel_capacity,
                                bessel_kernel_radial, capacity_null_test,
@@ -16,7 +16,7 @@ from wedgecap.capacity import (CapacityResult, _cell_matrix, _J_phi,
 from wedgecap.errors import DomainError, SingularityError, SolverError
 from wedgecap.exponents import critical_exponents
 from wedgecap.geometry import DiscreteMeasure, SetPiece, set_from_dict
-from wedgecap.kernels import (DEFAULT_QUAD, M_nu_s, QuadratureSpec, _M_nodes,
+from wedgecap.kernels import (DEFAULT_QUAD, F_nu_m, M_nu_s, QuadratureSpec, _M_nodes,
                               params_from_report)
 from wedgecap._quad import geometric_edges, integrate_rows, merge_edges
 
@@ -302,6 +302,41 @@ class TestRhoCapacity:
         params = params_from_report(QUARTER, 1.5, R=16.0)
         tau, _, y, _ = _M_nodes(_uniform(pts), params, DEFAULT_QUAD, 1e-2 / 8)
         assert y.shape[0] == tau.size and y.size <= 130_000
+
+    def test_node_set_is_M_own_solve(self, monkeypatch):
+        # J sums on the tau nodes of the final panels of M's own log-tau
+        # solve, node for node, and each is a tau at which M evaluated F
+        pts = np.array([[-1.0], [-0.2], [0.3], [0.9], [1.6]])
+        params = params_from_report(QUARTER, 1.5, R=16.0)
+        eps = 1e-2 / 8
+        final, seen, depth = [], [], []
+        refine, F = _quad._refine, kernels.F_nu_m
+
+        def tracking(f, edges, rtol):
+            out = refine(f, edges, rtol)
+            if not depth:   # the tau solve, not a y-solve inside F
+                final.append(np.append(out[0], edges[-1]))
+            return out
+
+        def recording(tau, *args, **kwargs):
+            seen.append(np.array(tau, float))
+            depth.append(1)
+            try:
+                return F(tau, *args, **kwargs)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(_quad, "_refine", tracking)
+        monkeypatch.setattr(kernels, "F_nu_m", recording)
+        value, err = M_nu_s(_uniform(pts), params, quad=DEFAULT_QUAD, eps=eps)
+        monkeypatch.undo()
+        assert len(final) == 1
+        t, _ = _quad.k17_nodes(final[0][:-1], final[0][1:])
+        tau, tw, _, _ = _M_nodes(_uniform(pts), params, DEFAULT_QUAD, eps)
+        assert np.array_equal(tau, np.exp(t))
+        assert np.all(np.isin(tau, np.concatenate(seen)))
+        Fv, _ = F_nu_m(tau, _uniform(pts), params)
+        assert abs(tw @ Fv - value) <= err
 
     @pytest.mark.parametrize("levels", [0, -1, 2.5])
     def test_levels_must_be_a_positive_integer(self, levels):

@@ -455,6 +455,12 @@ def test_verify_equivalence_rejects_empty_family(capsys, n):
     (("verify", "harmonicity", "--alpha1", "0.25"), "alpha = 0.25 is too narrow"),
     (("verify", "harmonicity", "--alpha1", "0.28", "--target", "martin"),
      "alpha = 0.28 is too narrow"),
+    # a subnormal cutoff overflowed hi / lo in the tau start (OverflowError)
+    (("besov", "--measure", "tests/golden/measure.json", "--s", "1", "--q", "2",
+      "--eps", "1e-320"), "below the smallest normal double"),
+    (("kernel", "--measure", "tests/golden/measure.json", "--nu", "3", "--m", "1",
+      "--q", "1.8", "--sigma", "0.5", "--j", "2", "--eps", "1e-320"),
+     "eps = 1e-320 is below the smallest normal double"),
 ])
 def test_non_finite_flags_exit_2(capsys, monkeypatch, argv, message):
     # each used to hang, fail only while serializing NaN or raise a traceback

@@ -495,8 +495,8 @@ def test_ladder_widening_integrates_each_tau_once(monkeypatch):
 
     def spanning(engine):
         def run(f, edges, *args, **kwargs):
-            if not depth:   # a tau-quadrature, not a y-quadrature inside F
-                spans.append((edges[0], edges[-1]))
+            if not depth:   # a tau-quadrature (in log tau), not a y-quadrature inside F
+                spans.append((np.exp(edges[0]), np.exp(edges[-1])))
             return engine(f, edges, *args, **kwargs)
         return run
 
@@ -508,7 +508,7 @@ def test_ladder_widening_integrates_each_tau_once(monkeypatch):
     monkeypatch.undo()
     assert len(spans) == 2   # the core solve and one widening
     spans.sort()
-    assert spans[0][0] == min(cutoffs)
+    assert spans[0][0] == pytest.approx(min(cutoffs), rel=1e-15, abs=0.0)
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))   # no overlap
     nodes = np.concatenate(nodes)
     assert np.unique(nodes).size == nodes.size
@@ -518,12 +518,15 @@ def test_ladder_widening_integrates_each_tau_once(monkeypatch):
 
 
 def _check_tau_start(lo, hi, marks):
-    """Every mark is an edge, and a panel narrower than a factor 1.5 lies
-    between two marks (the ends, the midpoint or ``marks``)."""
+    """The start in t = log tau: every mark c is the edge np.log(c), no
+    panel is wider than a decade, and a panel narrower than log 1.5 lies
+    between two marks (the ends or ``marks``)."""
     edges = kernels._tau_edges(lo, hi, *marks)
-    fixed = _quad.merge_edges(lo, hi, np.linspace(lo, hi, 3), *marks)
+    fixed = np.log(_quad.merge_edges(lo, hi, *marks))
     assert np.all(np.isin(fixed, edges))
-    sliver = edges[1:] < 1.5 * edges[:-1]
+    width = np.diff(edges)
+    assert np.all(width <= math.log(10.0) * (1.0 + 1e-12))
+    sliver = width < math.log(1.5)
     assert np.all(np.isin(edges[:-1][sliver], fixed) & np.isin(edges[1:][sliver], fixed))
     return edges
 
@@ -531,12 +534,13 @@ def _check_tau_start(lo, hi, marks):
 def test_tau_start_has_no_sliver_panels():
     # the equivalence proxy start (eps = 1e-2, Y = 20) had the panel
     # [8.66e-3, 1e-2], and the dichotomy start three panels as narrow as
-    # [9.999999999999997e-06, 1e-05]: each costs 17 whole table rows
+    # [9.999999999999997e-06, 1e-05]: each costs 17 whole table rows; the
+    # ladder start is 7 panels in log tau (8 with a mark at the midpoint)
     cutoffs = [1e-2 / 2 ** k for k in range(4)]
-    assert _check_tau_start(cutoffs[-1], 20.0, (cutoffs,)).size == 9   # 8 panels
+    assert _check_tau_start(cutoffs[-1], 20.0, (cutoffs,)).size == 8   # 7 panels
     decades = 10.0 ** -np.arange(6.0, 1.0, -1.0)
     edges = _check_tau_start(1e-6, 1.0, (decades,))
-    assert np.all(edges[1:] >= 1.5 * edges[:-1])
+    assert np.all(np.diff(edges) >= math.log(1.5))
     for lo, hi, marks in ((1e-2, 8.0, ()), (2e-6, 40.0, ([2.0, 4.0, 8.0],)),
                           (40.0, 40.0 * 2 ** 7, ()), (3e-3, 0.0101, ([0.01],))):
         _check_tau_start(lo, hi, marks)
@@ -544,10 +548,11 @@ def test_tau_start_has_no_sliver_panels():
 
 def test_equivalence_op_tau_work(monkeypatch):
     # one criterion-6 op on a 6-atom member: the tau start grid is coarse
-    # and refined on demand (204 tau-nodes; 1037 with 6 log panels per
-    # decade and 9 uniform edges), and each tau row integrates its atoms'
-    # cells in sinh coordinates (83 232 tau x y cells; 272 816 on one y
-    # grid shared by every row, with a 4-fold ladder around each atom)
+    # and refined on demand in log tau (170 tau-nodes; 204 on linear-tau
+    # panels, 1037 with 6 log panels per decade and 9 uniform edges), and
+    # each tau row integrates its atoms' cells in sinh coordinates (69 360
+    # tau x y cells; 83 232 on linear-tau panels, 272 816 on one y grid
+    # shared by every row, with a 4-fold ladder around each atom)
     mu = next(mu for mu in measure_family(1, 8.0, n_measures=60, seed=42)
               if mu.n_atoms == 6)
     q, quad = 1.8, QuadratureSpec(rtol=1e-4)
@@ -596,8 +601,8 @@ def test_remainder_is_one_tau_solve(monkeypatch):
     refine = _quad._refine
 
     def tracking(f, edges, rtol):
-        if not depth[0]:
-            spans.append((edges[0], edges[-1]))
+        if not depth[0]:   # the tau solves run in log tau
+            spans.append((np.exp(edges[0]), np.exp(edges[-1])))
         depth[0] += 1
         try:
             return refine(f, edges, rtol)
@@ -607,7 +612,8 @@ def test_remainder_is_one_tau_solve(monkeypatch):
     monkeypatch.setattr(_quad, "_refine", tracking)
     remainder_experiment(nu=3.0, sigma=0.5, m=1, j=2, q=1.8)
     assert len(spans) == 2
-    assert spans[0][0] == 2e-6 and spans[0][1] == spans[1][0]
+    assert spans[0][0] == pytest.approx(2e-6, rel=1e-15, abs=0.0)
+    assert spans[0][1] == spans[1][0]
 
 
 @pytest.mark.parametrize("member", [0, 1])
@@ -642,20 +648,27 @@ def test_one_rung_is_the_ladder_solve(nu, q, sigma, j):
 
 
 def test_dirac_proxy_table_work(monkeypatch):
-    # the y tails end in the sinh cells and the tau tail is widened in one
-    # coarse call: 25 432 tau x y cells (96 526 with a y core and one
-    # widening shell, 324 836 with a y call per doubling)
-    cells = []
-    table = kernels._kernel_sum
+    # in log tau the power tau^{a-1} is analytic, so the start panels meet
+    # rtol in one round: one F solve and 13 872 tau x y cells (three F
+    # solves and 25 432 cells on linear-tau panels, 96 526 with a y core
+    # and one widening shell, 324 836 with a y call per doubling)
+    cells, calls = [], []
+    table, F = kernels._kernel_sum, kernels.F_nu_m
 
     def recording(*args):
         out = table(*args)
         cells.append(out.size)
         return out
 
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return F(*args, **kwargs)
+
     monkeypatch.setattr(kernels, "_kernel_sum", recording)
+    monkeypatch.setattr(kernels, "F_nu_m", counting)
     besov_neg_proxy(dirac(1), 0.7, 2.0, eps=2e-2)
-    assert sum(cells) <= 150_000
+    assert len(calls) == 1
+    assert sum(cells) <= 15_000
 
 
 class TestAggregates:

@@ -27,6 +27,15 @@ def test_algebraic_singularity_with_edge():
     assert abs(val[0] - exact) < 1e-8
 
 
+@pytest.mark.parametrize("lo, panels", [(1e-320, 322), (5e-324, 325)])
+def test_geometric_edges_from_a_subnormal(lo, panels):
+    # hi / lo overflowed to inf, and int(ceil(inf)) raised OverflowError;
+    # one panel per started decade of (lo, 20)
+    edges = geometric_edges(lo, 20.0, per_decade=1)
+    assert edges[0] == lo and edges[-1] == 20.0
+    assert np.all(np.diff(edges) > 0.0) and edges.size == panels + 1
+
+
 def test_rows_share_panels():
     taus = np.array([0.5, 1.0, 2.0])
 
