@@ -10,11 +10,12 @@ B^{-s,q}(R^m) norm up to constants, and this package standardizes on the
 proxy itself: every downstream statement is a two-sided estimate, so no
 exact norm values are ever claimed.
 
-A Dirac mass has finite proxy exactly when s > m/q'.  In the
-complementary window the proxy of any atomic measure diverges as the
-inner cutoff shrinks; the cutoff ladder built into
-:func:`besov_neg_proxy` measures the divergence rate instead of chasing
-the integral.
+Near y_1 = 0 the atoms of a measure decouple and the integrand of the
+proxy is a power A y_1^{a-1}, a = q(s - m/q'), A > 0 for a nonzero
+measure.  So the proxy of any atomic measure is finite exactly when
+a > 0, as for a Dirac mass; :func:`besov_neg_proxy` takes its verdict
+from this exponent, and its cutoff ladder measures the rate instead of
+chasing the integral.
 """
 
 import math
@@ -25,11 +26,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._quad import fit_loglog
 from .errors import ConfigurationError, DomainError, ResolutionError
-from .kernels import DEFAULT_QUAD, KernelParams, _gamma, reduced_I_ladder
-
-# pre-declared divergence call: slope below -0.1 with R^2 above 0.99
-DIVERGENCE_SLOPE = -0.1
-DIVERGENCE_R2 = 0.99
+from .kernels import (DEFAULT_QUAD, KernelParams, _gamma, _reduction_pieces,
+                      reduced_I_ladder)
 
 
 def poisson_constant(n):
@@ -54,9 +52,10 @@ def besov_neg_proxy(mu, s, q, eps=1e-2, quad=None):
     """Negative-order norm proxy of an atomic measure on R^m.
 
     Evaluates I_eps (the extension integral restricted to y_1 > eps) on
-    the ladder eps, eps/2, eps/4, eps/8 and fits the log-log slope:
-    slope near 0 means the full integral converges, a confidently
-    negative slope is reported as the divergence exponent.
+    the ladder eps, eps/2, eps/4, eps/8 and reports the fitted log-log
+    slope.  ``divergent`` is the exact rule a <= 0 for the small-y_1
+    power y_1^{a-1} of the integrand, a = q(s - m/q'), read from the
+    aggregate's own pieces; the fit decides nothing.
 
     ``value`` is I at the requested cutoff; q-homogeneous and
     translation-invariant at fixed cutoff.
@@ -72,19 +71,16 @@ def besov_neg_proxy(mu, s, q, eps=1e-2, quad=None):
     gn = poisson_constant(n)
     params = KernelParams(nu=float(n), m=mu.m, q=q, sigma=s, j=1)
     cutoffs = [eps / 2 ** k for k in range(4)]
-    if mu.n_atoms == 0:
-        ladder = tuple((e, 0.0) for e in cutoffs)
-        return NormProxyResult(0.0, eps, False, None, None, None, ladder)
     vals, _ = reduced_I_ladder(mu, params, cutoffs, quad=quad)
-    ladder = [(e, gn ** q * v) for e, v in zip(cutoffs, vals)]
-    values = np.array([v for _, v in ladder])
-    if np.all(values <= 0.0):   # zero measure
-        return NormProxyResult(0.0, eps, False, None, None, None, tuple(ladder))
-    slope, _, r2, stderr = fit_loglog([e for e, _ in ladder], values)
-    divergent = slope < DIVERGENCE_SLOPE and r2 > DIVERGENCE_R2
+    values = gn ** q * vals
+    ladder = tuple(zip(cutoffs, values.tolist()))
+    if np.all(values <= 0.0):   # no atom of positive weight
+        return NormProxyResult(0.0, eps, False, None, None, None, ladder)
+    slope, _, r2, stderr = fit_loglog(cutoffs, values)
+    divergent = _reduction_pieces(mu, params)[1] + 1.0 <= 0.0
     return NormProxyResult(value=float(values[0]), cutoff=eps, divergent=divergent,
                            fitted_exponent=float(slope), exponent_ci=2.0 * stderr,
-                           r_squared=float(r2), ladder=tuple(ladder))
+                           r_squared=float(r2), ladder=ladder)
 
 
 # --------------------------------------------------------------------------

@@ -191,35 +191,30 @@ def _kernel_sum(shape, base, mu, nu, q):
     return out
 
 
-def _widen(shell, tail_bound, vals, errs, Y, rtol):
-    """Extend integrals known up to Y to infinity in one shell (the plane's
-    F and the tau tails).
-
-    The widening stops at the first doubling Y 2^n whose rigorous tail
-    bound is negligible against the smallest value known so far (the
-    values only grow), and ``shell(edges)``, the per-row (values, errors)
-    on the doubling edges Y 2^k, k = 0..n, is added in one call.  The
-    bound at Y 2^n lands in the error; one still above 0.3 rtol after 29
-    doublings, or at the largest double, raises :class:`AccuracyError`.
-    """
-    def negligible(tail, vals):
-        return tail <= 0.3 * rtol * float(np.min(np.abs(vals))) or tail < 1e-300
-
+def _tail_end(tail_bound, low, Y, rtol):
+    """The end of a range from Y to infinity (the plane's radii, the tau
+    tails), fixed before its one solve: the first doubling Y 2^n, n <= 29
+    and a double, whose rigorous tail bound is at most 0.3 rtol times
+    ``low``, a closed-form lower bound on the smallest value, or below
+    1e-300.  Returns the doublings Y 2^k, k = 0..n, and the bound there."""
     # a bound beyond a double is inf (or nan, as inf * 0), and not negligible
     with np.errstate(over="ignore", invalid="ignore"):
-        doublings = Y * 2.0 ** np.arange(30)   # Y grows at most 2^29-fold
+        doublings = Y * 2.0 ** np.arange(30)
         doublings = doublings[doublings < np.inf]
         n = next((n for n, end in enumerate(doublings)
-                  if negligible(tail_bound(end), vals)), doublings.size - 1)
-        if n:
-            v, e = shell(doublings[:n + 1])
-            vals, errs = vals + v, errs + e
-        tail = tail_bound(doublings[n])
-    if negligible(tail, vals):
+                  if tail_bound(end) <= max(0.3 * rtol * low, 1e-300)), doublings.size - 1)
+        return doublings[:n + 1], tail_bound(doublings[n])
+
+
+def _add_tail(vals, errs, tail, ends, low, rtol):
+    """The solved values with the tail bound of :func:`_tail_end` in their
+    errors; a bound still above 0.3 rtol of the smallest value (the end
+    found none within the budget) raises :class:`AccuracyError`."""
+    if tail <= max(0.3 * rtol * max(low, float(np.min(np.abs(vals)))), 1e-300):
         return vals, errs + tail
-    raise AccuracyError("tail bound %.3g beyond %.3g still above 0.3 rtol "
-                        "(rtol %.3g) after %d doublings" % (tail, doublings[n], rtol, n),
-                        value=vals, error=errs + tail)
+    raise AccuracyError("tail bound %.3g beyond %.3g still above 0.3 rtol (rtol %.3g) "
+                        "after %d doublings" % (tail, ends[-1], rtol, ends.size - 1),
+                        value=vals, error=np.atleast_1d(errs + tail))
 
 
 def _c_ball(nuq):
@@ -235,6 +230,7 @@ def F_nu_m(tau, mu, params, quad=None, truncated=True):
     edge dimensions run on one kernel table and panel refinement, and
     every value meets ``quad.rtol`` or raises :class:`AccuracyError`.
     """
+    _require_dimension(mu, params)
     quad = quad or DEFAULT_QUAD
     tau_arr = np.atleast_1d(np.asarray(tau, float))
     if not np.all((0.0 < tau_arr) & (tau_arr < np.inf)):
@@ -358,12 +354,13 @@ def _F_m1(tau_arr, mu, params, quad, truncated, radii=None):
 def _F_m2(tau_arr, mu, params, quad, truncated):
     """F on m = 2 in polar coordinates y = r (cos t, sin t).
 
-    The r-integral runs on the disk r < R, or for the full plane on a
-    core around the atoms that :func:`_widen` extends in one shell.  Each
-    of its rounds makes one t-solve over (0, 2 pi) whose rows are all the
-    (tau, r) pairs of the round, on panels marked at every atom's angle
-    and radius.  Each inner row meets rtol on a positive integrand, so
-    rtol |value| bounds the inner errors carried through the r weights.
+    The r-integral runs on the disk r < R, or for the full plane to the
+    end :func:`_tail_end` fixes, from a linear core around the atoms and
+    one panel per doubling.  Each of its rounds makes one t-solve over
+    (0, 2 pi) whose rows are all the (tau, r) pairs of the round, on
+    panels marked at every atom's angle and radius.  Each inner row meets
+    rtol on a positive integrand, so rtol |value| bounds the inner errors
+    carried through the r weights.
     """
     tau_floor = float(np.min(tau_arr))
     rho = mu.support_radius()
@@ -391,24 +388,28 @@ def _F_m2(tau_arr, mu, params, quad, truncated):
         v, _ = integrate_rows(ring, t_edges, rtol=quad.rtol)
         return v.reshape(tau_arr.size, r.size) * r
 
-    def shell(edges):
-        v, e = integrate_rows(radial, edges, rtol=quad.rtol)
-        return v, e + quad.rtol * np.abs(v)
+    ends = np.array([Y])
+    if not truncated:
+        nuq = params.nu * params.q
 
-    vals, errs = shell(merge_edges(0.0, Y, np.linspace(0.0, Y, 9), radii,
-                                   radii + tau_floor, radii - tau_floor))
+        def tail_bound(Y):
+            # beyond |y| = Y every atom is at least |y| - rho away: the
+            # integrand is at most (mass (|y| - rho)^-nu)^q
+            return 2.0 * math.pi * np.float64(mu.mass) ** params.q * (
+                (Y - rho) ** (2.0 - nuq) / (nuq - 2.0)
+                + rho * (Y - rho) ** (1.0 - nuq) / (nuq - 1.0))
+
+        with np.errstate(all="ignore"):   # F >= each atom's own term; inf reads 0
+            low = np.nan_to_num(np.sum(mu.weights ** params.q) * 2.0 * math.pi * np.max(
+                tau_arr) ** (2.0 - nuq) / (nuq - 2.0), nan=0.0, posinf=0.0)
+        ends, tail = _tail_end(tail_bound, low, Y, quad.rtol)
+    vals, errs = integrate_rows(radial, merge_edges(
+        0.0, ends[-1], np.linspace(0.0, Y, 9), radii, radii + tau_floor,
+        radii - tau_floor, ends), rtol=quad.rtol)
+    errs = errs + quad.rtol * np.abs(vals)
     if truncated:
         return vals, errs
-    nuq = params.nu * params.q
-
-    def tail_bound(Y):
-        # beyond |y| = Y every atom is at least |y| - rho away: the
-        # integrand is at most (mass (|y| - rho)^-nu)^q
-        return 2.0 * math.pi * np.float64(mu.mass) ** params.q * (
-            (Y - rho) ** (2.0 - nuq) / (nuq - 2.0)
-            + rho * (Y - rho) ** (1.0 - nuq) / (nuq - 1.0))
-
-    return _widen(shell, tail_bound, vals, errs, Y, quad.rtol)
+    return _add_tail(vals, errs, tail, ends, low, quad.rtol)
 
 
 # --------------------------------------------------------------------------
@@ -468,31 +469,30 @@ def _in_log_tau(f):
     return g
 
 
-def _tau_ladder(f, cutoffs, Y, tail_bound, quad, marks=()):
-    """Integrals of the tau-integrand ``f`` above each cutoff, one solve.
+def _decade_low(mu, params, weight, a):
+    """Closed-form lower bound on the integral of F(tau) weight(tau) over
+    (a, 10 a), F over the whole line: F >= sum_i w_i^q c_ball(nu q)
+    tau^{1-nu q}, each atom's own term as (x + y)^q >= x^q + y^q, and
+    every weight is log-concave in log tau, so at least its smaller end
+    value; the integral of tau^{1-nu q} is a^x (10^x - 1) / x, x = 2 - nu q,
+    and a^x log 10 at x = 0.  A bound beyond the doubles reads 0."""
+    x = 2.0 - params.nu * params.q
+    decade = math.expm1(x * math.log(10.0)) / x if x else math.log(10.0)
+    with np.errstate(all="ignore"):
+        low = (np.sum(mu.weights ** params.q) * _c_ball(params.nu * params.q)
+               * np.min(weight(np.array([a, 10.0 * a]))) * np.float64(a) ** x * decade)
+    return float(low) if np.isfinite(low) else 0.0
 
-    The integral runs in t = log tau (see :func:`_in_log_tau`) on the
-    panels of :func:`_tau_edges`.  The cutoffs and ``marks`` are
-    mandatory panel edges of a single adaptive decomposition of
-    (min cutoff, Y), so each value is the exact aggregate of the refined
-    panels above its cutoff.  With ``tail_bound(Y)``, a rigorous bound on
-    the integral beyond Y, the range is widened from Y in one shell (see
-    :func:`_widen`), started from :func:`_tau_edges` of its two ends and
-    added to every value; with None, Y is the upper limit.
-    Returns (values in the order of ``cutoffs``, error); a multi-row
-    ``f`` takes one cutoff and returns one value and error per row.
-    """
-    g = _in_log_tau(f)
-    vals, err = integrate_partials(g, _tau_edges(min(cutoffs), Y, cutoffs, marks),
-                                   np.log(cutoffs), rtol=quad.rtol)
-    if tail_bound is None:
-        return vals, err
 
-    def shell(edges):
-        return integrate_rows(g, _tau_edges(edges[0], edges[-1]), rtol=quad.rtol)
-
-    vals, errs = _widen(shell, tail_bound, vals, np.atleast_1d(err), Y, quad.rtol)
-    return vals, errs if np.ndim(err) else float(errs[0])
+def _tau_ladder(f, cutoffs, end, quad, marks=()):
+    """Integrals of the tau-integrand ``f`` from each cutoff up to ``end``
+    in one solve in t = log tau (see :func:`_in_log_tau`) on the panels of
+    :func:`_tau_edges`, where the cutoffs and ``marks`` are edges, so each
+    value is the exact aggregate of the refined panels above its cutoff.
+    Returns (values in the order of ``cutoffs``, error); a multi-row ``f``
+    takes one cutoff and returns one value and error per row."""
+    return integrate_partials(_in_log_tau(f), _tau_edges(min(cutoffs), end, cutoffs, marks),
+                              np.log(cutoffs), rtol=quad.rtol)
 
 
 def _require_line_edge(params):
@@ -502,17 +502,26 @@ def _require_line_edge(params):
             "slice integral F itself supports m = 2")
 
 
+def _require_dimension(mu, params):
+    if mu.m != params.m:
+        raise DomainError("the measure lives on R^%d but the edge has m = %d"
+                          % (mu.m, params.m))
+
+
 def _M_pieces(params):
     """The aggregate pieces of M_nu_s (see :func:`_aggregate`): the weight
-    tau^p, its power p = (s + nu - m) q - 1, no tail and the upper limit R."""
+    tau^p, p = (s + nu - m) q - 1, the power of F tau^p at tau -> 0, no
+    tail and the upper limit R."""
     p = (params.s + params.nu - params.m) * params.q - 1.0
-    return (lambda tau: tau ** p), p, None, params.R
+    return (lambda tau: tau ** p), params.m - params.nu * params.q + p, None, params.R
 
 
 def _reduction_pieces(mu, params):
     """The aggregate pieces of reduced_I (see :func:`_aggregate`): the
-    weight h_{sigma,j}, its small-tau power, the rigorous large-tau tail
-    bound and the Y at which the tail widening starts."""
+    weight h_{sigma,j}, the power of F h_{sigma,j} at tau -> 0, the
+    rigorous large-tau tail bound and the Y from which :func:`_tail_end`
+    searches the end.  Y sits at the weight's bulk: for j >= 2 the factor
+    (tau / (1 + tau))^p stays near 0 until tau is of order p."""
     _require_line_edge(params)
     sigma, j, q = params.sigma, params.j, params.q
     p = (sigma + 1.0) * q
@@ -541,27 +550,29 @@ def _reduction_pieces(mu, params):
     def w(tau):
         return h_sigma_j(tau, sigma, j, q)
 
-    return w, wpow, tail_bound, Y
+    return w, params.m - params.nu * q + wpow, tail_bound, Y
 
 
 def _aggregate(mu, params, quad, pieces, cutoffs, radii=None):
     """Integrals of F(tau) * weight(tau) above each cutoff from one tau solve.
 
-    ``pieces`` = (weight, its small-tau power, tail bound or None, Y)
-    come from :func:`_M_pieces` or :func:`_reduction_pieces`.  Without a
-    tail bound F is truncated to |y| < R and Y is the upper limit; with
-    one F runs over the whole line, widened to infinity from max(Y, 2 max
-    cutoff) (see :func:`_tau_ladder`).  ``radii`` take one cutoff and give
-    one row per R_i: the box (0, R_i) x (-R_i, R_i), or its complement
-    with a tail bound.  A single cutoff <= 0 integrates from 0.  Returns
-    (values in the order of ``cutoffs``, error), or per radius.
+    ``pieces`` = (weight, the power p0 of F * weight at tau -> 0, tail
+    bound or None, Y) come from :func:`_M_pieces` or :func:`_reduction_pieces`.
+    Without a tail bound F is truncated to |y| < R and Y is the upper limit;
+    with one F runs over the whole line up to the end :func:`_tail_end`
+    finds from max(Y, 2 max cutoff) against :func:`_decade_low` of the
+    decades above the largest cutoff or radius and above Y.  ``radii`` take
+    one cutoff and give one row per R_i: the box (0, R_i) x (-R_i, R_i), or
+    its complement with a tail bound.  A single cutoff <= 0 integrates from
+    0.  Returns (values in the order of ``cutoffs``, error), or per radius.
     """
     _require_line_edge(params)
-    weight, wpow, tail_bound, Y = pieces
+    _require_dimension(mu, params)
+    weight, p0, tail_bound, Y = pieces
+    marks = ()
     if radii is not None:
-        radii = np.asarray(radii, float)
+        marks = radii = np.asarray(radii, float)
         Y = max(Y, float(np.max(radii)))
-    p0 = params.m - params.nu * params.q + wpow   # power of F * weight at tau -> 0
     if 0.0 < min(cutoffs) < np.finfo(float).tiny:
         raise DomainError("inner cutoff eps = %.3g is below the smallest normal double %.3g"
                           % (min(cutoffs), np.finfo(float).tiny))
@@ -590,9 +601,15 @@ def _aggregate(mu, params, quad, pieces, cutoffs, radii=None):
     if not 2.0 * Y < math.inf:
         raise DomainError("the tau range (%.3g, %.3g) overflows a double"
                           % (min(cutoffs), Y))
+    ends = [Y]
+    if tail_bound is not None:
+        low = max(_decade_low(mu, params, weight, a) for a in (max([*cutoffs, *marks]), Y))
+        ends, tail = _tail_end(tail_bound, low, Y, quad.rtol)
 
     f = _tau_integrand(mu, params, quad, weight, tail_bound is None, radii)
-    vals, err = _tau_ladder(f, cutoffs, Y, tail_bound, quad, () if radii is None else radii)
+    vals, err = _tau_ladder(f, cutoffs, ends[-1], quad, marks)
+    if tail_bound is not None:
+        vals, err = _add_tail(vals, err, tail, ends, low, quad.rtol)
     if floor:
         a_dec = float(np.sum(mu.weights ** params.q)) * _c_ball(params.nu * params.q)
         correction = a_dec * lo ** (p0 + 1.0) / (p0 + 1.0)
@@ -670,10 +687,11 @@ def reduced_I(mu, params, quad=None, eps=0.0):
 def reduced_I_ladder(mu, params, cutoffs, quad=None):
     """reduced_I at several inner cutoffs from one shared refinement.
 
-    Each ladder value is the exact aggregate of the refined panels above
-    its cutoff, and every widening shell beyond the core is added to
-    every rung (see :func:`_aggregate`).  Returns (values, error) with
-    values in the order of ``cutoffs``.
+    Each ladder value is the exact aggregate of the refined panels of
+    one tau solve from its cutoff to the end fixed before the solve, and
+    the tail bound beyond that end is in the error (see
+    :func:`_aggregate`).  Returns (values, error) with values in the
+    order of ``cutoffs``.
     """
     quad = quad or DEFAULT_QUAD
     if params.sigma is None or params.j is None:

@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wedgecap import besov
 from wedgecap.besov import besov_neg_proxy, besov_pos_norm, poisson_constant
@@ -54,6 +56,22 @@ class TestNegativeProxy:
             errs.append(abs(besov_neg_proxy(mu, 0.8, 2.0).value - ref))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.03 * ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.floats(-0.5, 0.6), q=st.floats(1.6, 3.0), log_eps=st.floats(-2.5, -1.0),
+           several=st.booleans())
+    def test_verdict_is_the_sign_of_a(self, a, q, log_eps, several):
+        # divergent exactly when a = q (s - m/q') <= 0, for one atom or
+        # several; the ladder fit called 0 < a < 0.25 divergent.  a is
+        # taken exactly from the doubles s and q the proxy gets; within
+        # 1e-12 of 0 its sign is below the rounding of the exponent
+        s = (a + q - 1.0) / q
+        mu = (DiscreteMeasure(1, [((0.0,), 1.0), ((0.7,), 0.5), ((-1.2,), 2.0)])
+              if several else dirac(1))
+        res = besov_neg_proxy(mu, s, q, eps=10.0 ** log_eps)
+        a_exact = Fraction(q) * Fraction(s) - (Fraction(q) - 1)
+        if abs(a_exact) > 1e-12:
+            assert res.divergent == (a_exact <= 0)
 
     def test_zero_measure(self):
         res = besov_neg_proxy(DiscreteMeasure(1), 0.5, 2.0)

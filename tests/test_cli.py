@@ -461,6 +461,12 @@ def test_verify_equivalence_rejects_empty_family(capsys, n):
     (("kernel", "--measure", "tests/golden/measure.json", "--nu", "3", "--m", "1",
       "--q", "1.8", "--sigma", "0.5", "--j", "2", "--eps", "1e-320"),
      "eps = 1e-320 is below the smallest normal double"),
+    # a line measure with --m 2 was a TypeError traceback, and a plane
+    # measure with --m 1 gave F from its first coordinates (exit 0)
+    (("kernel", "--measure", "tests/golden/measure.json", "--nu", "3", "--m", "2",
+      "--q", "1.5", "--tau", "0.5"), "the measure lives on R^1 but the edge has m = 2"),
+    (("kernel", "--measure", "tests/golden/measure_plane.json", "--nu", "3", "--m", "1",
+      "--q", "1.8", "--tau", "0.5"), "the measure lives on R^2 but the edge has m = 1"),
 ])
 def test_non_finite_flags_exit_2(capsys, monkeypatch, argv, message):
     # each used to hang, fail only while serializing NaN or raise a traceback
@@ -678,6 +684,11 @@ def test_numeric_commands_fuzzed_never_raise(tmp_path, data, command):
     if command[0] in ("kernel", "besov"):
         with open(data.draw(st.sampled_from(MEASURES)), encoding="utf-8") as fh:
             demo = json.load(fh)
+        # the measure's dimension is drawn apart from --m: each atom's
+        # position is cut or zero-padded to it
+        demo["m"] = data.draw(st.integers(1, 3))
+        for atom in demo["atoms"]:
+            atom["z"] = (atom["z"] + [0.0] * 3)[:demo["m"]]
         doc = _mutated(demo, data) if data.draw(st.integers(0, 3)) else data.draw(_JSON)
         argv += ["--measure", write(tmp_path, "measure.json", doc)]
     err = io.StringIO()

@@ -229,9 +229,9 @@ class TestF:
             assert abs(v - ref) <= e <= 2.3 * rtol * v
 
     def test_m2_polar_solve_work(self, monkeypatch):
-        # the full-plane F of three atoms at rtol 1e-9: the radial core,
-        # its angular rounds and one widening shell (290 solves with one
-        # inner solve per outer node)
+        # the full-plane F of three atoms at rtol 1e-9: one radial solve to
+        # the end fixed before it, and its angular rounds (290 solves with
+        # one inner solve per outer node)
         calls = []
         refine = _quad._refine
 
@@ -304,7 +304,7 @@ def test_kernel_table_matches_atom_loop():
 
 def test_full_line_F_is_one_solve(monkeypatch):
     # m = 1 F over the whole line is one integrate_rows call in sinh
-    # coordinates: no widening shell, and no node evaluated twice
+    # coordinates, and no node is evaluated twice
     seen, calls = [], []
     rows = kernels.integrate_rows
 
@@ -316,11 +316,7 @@ def test_full_line_F_is_one_solve(monkeypatch):
             return f(u)
         return rows(recording, edges, **kwargs)
 
-    def widen(*args):
-        raise AssertionError("m = 1 F widened")
-
     monkeypatch.setattr(kernels, "integrate_rows", counting)
-    monkeypatch.setattr(kernels, "_widen", widen)
     tau = np.geomspace(1e-3, 20.0, 12)
     for mu in (dirac(1), DiscreteMeasure(1, [((0.3,), 1.0), ((-0.45,), 0.7)])):
         calls.clear()
@@ -458,6 +454,67 @@ def test_exhausted_ladder_widening_raises():
     assert float(exc.value.error[0]) > 3e-7 * float(np.min(exc.value.value))
 
 
+def _recorded_lows(monkeypatch):
+    """The lower bounds every tail end is fixed against, as they are used."""
+    lows, end = [], kernels._tail_end
+
+    def recording(tail_bound, low, Y, rtol):
+        lows.append(low)
+        return end(tail_bound, low, Y, rtol)
+
+    monkeypatch.setattr(kernels, "_tail_end", recording)
+    return lows
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_tau_tail_lower_bound_never_exceeds_the_value(seed, monkeypatch):
+    # the end of a tau tail is fixed against a closed-form lower bound on
+    # the smallest value: it never exceeds a computed value, nor the
+    # decade integral each of its two bounds stands for.  1-10 atoms,
+    # j in {1, 2, 3}, the ladder or box-complement rows, nu q - j in
+    # (1.5, 3) so the end lies within the budget, and sigma up to 1e16
+    # for j >= 2 (for j = 1 the value leaves the doubles near p = 170)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 11))
+    mu = DiscreteMeasure(1, list(zip(rng.uniform(-2.0, 2.0, (n, 1)),
+                                     10.0 ** rng.uniform(-1.0, 1.0, n))))
+    j = int(rng.integers(1, 4))
+    q = float(rng.uniform(1.3, 2.4))
+    nu = (j + float(rng.uniform(1.5, 3.0))) / q
+    sigma = 10.0 ** float(rng.uniform(-1.0, 16.0 if j >= 2 else 1.5))
+    params = KernelParams(nu=nu, m=1, q=q, sigma=sigma, j=j)
+    quad = QuadratureSpec(rtol=1e-4)
+    pieces = kernels._reduction_pieces(mu, params)
+    eps = 10.0 ** float(rng.uniform(-2.5, -0.5))
+    radii = np.sort(rng.uniform(5.0, 20.0, 2)) if seed % 2 else None
+    cutoffs = [eps] if seed % 2 else [eps, eps / 2.0]
+    lows = _recorded_lows(monkeypatch)
+    vals, _ = kernels._aggregate(mu, params, quad, pieces, cutoffs, radii)
+    monkeypatch.undo()
+    assert len(lows) == 1 and 0.0 < lows[0] <= np.min(vals)
+    top = max(cutoffs) if radii is None else float(radii[-1])
+    for a in (top, max(pieces[3], 2.0 * max(cutoffs), top)):
+        ladder, err = reduced_I_ladder(mu, params, [a, 10.0 * a], quad=quad)
+        assert kernels._decade_low(mu, params, pieces[0], a) <= ladder[0] - ladder[1] + err
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plane_tail_lower_bound_never_exceeds_F(seed, monkeypatch):
+    # the plane's radial end is fixed against sum_i w_i^q 2 pi
+    # tau_max^{2-nu q} / (nu q - 2), which never exceeds F at any tau row
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    mu = DiscreteMeasure(2, list(zip(rng.uniform(-1.5, 1.5, (n, 2)),
+                                     10.0 ** rng.uniform(-1.0, 1.0, n))))
+    q = float(rng.uniform(1.2, 2.0))
+    nu = float(rng.uniform(2.5, 4.0))
+    tau = np.sort(10.0 ** rng.uniform(-1.5, 0.5, 3))
+    lows = _recorded_lows(monkeypatch)
+    vals, _ = F_nu_m(tau, mu, KernelParams(nu=nu, m=2, q=q),
+                     quad=QuadratureSpec(rtol=1e-6), truncated=False)
+    assert len(lows) == 1 and 0.0 < lows[0] <= np.min(vals)
+
+
 @settings(max_examples=30, deadline=None)
 @given(a=st.floats(-0.5, 0.6), q=st.floats(1.6, 3.0),
        log_eps=st.floats(-2.5, -1.0), rtol=st.sampled_from([1e-8, 1e-6, 1e-4]))
@@ -477,8 +534,8 @@ def test_dirac_ladder_within_reported_error(a, q, log_eps, rtol):
 
 
 def test_ladder_widening_integrates_each_tau_once(monkeypatch):
-    # the ladder solves (min cutoff, Y) once and adds one shell (Y, Y 2^n)
-    # to every rung instead of re-solving the whole range per doubling
+    # the ladder's end Y 2^n is fixed from closed-form bounds before the
+    # solve, so (min cutoff, Y 2^n) is one tau span, solved once
     p = KernelParams(nu=2.0, m=1, q=1.8, sigma=0.5, j=2)
     quad = QuadratureSpec(rtol=1e-6)
     cutoffs = (0.01, 0.005)
@@ -506,10 +563,10 @@ def test_ladder_widening_integrates_each_tau_once(monkeypatch):
                         spanning(kernels.integrate_partials))
     vals, err = reduced_I_ladder(dirac(1), p, cutoffs, quad=quad)
     monkeypatch.undo()
-    assert len(spans) == 2   # the core solve and one widening
-    spans.sort()
+    assert len(spans) == 1
     assert spans[0][0] == pytest.approx(min(cutoffs), rel=1e-15, abs=0.0)
-    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))   # no overlap
+    assert spans[0][1] == pytest.approx(40.0 * 2 ** round(math.log2(spans[0][1] / 40.0)),
+                                        rel=1e-15, abs=0.0)   # a doubling of Y = 40
     nodes = np.concatenate(nodes)
     assert np.unique(nodes).size == nodes.size
     for c, v in zip(cutoffs, vals):
@@ -582,21 +639,21 @@ def test_equivalence_truncated_tau_solves(monkeypatch):
     # measure for all of R_grid and R, and one for 2 mu (80 with a solve
     # per radius)
     truncated = []
-    ladder = kernels._tau_ladder
+    integrand = kernels._tau_integrand
 
-    def counting(f, cutoffs, Y, tail_bound, *args, **kwargs):
-        truncated.append(tail_bound is None)
-        return ladder(f, cutoffs, Y, tail_bound, *args, **kwargs)
+    def counting(mu, params, quad, weight, is_truncated, *args):
+        truncated.append(is_truncated)
+        return integrand(mu, params, quad, weight, is_truncated, *args)
 
-    monkeypatch.setattr(kernels, "_tau_ladder", counting)
+    monkeypatch.setattr(kernels, "_tau_integrand", counting)
     equivalence_experiment(3, 2, 4.0, 1.8, R=8.0, n_measures=20, seed=42,
                            R_grid=(4.0, 8.0, 16.0))
     assert sum(truncated) <= 40
 
 
 def test_remainder_is_one_tau_solve(monkeypatch):
-    # every Delta(R) from one tau quadrature: the core from 1e-6 R_min and
-    # one widening shell, and no other quadrature outside the y-solves
+    # every Delta(R) from one tau quadrature from 1e-6 R_min to the end
+    # fixed before the solve, and no other quadrature outside the y-solves
     spans, depth = [], [0]
     refine = _quad._refine
 
@@ -611,9 +668,8 @@ def test_remainder_is_one_tau_solve(monkeypatch):
 
     monkeypatch.setattr(_quad, "_refine", tracking)
     remainder_experiment(nu=3.0, sigma=0.5, m=1, j=2, q=1.8)
-    assert len(spans) == 2
+    assert len(spans) == 1
     assert spans[0][0] == pytest.approx(2e-6, rel=1e-15, abs=0.0)
-    assert spans[0][1] == spans[1][0]
 
 
 @pytest.mark.parametrize("member", [0, 1])
@@ -778,14 +834,23 @@ class TestClosedFormOracles:
         assert abs(v - self.C * beta24) < 1e-6 * self.C * beta24
 
     def test_cutoff_beyond_widening_start(self):
-        # eps = 60 lies above the j = 2 widening start Y = 40: the range
-        # starts at 2 eps instead of coming out empty
+        # eps = 60 lies above the j = 2 start Y = 40 of the end search:
+        # the search starts at 2 eps instead of the range coming out empty
         p = KernelParams(nu=3.0, m=1, q=1.8, sigma=0.5, j=2)
         v, e = reduced_I(dirac(1), p, eps=60.0)
         c = mpmath.sqrt(mpmath.pi) * mpmath.gamma(2.2) / mpmath.gamma(2.7)
         with mpmath.workdps(30):
             exact = float(c * mpmath.quad(
                 lambda t: t ** -4.4 * t ** 2.7 / (1 + t) ** 2.7, [60, 240, mpmath.inf]))
+        assert abs(v - exact) <= e
+
+    def test_j1_at_nu_q_2(self):
+        # nu q = 2, where the decade bound's tau-integral is log 10, not
+        # 0/0: F = c_ball(2) / tau = pi / tau, and above eps the integral
+        # of pi tau^{0.4} e^{-tau} is pi Gamma(1.4, eps)
+        v, e = reduced_I(dirac(1), KernelParams(nu=1.25, m=1, q=1.6, sigma=0.5, j=1),
+                         eps=0.01)
+        exact = math.pi * float(mpmath.gammainc(1.4, 0.01))
         assert abs(v - exact) <= e
 
     @pytest.mark.parametrize("sigma, j", [(100.0, 2), (1e16, 2), (60.0, 1), (84.5, 1)])
