@@ -26,11 +26,10 @@ from .exponents import (ExponentReport, capacity_index_s, critical_exponents,
                         kappa_from_gamma, kappa_roots)
 from .geometry import (CompactSetDescription, ConeOpening, DiscreteMeasure,
                        PolyhedronSpec, SetPiece, Stratum, WedgeSpec,
-                       cartesian_to_spherical, decompose_measure, dirac,
-                       spherical_to_cartesian, validate_wedge)
+                       decompose_measure, dirac, validate_wedge)
 from .kernels import (KernelParams, QuadratureSpec, F_nu_m, M_nu_s, default_R,
                       martin_kernel, params_from_report, reduced_I)
 from .spectral import (EigenResult, SLProblem, gamma_first_eigenvalue,
-                       opening_eigenfunction, sl_eigen_1d, sl_eigen_fd)
+                       sl_eigen_1d, sl_eigen_fd)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -204,7 +204,8 @@ def _norm_1d(f, x, s, p, h):
 
 
 def besov_pos_norm(f, x, s, p):
-    """Positive-order Besov/Sobolev norm of a compactly supported sample.
+    """Positive-order Besov/Sobolev norm of a compactly supported sample f
+    on the uniform 1-D grid x.
 
     s in (0, 2); non-integer s uses the L^p term plus the fractional
     double integral, s = 1 the second-difference form, s in (1, 2) the
@@ -217,51 +218,15 @@ def besov_pos_norm(f, x, s, p):
     if not (p >= 1.0):
         raise DomainError("p must be >= 1")
     f = np.asarray(f, float)
-    if f.ndim == 1:
-        x, h = _check_uniform(x)
-        if f.size != x.size:
-            raise DomainError("f and x must have equal length")
-        full = _norm_1d(f, x, s, p, h)
-        coarse = _norm_1d(f[::2], x[::2], s, p, 2.0 * h)
-    elif f.ndim == 2:
-        if not (0.0 < s < 1.0):
-            raise ConfigurationError("2-D norms implemented for s in (0, 1)")
-        axes = tuple(np.asarray(a, float) for a in x)
-        full = _besov_2d(f, axes, s, p)
-        coarse = _besov_2d(f[::2, ::2], tuple(a[::2] for a in axes), s, p)
-    else:
-        raise ConfigurationError("norms implemented for 1-D and 2-D samples")
+    if f.ndim != 1:
+        raise ConfigurationError("norms implemented for 1-D samples")
+    x, h = _check_uniform(x)
+    if f.size != x.size:
+        raise DomainError("f and x must have equal length")
+    full = _norm_1d(f, x, s, p, h)
+    coarse = _norm_1d(f[::2], x[::2], s, p, 2.0 * h)
     delta = abs(full - coarse) / max(abs(full), 1e-300)
     if delta >= 0.05:
         raise ResolutionError("grid too coarse: refinement delta %.3g >= 5%%" % delta)
     return float(full)
 
-
-def _besov_2d(f, axes, s, p):
-    """L^p norm plus the Gagliardo double sum over all pairs of grid
-    points, summed in blocks of rows of at most _PAIR_CELLS pairs, and a
-    certified tail."""
-    x, hx = _check_uniform(axes[0])
-    y, hy = _check_uniform(axes[1])
-    if abs(hx - hy) > 1e-12 * hx:
-        raise DomainError("2-D grids must share one spacing")
-    if f.shape != (x.size, y.size):
-        raise DomainError("f must have one sample per grid point")
-    h = hx
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    X, Y, vals = X.ravel(), Y.ravel(), f.ravel()
-    n = vals.size
-    lp_p = h * h * np.sum(np.abs(vals) ** p)
-    rows = max(1, _PAIR_CELLS // n)
-    gag = 0.0
-    for r0 in range(0, n, rows):
-        blk = slice(r0, r0 + rows)
-        d2 = np.subtract.outer(X[blk], X) ** 2 + np.subtract.outer(Y[blk], Y) ** 2
-        d2[np.arange(d2.shape[0]), np.arange(r0, r0 + d2.shape[0])] = np.inf
-        diff = np.abs(np.subtract.outer(vals[blk], vals)) ** p
-        gag += float(np.sum(diff / d2 ** (1.0 + 0.5 * s * p)))
-    gag *= h ** 4
-    spread = float(max(x[-1] - x[0], y[-1] - y[0]))
-    Yt = 4.0 * spread
-    tail = 2.0 ** (p + 1) * lp_p * 2.0 * math.pi * Yt ** (-s * p) / (s * p)
-    return float(lp_p ** (1.0 / p) + (gag + tail) ** (1.0 / p))

@@ -18,11 +18,13 @@ reduces, by q-homogeneity of the admissibility functional J, to minimizing J
 over the weight simplex, with J summed on the nodes of one adaptive M_nu_s
 solve.  One projected Newton method solves both to round-off.
 
-Capacity zero is a limit statement.  The refinement histories (over grid
-resolution, or over the inner cutoff for the edge capacity) are fitted
-on a log-log scale: a confident positive decay slope earns the verdict
-"vanishing", a flat stabilizing history earns "positive", anything else
-is reported as "inconclusive" rather than guessed.
+Capacity zero is a limit statement, but for the finite sets both solvers
+take it is known exactly: a point set is null iff the exponent theta of
+the leading refinement correction is <= 0 (Adams & Hedberg, Function
+Spaces and Potential Theory, 1996, the rule of capacity_null_test).  The
+verdict is that sign; the refinement histories (over grid resolution, or
+over the inner cutoff for the edge capacity) only extrapolate the limit
+of a positive capacity.
 """
 
 import math
@@ -37,9 +39,7 @@ from .errors import (ConfigurationError, DomainError, SingularityError,
 from .geometry import DiscreteMeasure
 from .kernels import DEFAULT_QUAD, M_nu_s, _M_nodes, default_R, params_from_report
 
-# pre-declared verdict thresholds for the extrapolated refinement fit
-FIT_RESIDUAL_TOL = 0.05     # relative misfit above which no verdict is issued
-CRITICAL_THETA = 0.02       # |correction exponent| below which the case is critical
+FIT_RESIDUAL_TOL = 0.05     # relative misfit above which no limit is extrapolated
 
 
 @dataclass(frozen=True)
@@ -47,45 +47,37 @@ class CapacityResult:
     value: float
     resolution: float
     history: tuple          # ((resolution-or-cutoff, value), ...) coarse -> fine
-    verdict: str            # positive | vanishing | inconclusive
+    verdict: str            # positive | vanishing, from the sign of theta
     gap: float              # relative duality gap (grid) or Newton decrement (edge)
     iterations: int         # Newton steps (finest level; all levels for the edge)
     limit: float | None = None   # extrapolated continuum value when resolvable
 
 
 def _verdict_from_history(history, theta):
-    """Classify the continuum limit of a refinement history.
+    """(verdict, limit) of a finite set from its refinement history.
 
     The leading discretization correction of both capacity programs is a
-    power of the refinement parameter with known exponent theta
-    (alpha p - ell for the grid program, q (s - m/q') for the cutoff
-    ladder).  Fitting 1/value = C + b * r^theta extrapolates the limit:
-    for theta < 0 a positive b drives 1/value to infinity (vanishing
-    capacity); for theta > 0 the limit is 1/C.  A poor two-parameter fit
-    or a near-critical exponent yields "inconclusive", never a guess.
+    power of the refinement parameter with exponent theta (alpha p - 1
+    for the grid program, q (s - m/q') for the cutoff ladder), and the set
+    is null exactly when theta <= 0: "vanishing" with limit 0.  Otherwise
+    it is "positive", and fitting 1/value = C + b * r^theta extrapolates
+    the limit 1/C; the limit is None when the history cannot be fitted,
+    C <= 0 or the misfit exceeds FIT_RESIDUAL_TOL.
     """
     res = np.array([r for r, _ in history], float)
     vals = np.array([v for _, v in history], float)
-    if np.all(vals == 0.0):
+    if theta <= 0.0 or np.all(vals == 0.0):
         return "vanishing", 0.0
     if np.any(vals <= 0.0) or res.size < 3:
-        return "inconclusive", None
-    if abs(theta) < CRITICAL_THETA:
-        return "inconclusive", None
+        return "positive", None
     u = 1.0 / vals
     x = res ** theta
     A = np.vstack([x, np.ones_like(x)]).T
     (b, C), _, _, _ = np.linalg.lstsq(A, u, rcond=None)
     resid = float(np.sqrt(np.mean((A @ np.array([b, C]) - u) ** 2))) / float(np.mean(u))
-    if resid > FIT_RESIDUAL_TOL:
-        return "inconclusive", None
-    if theta < 0.0:
-        if b > 0.0:
-            return "vanishing", 0.0
-        return ("positive", 1.0 / C) if C > 0.0 else ("inconclusive", None)
-    if C > 0.0:
-        return "positive", 1.0 / C
-    return "inconclusive", None
+    if resid > FIT_RESIDUAL_TOL or C <= 0.0:
+        return "positive", None
+    return "positive", 1.0 / C
 
 
 # --------------------------------------------------------------------------
@@ -393,10 +385,13 @@ def capacity_null_test(piece, alpha, p, ell):
     A point is null iff alpha p <= ell, and so is a grid, a finite union
     of points (capacity is countably subadditive).  A ball of intrinsic
     dimension d is null iff alpha p <= ell - d (nonempty interior,
-    d = ell, is always positive).
+    d = ell, is always positive).  ell is an integer >= 0; a vertex
+    point has ell = 0.
     """
     if not (0.0 < alpha < math.inf and 1.0 < p < math.inf):
         raise DomainError("need finite alpha > 0 and p > 1")
+    if not (isinstance(ell, numbers.Integral) and ell >= 0):
+        raise DomainError("ell must be an integer >= 0 (got %r)" % (ell,))
     if piece.kind == "ball":
         d = piece.dim if piece.dim is not None else ell
         if d >= ell:

@@ -269,7 +269,7 @@ def _cmd_capacity(args):
     rows = []
     for idx, piece in enumerate(E.pieces):
         if piece.kind == "grid":
-            ell = args.ell or len(piece.points[0])
+            ell = args.ell if args.ell is not None else len(piece.points[0])
             if ell != 1:
                 raise ConfigurationError("numeric capacity implemented on R^1")
             pts = np.asarray(piece.points, float)[:, 0]

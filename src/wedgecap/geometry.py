@@ -38,59 +38,6 @@ TWO_PI = 2.0 * math.pi
 
 
 # --------------------------------------------------------------------------
-# coordinate transforms
-
-
-def spherical_to_cartesian(r, sigma):
-    """Map (r, theta_1..theta_{N-1}) to a point in R^N.
-
-    r >= 0; theta_1 in [0, 2*pi]; theta_l in [0, pi] for l >= 2.
-    """
-    sigma = np.asarray(sigma, float)
-    if sigma.ndim != 1 or sigma.size < 1:
-        raise DomainError("sigma must be a 1-D angle tuple of length N-1")
-    if r < 0:
-        raise DomainError("radius must be >= 0")
-    if not (0.0 <= sigma[0] <= TWO_PI):
-        raise DomainError("theta_1 out of range [0, 2*pi]")
-    if sigma.size > 1 and (np.any(sigma[1:] < 0.0) or np.any(sigma[1:] > math.pi)):
-        raise DomainError("theta_l out of range [0, pi] for l >= 2")
-    N = sigma.size + 1
-    x = np.empty(N)
-    c = float(r)
-    for ell in range(N - 1, 1, -1):   # theta_ell for ell = N-1 .. 2
-        th = sigma[ell - 1]
-        x[ell] = c * math.cos(th)
-        c *= math.sin(th)
-    x[1] = c * math.cos(sigma[0])
-    x[0] = c * math.sin(sigma[0])
-    return x
-
-
-def cartesian_to_spherical(x):
-    """Inverse of :func:`spherical_to_cartesian` on the open chart.
-
-    Returns (r, sigma).  The origin carries no angular chart.
-    """
-    x = np.asarray(x, float)
-    N = x.size
-    if N < 2:
-        raise DomainError("need N >= 2")
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise DomainError("the origin has no angular coordinates")
-    sigma = np.empty(N - 1)
-    for ell in range(N - 1, 1, -1):
-        c = float(np.linalg.norm(x[:ell + 1]))
-        sigma[ell - 1] = math.acos(np.clip(x[ell] / c, -1.0, 1.0)) if c > 0 else 0.0
-    theta1 = math.atan2(x[0], x[1])
-    if theta1 < 0.0:
-        theta1 += TWO_PI
-    sigma[0] = theta1
-    return r, sigma
-
-
-# --------------------------------------------------------------------------
 # wedges and polyhedra
 
 
@@ -113,10 +60,6 @@ class WedgeSpec:
     def __post_init__(self):
         object.__setattr__(self, "intervals",
                            tuple((float(a), float(b)) for a, b in self.intervals))
-
-    def to_dict(self):
-        return {"N": self.N, "k": self.k, "alpha1": self.alpha1,
-                "intervals": [list(ab) for ab in self.intervals]}
 
 
 def validate_wedge(spec):
@@ -160,9 +103,6 @@ class ConeOpening:
 
     gamma: float
 
-    def to_dict(self):
-        return {"gamma": self.gamma}
-
 
 @dataclass(frozen=True)
 class Stratum:
@@ -171,10 +111,6 @@ class Stratum:
     id: str
     k: int
     opening: object = None   # WedgeSpec | ConeOpening | None
-
-    def to_dict(self):
-        op = None if self.opening is None else self.opening.to_dict()
-        return {"id": self.id, "k": self.k, "opening": op}
 
 
 @dataclass(frozen=True)
@@ -195,9 +131,6 @@ class PolyhedronSpec:
             if s.id == sid:
                 return s
         raise UnknownStratumError(sid)
-
-    def to_dict(self):
-        return {"N": self.N, "strata": [s.to_dict() for s in self.strata]}
 
 
 def _validate_stratum(s, N):
@@ -255,11 +188,6 @@ class DiscreteMeasure:
         self.weights = np.asarray(weights, float)
 
     @property
-    def atoms(self):
-        return tuple((tuple(z), float(w))
-                     for z, w in zip(self.positions, self.weights))
-
-    @property
     def mass(self):
         return float(self.weights.sum())
 
@@ -284,25 +212,6 @@ class DiscreteMeasure:
             raise DomainError("scale factor must be >= 0")
         return DiscreteMeasure(self.m, [(z, t * w) for z, w in
                                         zip(self.positions, self.weights)])
-
-    def translated(self, shift):
-        shift = np.asarray(shift, float)
-        return DiscreteMeasure(self.m, [(z + shift, w) for z, w in
-                                        zip(self.positions, self.weights)])
-
-    def __eq__(self, other):
-        return (isinstance(other, DiscreteMeasure) and self.m == other.m
-                and np.array_equal(self.positions, other.positions)
-                and np.array_equal(self.weights, other.weights))
-
-    def __repr__(self):
-        return "DiscreteMeasure(m=%d, n_atoms=%d, mass=%.6g)" % (
-            self.m, self.n_atoms, self.mass)
-
-    def to_dict(self):
-        return {"m": self.m,
-                "atoms": [{"z": list(z), "w": float(w)}
-                          for z, w in zip(self.positions, self.weights)]}
 
 
 def dirac(m, z=None, w=1.0):
@@ -379,19 +288,6 @@ class SetPiece:
         if self.kind == "grid" and not self.points:
             raise GeometryError("grid piece needs at least one point")
 
-    def to_dict(self):
-        d = {"stratum": self.stratum, "kind": self.kind}
-        if self.kind == "point":
-            d["z"] = list(self.z or ())
-        elif self.kind == "ball":
-            d["radius"] = self.radius
-            d["dim"] = self.dim
-            if self.z is not None:
-                d["z"] = list(self.z)
-        else:
-            d["points"] = [list(p) for p in self.points]
-        return d
-
 
 @dataclass(frozen=True)
 class CompactSetDescription:
@@ -404,9 +300,6 @@ class CompactSetDescription:
         for p in self.pieces:
             poly.stratum(p.stratum)   # raises UnknownStratumError
         return self
-
-    def to_dict(self):
-        return {"pieces": [p.to_dict() for p in self.pieces]}
 
 
 # --------------------------------------------------------------------------

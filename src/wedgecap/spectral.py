@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, GeometryError,
                      PoleEndpointError)
-from .geometry import cartesian_to_spherical, validate_wedge
+from .geometry import validate_wedge
 
 PI = math.pi
 DEFAULT_TOL = 1e-8
@@ -85,10 +85,6 @@ class EigenResult:
     values: np.ndarray
     h: float
     error: float
-
-    @property
-    def samples(self):
-        return tuple(zip(self.theta.tolist(), self.values.tolist()))
 
 
 def indicial_exponent(d, mu):
@@ -282,62 +278,3 @@ def gamma_first_eigenvalue(spec, tol=DEFAULT_TOL):
     for j in range(2, spec.k):
         mu, _ = _extrapolated_lowest(_stage_problem(spec, j, mu), tol)
     return mu
-
-
-@lru_cache(maxsize=64)
-def _opening_chain(spec):
-    """gamma plus the per-coordinate factors of the first eigenfunction."""
-    from scipy.interpolate import CubicSpline
-    validate_wedge(spec)
-    mu = _arc_eigenvalue(spec)
-    kappa1 = PI / spec.alpha1
-    factors = [None]                       # placeholder for the theta_1 factor
-    for j in range(2, spec.k):
-        res = sl_eigen_1d(_stage_problem(spec, j, mu))
-        mu = res.gamma
-        factors.append(CubicSpline(res.theta, res.values))
-    return mu, kappa1, tuple(factors)
-
-
-def opening_eigenfunction_factors(spec):
-    """Per-angle 1-D factors f_1..f_{k-1} of the opening eigenfunction.
-
-    f_1(t) = sin(kappa1 t) exactly; later factors are spline interpolants
-    of the chain stages, all max-normalized.
-    """
-    gamma, kappa1, factors = _opening_chain(spec)
-
-    def f1(t):
-        return math.sin(kappa1 * t)
-
-    return gamma, (f1,) + factors[1:]
-
-
-def opening_eigenfunction(spec):
-    """Eigenfunction of the opening as a callable on unit vectors of R^k.
-
-    Returns (gamma, phi); phi is the ``omega`` handle of
-    :func:`wedgecap.kernels.martin_kernel`.  On the wedge's spherical
-    section the first eigenfunction is phi of the opening angles times
-    (sin theta_k ... sin theta_{N-1})^{kappa_plus}.
-    """
-    validate_wedge(spec)
-    gamma, factors = opening_eigenfunction_factors(spec)
-    k = spec.k
-
-    def phi(v):
-        v = np.asarray(v, float)
-        if v.size != k:
-            raise DomainError("direction must live in R^k")
-        _, ang = cartesian_to_spherical(v)
-        if not (0.0 <= ang[0] <= spec.alpha1):
-            raise DomainError("direction outside the opening")
-        val = factors[0](ang[0])
-        for j in range(2, k):
-            a, b = spec.intervals[j - 2]
-            if not (a <= ang[j - 1] <= b):
-                raise DomainError("direction outside the opening")
-            val *= float(factors[j - 1](ang[j - 1]))
-        return val
-
-    return gamma, phi

@@ -1,6 +1,7 @@
 """Independent closed forms and reference evaluations the tests check the
 library against.  None of these has a caller in the library itself."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,9 +9,120 @@ import numpy as np
 from wedgecap.errors import DomainError
 from wedgecap.exponents import (_sqrt_clamped, _require_q, kappa_from_gamma,
                                 kappa_roots, q_c_from_kappa)
-from wedgecap.geometry import spherical_to_cartesian
+from wedgecap.geometry import validate_wedge
 from wedgecap.kernels import martin_kernel
-from wedgecap.spectral import opening_eigenfunction
+from wedgecap.spectral import _arc_eigenvalue, _stage_problem, sl_eigen_1d
+
+TWO_PI = 2.0 * math.pi
+
+
+def spherical_to_cartesian(r, sigma):
+    """Map (r, theta_1..theta_{N-1}) to a point in R^N, in the nested
+    convention of the geometry module.
+
+    r >= 0; theta_1 in [0, 2*pi]; theta_l in [0, pi] for l >= 2.
+    """
+    sigma = np.asarray(sigma, float)
+    if sigma.ndim != 1 or sigma.size < 1:
+        raise DomainError("sigma must be a 1-D angle tuple of length N-1")
+    if r < 0:
+        raise DomainError("radius must be >= 0")
+    if not (0.0 <= sigma[0] <= TWO_PI):
+        raise DomainError("theta_1 out of range [0, 2*pi]")
+    if sigma.size > 1 and (np.any(sigma[1:] < 0.0) or np.any(sigma[1:] > math.pi)):
+        raise DomainError("theta_l out of range [0, pi] for l >= 2")
+    N = sigma.size + 1
+    x = np.empty(N)
+    c = float(r)
+    for ell in range(N - 1, 1, -1):   # theta_ell for ell = N-1 .. 2
+        th = sigma[ell - 1]
+        x[ell] = c * math.cos(th)
+        c *= math.sin(th)
+    x[1] = c * math.cos(sigma[0])
+    x[0] = c * math.sin(sigma[0])
+    return x
+
+
+def cartesian_to_spherical(x):
+    """Inverse of :func:`spherical_to_cartesian` on the open chart.
+
+    Returns (r, sigma).  The origin carries no angular chart.
+    """
+    x = np.asarray(x, float)
+    N = x.size
+    if N < 2:
+        raise DomainError("need N >= 2")
+    r = float(np.linalg.norm(x))
+    if r == 0.0:
+        raise DomainError("the origin has no angular coordinates")
+    sigma = np.empty(N - 1)
+    for ell in range(N - 1, 1, -1):
+        c = float(np.linalg.norm(x[:ell + 1]))
+        sigma[ell - 1] = math.acos(np.clip(x[ell] / c, -1.0, 1.0)) if c > 0 else 0.0
+    theta1 = math.atan2(x[0], x[1])
+    if theta1 < 0.0:
+        theta1 += TWO_PI
+    sigma[0] = theta1
+    return r, sigma
+
+
+@functools.lru_cache(maxsize=64)
+def _opening_chain(spec):
+    """gamma plus the per-coordinate factors of the first eigenfunction."""
+    from scipy.interpolate import CubicSpline
+    validate_wedge(spec)
+    mu = _arc_eigenvalue(spec)
+    kappa1 = math.pi / spec.alpha1
+    factors = [None]                       # placeholder for the theta_1 factor
+    for j in range(2, spec.k):
+        res = sl_eigen_1d(_stage_problem(spec, j, mu))
+        mu = res.gamma
+        factors.append(CubicSpline(res.theta, res.values))
+    return mu, kappa1, tuple(factors)
+
+
+def opening_eigenfunction_factors(spec):
+    """Per-angle 1-D factors f_1..f_{k-1} of the opening eigenfunction.
+
+    f_1(t) = sin(kappa1 t) exactly; later factors are spline interpolants
+    of the chain stages, all max-normalized.
+    """
+    gamma, kappa1, factors = _opening_chain(spec)
+
+    def f1(t):
+        return math.sin(kappa1 * t)
+
+    return gamma, (f1,) + factors[1:]
+
+
+def opening_eigenfunction(spec):
+    """Eigenfunction of the opening as a callable on unit vectors of R^k.
+
+    Returns (gamma, phi); phi is the ``omega`` handle of
+    :func:`wedgecap.kernels.martin_kernel`.  On the wedge's spherical
+    section the first eigenfunction is phi of the opening angles times
+    (sin theta_k ... sin theta_{N-1})^{kappa_plus}.
+    """
+    validate_wedge(spec)
+    gamma, factors = opening_eigenfunction_factors(spec)
+    k = spec.k
+
+    def phi(v):
+        v = np.asarray(v, float)
+        if v.size != k:
+            raise DomainError("direction must live in R^k")
+        _, ang = cartesian_to_spherical(v)
+        if not (0.0 <= ang[0] <= spec.alpha1):
+            raise DomainError("direction outside the opening")
+        val = factors[0](ang[0])
+        for j in range(2, k):
+            a, b = spec.intervals[j - 2]
+            if not (a <= ang[j - 1] <= b):
+                raise DomainError("direction outside the opening")
+            val *= float(factors[j - 1](ang[j - 1]))
+        return val
+
+    return gamma, phi
 
 
 def k_nu_m(tau, zeta, mu, nu):

@@ -9,7 +9,7 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gamma as G, kv, modstruve
 
 from wedgecap import _quad, capacity, kernels
-from wedgecap.capacity import (CapacityResult, _cell_matrix, _J_phi,
+from wedgecap.capacity import (FIT_RESIDUAL_TOL, _cell_matrix, _J_phi,
                                _orthant_newton, _ray_start, bessel_capacity,
                                bessel_kernel_radial, capacity_null_test,
                                rho_capacity)
@@ -251,7 +251,7 @@ class TestRhoCapacity:
     def test_two_point_optimization(self):
         res = rho_capacity(np.array([[0.0], [1.0]]), QUARTER, q=1.5, R=16.0,
                            levels=2)
-        assert res.verdict in ("positive", "inconclusive")
+        assert res.verdict == "positive"
         single = rho_capacity(np.array([[0.0]]), QUARTER, q=1.5, R=16.0, levels=2)
         assert res.value >= single.value * (1 - 1e-6)   # more support can't hurt
 
@@ -392,18 +392,62 @@ class TestNullTest:
         assert capacity_null_test(plane, 0.9, 2.0, 2) == "null"
 
     def test_numeric_verdict_matches_the_point_rule(self):
-        # alpha p = 0.5, 0.85, 1.3 and 1.9, away from the threshold alpha p = 1:
-        # the refinement extrapolation of the numeric program agrees with
-        # the analytic rule on the golden grid
+        # both solvers take the verdict of a finite set from the sign of
+        # theta, the rule capacity_null_test applies: alpha p = 0.5, 0.85,
+        # 1.3 and 1.9, then a seeded (alpha, p) sweep with half of its
+        # draws within 0.02 of alpha p = 1, where the former fit said
+        # "inconclusive", and edge sets with |theta| < 0.02 around q_c
         with open(os.path.join(GOLDEN, "grid_set.json"), encoding="utf-8") as fh:
             piece = set_from_dict(json.load(fh)).pieces[0]
         points = np.array(piece.points)[:, 0]
-        for alpha in (0.25, 0.425, 0.65, 0.95):
-            numeric = bessel_capacity(points, alpha, 2.0).verdict
-            analytic = capacity_null_test(piece, alpha, 2.0, 1)
-            expect = ("vanishing", "null") if 2.0 * alpha < 1.0 else ("positive", "positive")
-            assert (numeric, analytic) == expect, alpha
+        rng = np.random.default_rng(22)
+        draws = [(alpha, 2.0) for alpha in (0.25, 0.425, 0.65, 0.95)]
+        for i in range(12):
+            p = rng.uniform(1.3, 3.0)
+            ap = rng.uniform(0.98, 1.02) if i % 2 else rng.uniform(0.5, 1.6)
+            draws.append((ap / p, p))
+        verdicts = []
+        for alpha, p in draws:
+            numeric = bessel_capacity(points, alpha, p).verdict
+            analytic = capacity_null_test(piece, alpha, p, 1)
+            expect = ("vanishing", "null") if alpha * p <= 1.0 else ("positive", "positive")
+            assert (numeric, analytic) == expect, (alpha, p)
+            verdicts.append(numeric)
+        for q in QUARTER.q_c + rng.uniform(-0.006, 0.006, 4):
+            theta = q * (QUARTER.s(q) - QUARTER.m * (q - 1.0) / q)
+            assert abs(theta) < 0.02
+            res = rho_capacity(np.array([[0.0], [1.0]]), QUARTER, q)
+            assert res.verdict == ("vanishing" if theta <= 0.0 else "positive"), q
+            verdicts.append(res.verdict)
+        assert "inconclusive" not in verdicts
+
+    def test_history_decays_or_settles_with_theta(self):
+        # away from the threshold the numerics agree with the rule: fitted
+        # as 1/value = C + b r^theta, a history with theta < -0.1 drives
+        # 1/value to infinity (b > 0) and one with theta > 0.1 settles at
+        # 1/C > 0, both within FIT_RESIDUAL_TOL
+        rng = np.random.default_rng(5)
+        cases = []
+        for i in range(8):
+            p = rng.uniform(1.3, 3.0)
+            theta = rng.uniform(0.1, 0.6) * (1 if i % 2 else -1)
+            cases.append((bessel_capacity(np.array([-0.6, 0.1, 0.6]),
+                                          (1.0 + theta) / p, p), theta))
+        for q in (1.5, 1.6, 1.75, 1.8):
+            theta = q * (QUARTER.s(q) - QUARTER.m * (q - 1.0) / q)
+            cases.append((rho_capacity(np.array([[0.0], [1.0]]), QUARTER, q), theta))
+        for res, theta in cases:
+            assert abs(theta) > 0.1
+            r = np.array([h for h, _ in res.history])
+            u = 1.0 / np.array([v for _, v in res.history])
+            A = np.vstack([r ** theta, np.ones_like(r)]).T
+            (b, C), _, _, _ = np.linalg.lstsq(A, u, rcond=None)
+            assert np.sqrt(np.mean((A @ [b, C] - u) ** 2)) <= FIT_RESIDUAL_TOL * np.mean(u)
+            assert (b > 0.0) if theta < 0.0 else (C > 0.0), theta
 
     def test_domain(self):
         with pytest.raises(DomainError):
             capacity_null_test(SetPiece("s", "point", z=(0.0,)), -1.0, 2.0, 1)
+        for ell in (-2, 1.5):
+            with pytest.raises(DomainError, match="ell must be an integer >= 0"):
+                capacity_null_test(SetPiece("s", "point", z=(0.0,)), 0.6, 2.0, ell)

@@ -306,7 +306,7 @@ def test_capacity_subcommand(tmp_path, capsys):
     assert code == 0
     res = json.loads(out)["result"]["pieces"]
     assert res[0]["verdict"] == "positive"   # 1.2 > 1
-    assert res[1]["verdict"] in ("positive", "inconclusive")
+    assert res[1]["verdict"] == "positive"
     assert "history" in res[1]
 
 
@@ -467,6 +467,12 @@ def test_verify_equivalence_rejects_empty_family(capsys, n):
       "--q", "1.5", "--tau", "0.5"), "the measure lives on R^1 but the edge has m = 2"),
     (("kernel", "--measure", "tests/golden/measure_plane.json", "--nu", "3", "--m", "1",
       "--q", "1.8", "--tau", "0.5"), "the measure lives on R^2 but the edge has m = 1"),
+    # a negative dimension answered "positive", and --ell 0 on a grid was
+    # replaced by the points' dimension 1 (both exit 0)
+    (("capacity", "--set", "demos/vertex_set.json", "--alpha", "0.6", "--p", "2",
+      "--ell", "-2"), "ell must be an integer >= 0"),
+    (("capacity", "--set", "tests/golden/grid_set.json", "--alpha", "0.6", "--p", "2",
+      "--ell", "0"), "numeric capacity implemented on R^1"),
 ])
 def test_non_finite_flags_exit_2(capsys, monkeypatch, argv, message):
     # each used to hang, fail only while serializing NaN or raise a traceback
