@@ -40,12 +40,12 @@ from .geometry import DiscreteMeasure
 from .kernels import DEFAULT_QUAD, M_nu_s, _M_nodes, default_R, params_from_report
 
 FIT_RESIDUAL_TOL = 0.05     # relative misfit above which no limit is extrapolated
+LEVELS = 4                  # refinement levels of both capacity histories
 
 
 @dataclass(frozen=True)
 class CapacityResult:
     value: float
-    resolution: float
     history: tuple          # ((resolution-or-cutoff, value), ...) coarse -> fine
     verdict: str            # positive | vanishing, from the sign of theta
     gap: float              # relative duality gap (grid) or Newton decrement (edge)
@@ -225,24 +225,19 @@ def _ray_start(phi, u, degree):
     return u * (u.sum() / (degree * phi(u)[0])) ** (1.0 / (degree - 1.0))
 
 
-def _check_levels(levels):
-    if not (isinstance(levels, numbers.Integral) and levels >= 1):
-        raise DomainError("levels must be an integer >= 1")
-
-
 # --------------------------------------------------------------------------
 # min-norm Bessel capacity
 
 
-def bessel_capacity(points, alpha, p, resolution=0.05, levels=4):
+def bessel_capacity(points, alpha, p, resolution=0.05):
     """Discretized Bessel capacity of a finite point set K in R^1.
 
     Source grid: K dilated by three kernel effective radii max(1, alpha),
     cell size ``resolution``; the Schwartz class is relaxed to
     nonnegative grid functions (a documented lower-bound bias) and
     nonnegativity is imposed, which leaves capacities of compacta
-    unchanged but makes the program convex-conic.  Solved at ``levels``
-    resolutions (coarsest first) to populate the refinement history.
+    unchanged but makes the program convex-conic.  Solved at LEVELS
+    resolutions down to ``resolution`` to populate the refinement history.
     """
     if not (1.0 < p < math.inf):
         raise DomainError("p must be finite and > 1")
@@ -250,7 +245,6 @@ def bessel_capacity(points, alpha, p, resolution=0.05, levels=4):
         raise DomainError("alpha must be finite and > 0")
     if not (0.0 < resolution < math.inf):
         raise DomainError("resolution must be finite and > 0")
-    _check_levels(levels)
     pts = np.atleast_1d(np.asarray(points, float))
     if pts.ndim > 1:
         if pts.shape[1] != 1:
@@ -259,13 +253,13 @@ def bessel_capacity(points, alpha, p, resolution=0.05, levels=4):
     if not np.all(np.isfinite(pts)):
         raise DomainError("points must be finite")
     if pts.size == 0:
-        hist = tuple((resolution * 2.0 ** (levels - 1 - i), 0.0) for i in range(levels))
-        return CapacityResult(0.0, resolution, hist, "vanishing", 0.0, 0)
+        hist = tuple((resolution * 2.0 ** (LEVELS - 1 - i), 0.0) for i in range(LEVELS))
+        return CapacityResult(0.0, hist, "vanishing", 0.0, 0)
 
     reff = 3.0 * max(1.0, alpha)
     lo, hi = float(np.min(pts)) - reff, float(np.max(pts)) + reff
     history = []
-    for level in range(levels - 1, -1, -1):
+    for level in range(LEVELS - 1, -1, -1):
         h = resolution * 2.0 ** level
         # anchor the grid so pts[0] sits at a cell center at every level,
         # keeping the singular-cell geometry consistent across refinements
@@ -289,8 +283,8 @@ def bessel_capacity(points, alpha, p, resolution=0.05, levels=4):
         gap = 1.0 - (lam.sum() - phi(lam)[0]) / value         # relative duality gap
         history.append((h, value))
     verdict, limit = _verdict_from_history(history, alpha * p - 1.0)
-    return CapacityResult(float(value), resolution, tuple(history), verdict,
-                          float(gap), iters, limit)
+    return CapacityResult(float(value), tuple(history), verdict, float(gap), iters,
+                          limit)
 
 
 # --------------------------------------------------------------------------
@@ -305,12 +299,12 @@ def _J_phi(uniform, params, eps):
     (see kernels._M_nodes): the same integrand, rule and panels as the
     reported value, held fixed so that J(w) stays smooth during the
     optimization.  The w-independent (tau, y, atom) kernel tensor is
-    built once.
+    built once, as (1 + d^2)^{-nu/2} of the distances d in units of tau;
+    the tau weights carry the factor tau^{-nu q}.
     """
-    tau, tw, y, yw = _M_nodes(uniform, params, DEFAULT_QUAD, eps)
-    zs, q = uniform.positions[:, 0], params.q
-    K = ((tau[:, None, None] ** 2 + (y[:, :, None] - zs) ** 2)
-         ** (-0.5 * params.nu)).reshape(-1, zs.size)
+    _, tw, d, yw = _M_nodes(uniform, params, DEFAULT_QUAD, eps)
+    q = params.q
+    K = ((d * d + 1.0) ** (-0.5 * params.nu)).reshape(-1, d.shape[2])
     cw = (tw[:, None] * yw).ravel()
 
     def phi(w):
@@ -321,7 +315,7 @@ def _J_phi(uniform, params, eps):
     return phi
 
 
-def rho_capacity(points, report, q, R=None, levels=4):
+def rho_capacity(points, report, q):
     """Sup-mass capacity of a finite edge set under the weighted functional.
 
     Maximizing mass(mu)^q subject to J(mu) = 1 reduces, because J is
@@ -329,16 +323,15 @@ def rho_capacity(points, report, q, R=None, levels=4):
     minimizing J there, or J(w) - sum(w) over w >= 0 up to scale; the
     value is 1/min J.  The constraint functional is the cutoff-regularized
     admissibility aggregate M_nu_s, optimized on the nodes of one adaptive
-    M_nu_s solve per cutoff and reported by M_nu_s at the optimal weights.
-    The history tracks the cutoff ladder 1e-2 / 2^level: supercritical
-    configurations drive the value to zero as the cutoff shrinks.
+    M_nu_s solve per cutoff (R = default_R of the set) and reported by
+    M_nu_s at the optimal weights.  The history tracks the LEVELS cutoffs
+    1e-2 / 2^level: supercritical configurations drive the value to zero.
     """
     eps = 1e-2   # coarsest cutoff
-    _check_levels(levels)
     pts = np.atleast_2d(np.asarray(points, float))
     if pts.size == 0:
-        hist = tuple((eps / 2.0 ** i, 0.0) for i in range(levels))
-        return CapacityResult(0.0, eps, hist, "vanishing", 0.0, 0)
+        hist = tuple((eps / 2.0 ** i, 0.0) for i in range(LEVELS))
+        return CapacityResult(0.0, hist, "vanishing", 0.0, 0)
     if pts.shape[1] != report.m:
         raise ConfigurationError("points must live on the edge R^{N-k}")
     if report.m != 1:
@@ -347,14 +340,14 @@ def rho_capacity(points, report, q, R=None, levels=4):
         raise DomainError("points must be finite")
 
     uniform = DiscreteMeasure(report.m, [(z, 1.0 / len(pts)) for z in pts])
-    params = params_from_report(report, q, R=default_R(uniform) if R is None else R)
+    params = params_from_report(report, q, R=default_R(uniform))
     rho = uniform.support_radius()
     if rho > 0.5 * params.R + 1e-12:
         raise DomainError("points must lie in B_{R/2}: R = %g is below 2 max|z| = %g"
                           % (params.R, 2.0 * rho))
     history = []
     total_iters = 0
-    for lev in range(levels):
+    for lev in range(LEVELS):
         e_lev = eps / 2.0 ** lev
         phi = _J_phi(uniform, params, e_lev)
         x, decrement, steps = _orthant_newton(phi, _ray_start(phi, np.ones(len(pts)), q))
@@ -371,7 +364,7 @@ def rho_capacity(points, report, q, R=None, levels=4):
     qp = q / (q - 1.0)
     theta = q * (report.s(q) - report.m / qp)
     verdict, limit = _verdict_from_history(history, theta)
-    return CapacityResult(float(history[-1][1]), eps, tuple(history), verdict,
+    return CapacityResult(float(history[-1][1]), tuple(history), verdict,
                           float(decrement), total_iters, limit)
 
 
@@ -386,7 +379,7 @@ def capacity_null_test(piece, alpha, p, ell):
     of points (capacity is countably subadditive).  A ball of intrinsic
     dimension d is null iff alpha p <= ell - d (nonempty interior,
     d = ell, is always positive).  ell is an integer >= 0; a vertex
-    point has ell = 0.
+    point has ell = 0.  A ball of dimension above ell raises DomainError.
     """
     if not (0.0 < alpha < math.inf and 1.0 < p < math.inf):
         raise DomainError("need finite alpha > 0 and p > 1")
@@ -394,7 +387,7 @@ def capacity_null_test(piece, alpha, p, ell):
         raise DomainError("ell must be an integer >= 0 (got %r)" % (ell,))
     if piece.kind == "ball":
         d = piece.dim if piece.dim is not None else ell
-        if d >= ell:
-            return "positive"
+        if d > ell:
+            raise DomainError("a ball of dimension %d does not fit in R^%d" % (d, ell))
         return "null" if alpha * p <= ell - d else "positive"
     return "null" if alpha * p <= ell else "positive"

@@ -62,15 +62,9 @@ def stratum_report(stratum, N, tol=1e-8):
     raise ConfigurationError("stratum %r carries no opening data" % stratum.id)
 
 
-def stratum_verdict(stratum, q, N=None, tol=1e-8):
-    """Criticality regime of one stratum at exponent q."""
+def stratum_verdict(stratum, q, N, tol=1e-8):
+    """Criticality regime of one stratum of a polyhedron in R^N at exponent q."""
     _require_q(q)
-    if N is None:
-        if isinstance(stratum.opening, WedgeSpec):
-            N = stratum.opening.N
-        else:
-            raise ConfigurationError("ambient dimension N required for stratum %r"
-                                     % stratum.id)
     rep = stratum_report(stratum, N, tol=tol)
     warning = Q_C_WARNING if q == rep.q_c and stratum.k < N else None
     if q < rep.q_c:

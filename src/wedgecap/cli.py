@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 validation error, 3 numerical
 error.  Angles are radians; floats are echoed at 17 significant digits.
 Each command accepts only the flags it reads; ``--format csv`` exists for
 capacity and verify.  Identical invocations produce byte-identical output
-files (the wall-clock runtime is therefore not part of serialized reports).
+files.
 """
 
 import argparse
@@ -117,7 +117,6 @@ def _build_parser():
     p.add_argument("--set", dest="set_path", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--ell", type=int, help="ambient dimension override")
     p.add_argument("--resolution", type=float, default=0.02)
 
     verify = sub.add_parser("verify", help="run a named experiment")
@@ -134,7 +133,6 @@ def _build_parser():
     p = _command(verify, "remainder", "truncation remainder", formats=True)
     p.add_argument("--nu", type=float, default=3.0)
     p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--m", type=int, default=1)
     p.add_argument("--j", type=int, default=2)
     p.add_argument("--q", type=float, default=1.8)
     p = _command(verify, "harmonicity", "wedge-profile harmonicity", formats=True)
@@ -269,11 +267,7 @@ def _cmd_capacity(args):
     rows = []
     for idx, piece in enumerate(E.pieces):
         if piece.kind == "grid":
-            ell = args.ell if args.ell is not None else len(piece.points[0])
-            if ell != 1:
-                raise ConfigurationError("numeric capacity implemented on R^1")
-            pts = np.asarray(piece.points, float)[:, 0]
-            r = bessel_capacity(pts, args.alpha, args.p,
+            r = bessel_capacity(np.asarray(piece.points, float), args.alpha, args.p,
                                 resolution=args.resolution)
             results.append({"piece": idx, "kind": "grid", "value": r.value,
                             "verdict": r.verdict, "limit": r.limit,
@@ -283,9 +277,7 @@ def _cmd_capacity(args):
                          "metric": "capacity", "value": v}
                         for h, v in r.history)
         else:
-            ell = args.ell
-            if ell is None:
-                ell = len(piece.z) if piece.z is not None else 1
+            ell = len(piece.z) if piece.z is not None else 1
             results.append({"piece": idx, "kind": piece.kind,
                             "verdict": capacity_null_test(piece, args.alpha,
                                                           args.p, ell)})
@@ -293,7 +285,7 @@ def _cmd_capacity(args):
     if args.format == "csv":
         csv_text = _exp.reports_csv([_exp.ExperimentReport(
             name="capacity", params={}, metrics={}, tolerances={}, passed=True,
-            runtime=0.0, rows=rows)])
+            rows=rows)])
     return _emit(args, {"pieces": results}, csv_rows=csv_text)
 
 
@@ -308,8 +300,8 @@ def _cmd_verify(args):
                                           R=args.R, seed=args.seed,
                                           n_measures=args.n_measures)
     elif name == "remainder":
-        rep = _exp.remainder_experiment(nu=args.nu, sigma=args.sigma,
-                                        m=args.m, j=args.j, q=args.q)
+        rep = _exp.remainder_experiment(nu=args.nu, sigma=args.sigma, j=args.j,
+                                        q=args.q)
     elif name == "harmonicity":
         rep = _exp.harmonicity_experiment(target=args.target, alpha=args.alpha1)
     else:

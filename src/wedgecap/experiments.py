@@ -14,7 +14,6 @@ constant.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,10 +46,14 @@ HEAT_RATIO_SPREAD_MAX = 100.0
 HEAT_ZETA_GROWTH_MAX = 1.5
 
 # fixed experiment settings, echoed in the reports
+DICHOTOMY_EPS_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)   # cutoffs of I(eps)
 EQUIV_EPS = 1e-2                 # matched inner cutoff of both functionals
+EQUIV_R_GRID = (4.0, 8.0, 16.0)  # truncation radii of the growth check
+REMAINDER_R_GRID = (2.0, 4.0, 8.0, 16.0)   # box radii of Delta(R), unit atom at 0
 HARMONIC_H_GRID = (0.02, 0.01, 0.005, 0.0025)
 HEAT_N_SOLVE = 1024              # grid intervals of the heat solver on (-R, R)
 HEAT_H_GRID = (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0)   # FD steps over R
+HEAT_K, HEAT_KAPPA_PLUS = 2, 2.0   # the quarter wedge: codimension and kappa_plus
 
 
 @dataclass
@@ -60,16 +63,12 @@ class ExperimentReport:
     metrics: dict
     tolerances: dict
     passed: bool
-    runtime: float
     rows: list = field(default_factory=list, repr=False)
 
-    def to_dict(self, include_runtime=False):
-        d = {"name": self.name, "params": dict(self.params),
-             "metrics": dict(self.metrics), "tolerances": dict(self.tolerances),
-             "passed": self.passed}
-        if include_runtime:
-            d["runtime"] = self.runtime
-        return d
+    def to_dict(self):
+        return {"name": self.name, "params": dict(self.params),
+                "metrics": dict(self.metrics), "tolerances": dict(self.tolerances),
+                "passed": self.passed}
 
 
 CSV_HEADER = ("experiment", "params", "metric", "value")
@@ -119,7 +118,7 @@ def measure_family(m, R, n_measures=20, seed=DEFAULT_SEED,
 # point-singularity dichotomy
 
 
-def dichotomy_experiment(N, k, gamma, q, eps_grid=None):
+def dichotomy_experiment(N, k, gamma, q):
     """Cutoff scaling of the admissibility integral of a unit edge atom.
 
     The radially reduced integrand is w(r) = r^{(q+1)kappa+ + k - 1} T(r)
@@ -127,22 +126,16 @@ def dichotomy_experiment(N, k, gamma, q, eps_grid=None):
     diverges as eps -> 0 exactly when the boundary exponent
     e = q(2-N-kappa+) + kappa+ + N - 1 satisfies e + 1 <= 0, i.e. q >= q_c.
 
-    Two fits are reported: the slope of log I(eps) (compared with
-    min(0, e+1) when |e+1| >= 0.2, where it is numerically resolvable)
-    and the local integrand exponent (slope of log w(eps)), whose
-    comparison with -1 decides the divergence verdict sharply even
-    within 0.01 of the critical q.
+    Two fits over the cutoffs DICHOTOMY_EPS_GRID are reported: the slope
+    of log I(eps) (compared with min(0, e+1) when |e+1| >= 0.2, where it
+    is numerically resolvable) and the local integrand exponent (slope of
+    log w(eps)), whose comparison with -1 decides the divergence verdict
+    sharply even within 0.01 of the critical q.
     """
-    t0 = time.perf_counter()
-    quad, R = DEFAULT_QUAD, 1.0   # R: outer radius of I(eps)
+    R, eps_grid = 1.0, DICHOTOMY_EPS_GRID   # R: outer radius of I(eps)
     _require_q(q)
     rep = critical_exponents(N, k, gamma)
     kp = rep.kappa_plus
-    if eps_grid is None:
-        eps_grid = tuple(10.0 ** (-ex) for ex in (6, 5, 4, 3, 2))
-    eps_grid = tuple(sorted(eps_grid))
-    if len(eps_grid) < 4:
-        raise ConfigurationError("need a geometric eps grid with >= 4 points")
     e_exp = q * (2.0 - N - kp) + kp + N - 1.0
     predicted = min(0.0, e_exp + 1.0)
 
@@ -152,7 +145,7 @@ def dichotomy_experiment(N, k, gamma, q, eps_grid=None):
     def integrand(r_nodes):
         return (r_nodes ** rpow * _slice_T(r_nodes, jq, N - k, R))[None, :]
 
-    I_vals, _ = _tau_ladder(integrand, eps_grid, R, quad)
+    I_vals, _ = _tau_ladder(integrand, eps_grid, R, DEFAULT_QUAD)
     slope_I, _, r2_I, se_I = fit_loglog(eps_grid, I_vals)
 
     slope_w, _, r2_w, se_w = fit_loglog(eps_grid, integrand(np.array(eps_grid))[0])
@@ -178,8 +171,7 @@ def dichotomy_experiment(N, k, gamma, q, eps_grid=None):
         passed = False
     elif divergent != (q >= rep.q_c):
         report = ExperimentReport("dichotomy", _dichotomy_params(N, k, gamma, q, R),
-                                  metrics, tolerances, False,
-                                  time.perf_counter() - t0, rows)
+                                  metrics, tolerances, False, rows)
         raise AnomalyError("divergence verdict contradicts the critical "
                            "threshold (q=%.6g, q_c=%.6g)" % (q, rep.q_c), report)
     if e_exp + 1.0 <= -DICHOTOMY_RESOLVED:
@@ -188,8 +180,7 @@ def dichotomy_experiment(N, k, gamma, q, eps_grid=None):
         passed &= abs(slope_I) <= DICHOTOMY_FLAT_ATOL
     metrics["passed_slope_check"] = bool(passed)
     return ExperimentReport("dichotomy", _dichotomy_params(N, k, gamma, q, R),
-                            metrics, tolerances, bool(passed),
-                            time.perf_counter() - t0, rows)
+                            metrics, tolerances, bool(passed), rows)
 
 
 def _slice_T(r, jq, m, R):
@@ -211,8 +202,7 @@ def _dichotomy_params(N, k, gamma, q, R):
 # two-sided norm equivalence
 
 
-def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
-                           seed=DEFAULT_SEED, R_grid=(4.0, 8.0, 16.0)):
+def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20, seed=DEFAULT_SEED):
     """Ratio statistics of the weighted aggregate against the Besov proxy.
 
     In the capacity window atomic measures make both functionals diverge
@@ -221,10 +211,10 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
     rtol 1e-4).  Checks: (a) exact q-homogeneity of both sides under
     mu -> 2 mu, (b) bounded
     ratio spread across the seeded family, (c) growth of the largest
-    ratio in the truncation radius no faster than R^{(s+nu-m)q+1}.
+    ratio in the truncation radii EQUIV_R_GRID no faster than
+    R^{(s+nu-m)q+1}.
     """
-    t0 = time.perf_counter()
-    quad, eps = QuadratureSpec(rtol=1e-4), EQUIV_EPS
+    quad, eps, R_grid = QuadratureSpec(rtol=1e-4), EQUIV_EPS, EQUIV_R_GRID
     rep = critical_exponents(N, k, gamma)
     if not rep.in_capacity_regime(q):
         raise ConfigurationError("equivalence experiment needs q_c <= q < q_c_star")
@@ -293,32 +283,26 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20,
               and max(homog_err_P) <= EQUIV_HOMOG_RTOL
               and growth_slope <= growth_bound * EQUIV_GROWTH_SLACK)
     return ExperimentReport("equivalence", params, metrics, tolerances,
-                            bool(passed), time.perf_counter() - t0, rows)
+                            bool(passed), rows)
 
 
 # --------------------------------------------------------------------------
 # truncation remainder scaling
 
 
-def remainder_experiment(nu, sigma, m, j, q, mu=None, R_grid=(2.0, 4.0, 8.0, 16.0)):
+def remainder_experiment(nu, sigma, j, q):
     """Truncation error of the reduced aggregate against its power bound.
 
     Delta(R) = integral_R^inf F h dtau + integral_0^R (F - F^R) h dtau,
     the two finite pieces of the difference between the full and the
-    truncated functionals, integrates the kernel against h over the
-    complement of the box (0, R) x (-R, R); all R come from one solve.
+    truncated functionals, integrates the kernel of a unit atom at the
+    origin of a line edge (m = 1) against h over the complement of the
+    box (0, R) x (-R, R); all R of REMAINDER_R_GRID come from one solve.
     The fitted R-exponent must stay below (sigma+1-nu)q + m + j - 1
     (+0.1 slack) and Delta must be nonincreasing; a Delta that
     underflows to 0 raises :class:`AccuracyError`.
     """
-    t0 = time.perf_counter()
-    quad = DEFAULT_QUAD
-    if m != 1:
-        raise ConfigurationError("remainder experiment implemented for m = 1")
-    mu = mu if mu is not None else dirac(1)
-    R_grid = tuple(sorted(R_grid))
-    if mu.support_radius() > 0.5 * R_grid[0]:
-        raise DomainError("measure must be supported in B_{R/2} for the smallest R")
+    quad, mu, m, R_grid = DEFAULT_QUAD, dirac(1), 1, REMAINDER_R_GRID
     params = KernelParams(nu=nu, m=m, q=q, sigma=sigma, j=j)
     nuq = nu * q
     if not (m < nuq and j - 1 < nuq):
@@ -347,8 +331,7 @@ def remainder_experiment(nu, sigma, m, j, q, mu=None, R_grid=(2.0, 4.0, 8.0, 16.
     return ExperimentReport("remainder",
                             {"nu": nu, "sigma": sigma, "m": m, "j": j, "q": q,
                              "R_grid": list(R_grid)},
-                            metrics, tolerances, bool(passed),
-                            time.perf_counter() - t0, rows)
+                            metrics, tolerances, bool(passed), rows)
 
 
 # --------------------------------------------------------------------------
@@ -393,7 +376,6 @@ def harmonicity_experiment(target="v_A", alpha=math.pi / 2):
     the origin.  Polynomial cases (integer kappa for v_A) sit at machine
     epsilon; all others must show order-2 decay of the residual.
     """
-    t0 = time.perf_counter()
     if not 0.0 < alpha < math.inf:
         raise DomainError("alpha must be finite and > 0")
     kappa = math.pi / alpha
@@ -438,7 +420,7 @@ def harmonicity_experiment(target="v_A", alpha=math.pi / 2):
                             metrics,
                             {"order_band": list(HARMONIC_ORDER_BAND),
                              "exact_residual": HARMONIC_EXACT_RESIDUAL},
-                            bool(passed), time.perf_counter() - t0, rows)
+                            bool(passed), rows)
 
 
 # --------------------------------------------------------------------------
@@ -542,10 +524,12 @@ def _strided_columns(size, stride):
             slice(0, size - 2 * stride, stride))
 
 
-def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
+def heat_lifting(R=4.0, q=1.8):
     """Lift boundary bumps through the heat flow and check the estimates.
 
-    The edge has dimension N - k = 1; the primary bump is cos^2 of width R/2.
+    The wedge is the quarter wedge (k = HEAT_K, kappa_plus =
+    HEAT_KAPPA_PLUS) and the edge has dimension N - k = 1; the primary
+    bump is cos^2 of width R/2.
     (a) the maximum principle 0 <= H <= max eta holds to roundoff;
     (b) the chain-rule Laplacian identity
         Delta H = 4 y^2 w_tt + (2k+1) w_t   (t = y^2)
@@ -559,7 +543,7 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
 
     Returns (lift, report) where lift is the HeatLift of the primary bump.
     """
-    t0 = time.perf_counter()
+    k, kappa_plus = HEAT_K, HEAT_KAPPA_PLUS
     s = capacity_index_s(k, kappa_plus, q)
     qp = q / (q - 1.0)
     if not (0.0 < s < 2.0):
@@ -692,5 +676,5 @@ def heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8):
                                "order_band": list(HEAT_ORDER_BAND),
                                "ratio_spread_max": HEAT_RATIO_SPREAD_MAX,
                                "zeta_growth_max": HEAT_ZETA_GROWTH_MAX},
-                              bool(passed), time.perf_counter() - t0, rows)
+                              bool(passed), rows)
     return lift, report

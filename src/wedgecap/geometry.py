@@ -214,11 +214,11 @@ class DiscreteMeasure:
                                         zip(self.positions, self.weights)])
 
 
-def dirac(m, z=None, w=1.0):
+def dirac(m, z=None):
     """Unit atom at z (default: origin of R^m)."""
     if z is None:
         z = np.zeros(m)
-    return DiscreteMeasure(m, [(z, w)])
+    return DiscreteMeasure(m, [(z, 1.0)])
 
 
 def decompose_measure(poly, mu):
@@ -280,6 +280,8 @@ class SetPiece:
             raise GeometryError("set piece kind must be point|ball|grid")
         if self.kind == "ball" and not (self.radius and self.radius > 0):
             raise GeometryError("ball piece needs radius > 0")
+        if self.dim is not None and self.dim < 0:
+            raise GeometryError("ball piece needs dim >= 0 (got %d)" % self.dim)
         if self.z is not None:
             object.__setattr__(self, "z", tuple(float(v) for v in np.atleast_1d(self.z)))
         object.__setattr__(self, "points",
@@ -298,7 +300,10 @@ class CompactSetDescription:
 
     def validate_against(self, poly):
         for p in self.pieces:
-            poly.stratum(p.stratum)   # raises UnknownStratumError
+            k = poly.stratum(p.stratum).k   # raises UnknownStratumError
+            if p.dim is not None and p.dim > poly.N - k:
+                raise GeometryError("ball on stratum %r has dimension %d, expected at "
+                                    "most N-k=%d" % (p.stratum, p.dim, poly.N - k))
         return self
 
 

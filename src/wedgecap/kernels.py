@@ -226,9 +226,12 @@ def F_nu_m(tau, mu, params, quad=None, truncated=True):
     """L^q integral over R^m (or the ball |y| < R) of the inner kernel sum.
 
     tau may be a scalar or an array; all values share one adaptively
-    refined panel set.  Returns (values, errors) with tau's shape.  Both
-    edge dimensions run on one kernel table and panel refinement, and
-    every value meets ``quad.rtol`` or raises :class:`AccuracyError`.
+    refined panel set.  Returns (values, errors) with tau's shape.  On
+    the line every value meets ``quad.rtol`` or raises AccuracyError; on
+    the plane the radial start panels miss an atom's spike at small tau:
+    one atom at the origin (nu = 3, q = 1.5, whole plane) comes out 42 %
+    below 2 pi tau^{-2.5} / 2.5 at tau = 1e-6 and 1e-8 with a reported
+    error of 1e-6 relative (ROADMAP item 21).
     """
     _require_dimension(mu, params)
     quad = quad or DEFAULT_QUAD
@@ -662,9 +665,11 @@ def _M_nodes(mu, params, quad, eps):
     the final panels of M's own log-tau solve at ``mu`` (the panels and
     integrand of :func:`_tau_ladder`) and, at all their tau nodes, of
     :func:`_slice_m1`.  Returns the K17 nodes mapped to tau, their
-    weights times dtau/dt and the tau weight of M, and per tau row
-    the mapped y nodes and weights; summing k(tau, y)^q against both gives
-    M(mu) to ``quad.rtol`` on nodes that do not move with the weights."""
+    weights times dtau/dt, the tau weight of M and tau^{-nu q}, and per
+    tau row the distances d of the y nodes to the atoms in units of tau,
+    formed as in :func:`_slice_m1`, and the y weights: M(mu) to
+    ``quad.rtol`` is the sum of (sum_i w_i (1 + d_i^2)^{-nu/2})^q against
+    both, on nodes that do not move with the weights."""
     w = _M_pieces(params)[0]
     t, tw = refined_nodes(_in_log_tau(_tau_integrand(mu, params, quad, w, truncated=True)),
                           _tau_edges(eps, params.R), quad.rtol)
@@ -673,7 +678,9 @@ def _M_nodes(mu, params, quad, eps):
                                       quad, truncated=True)
     u, uw = refined_nodes(f, edges, quad.rtol)
     at, x, jac = cells(u)
-    return tau, tw * tau * w(tau), at + tau[:, None] * x, uw * tau[:, None] * jac
+    d = (1.0 / tau)[:, None, None] * (at[:, None] - mu.positions[:, 0]) + x[:, :, None]
+    return (tau, tw * w(tau) * tau ** (1.0 - params.nu * params.q), d,
+            uw * tau[:, None] * jac)
 
 
 def reduced_I(mu, params, quad=None, eps=0.0):

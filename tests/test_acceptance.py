@@ -109,8 +109,7 @@ def test_criterion_05_exponent_bookkeeping():
 
 def test_criterion_06_equivalence_suite():
     t0 = time.perf_counter()
-    r = equivalence_experiment(3, 2, 4.0, 1.8, R=8.0, n_measures=20, seed=42,
-                               R_grid=(4.0, 8.0, 16.0))
+    r = equivalence_experiment(3, 2, 4.0, 1.8, R=8.0, n_measures=20, seed=42)
     assert r.metrics["homog_max_rel_err_M"] <= 1e-4
     assert r.metrics["homog_max_rel_err_proxy"] <= 1e-4
     assert r.metrics["ratio_spread"] <= 1e3
@@ -126,7 +125,7 @@ def test_criterion_06_equivalence_suite():
 
 def test_criterion_07_remainder_scaling():
     t0 = time.perf_counter()
-    r = remainder_experiment(nu=3.0, sigma=0.5, m=1, j=2, q=2.0)
+    r = remainder_experiment(nu=3.0, sigma=0.5, j=2, q=2.0)
     bound = (0.5 + 1.0 - 3.0) * 2.0 + 1.0 + 2.0 - 1.0
     assert abs(bound - (-1.0)) < 1e-14
     assert r.metrics["fitted_exponent"] <= bound + 0.1
@@ -195,7 +194,7 @@ def test_criterion_10_classification_table():
 
 def test_criterion_11_heat_lifting():
     t0 = time.perf_counter()
-    _, rep = heat_lifting(R=4.0, k=2, kappa_plus=2.0, q=1.8)
+    _, rep = heat_lifting(R=4.0, q=1.8)
     assert rep.metrics["overshoot"] <= 1e-12
     orders = rep.metrics["identity_orders"]
     assert all(1.7 <= o <= 2.3 for o in orders)

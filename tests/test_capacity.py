@@ -105,12 +105,6 @@ class TestBesselCapacity:
         with pytest.raises(DomainError, match="points must be finite"):
             bessel_capacity(np.array(pts), 0.6, 2.0)
 
-    @pytest.mark.parametrize("levels", [0, -1, 2.5])
-    def test_levels_must_be_a_positive_integer(self, levels):
-        # 0 was an UnboundLocalError, 2.5 a TypeError from range()
-        with pytest.raises(DomainError, match="levels"):
-            bessel_capacity(np.array([0.0]), 0.6, 2.0, levels=levels)
-
     def test_threshold_vanishing(self):
         res = bessel_capacity(np.array([0.0]), 0.4, 2.0, resolution=0.02)
         assert res.verdict == "vanishing"
@@ -123,21 +117,18 @@ class TestBesselCapacity:
         assert res.limit is not None and res.limit > 0
 
     def test_monotone_in_sets(self):
-        r1 = bessel_capacity(np.array([0.0]), 0.6, 2.0, resolution=0.04, levels=2)
-        r2 = bessel_capacity(np.array([0.0, 1.5]), 0.6, 2.0, resolution=0.04,
-                             levels=2)
+        r1 = bessel_capacity(np.array([0.0]), 0.6, 2.0, resolution=0.04)
+        r2 = bessel_capacity(np.array([0.0, 1.5]), 0.6, 2.0, resolution=0.04)
         assert r1.value <= r2.value + 2e-6
 
     def test_subadditive(self):
-        ra = bessel_capacity(np.array([0.0]), 0.6, 2.0, resolution=0.04, levels=2)
-        rb = bessel_capacity(np.array([2.0]), 0.6, 2.0, resolution=0.04, levels=2)
-        rc = bessel_capacity(np.array([0.0, 2.0]), 0.6, 2.0, resolution=0.04,
-                             levels=2)
+        ra = bessel_capacity(np.array([0.0]), 0.6, 2.0, resolution=0.04)
+        rb = bessel_capacity(np.array([2.0]), 0.6, 2.0, resolution=0.04)
+        rc = bessel_capacity(np.array([0.0, 2.0]), 0.6, 2.0, resolution=0.04)
         assert rc.value <= ra.value + rb.value + 2e-6
 
     def test_translation_invariance(self):
-        vals = [bessel_capacity(np.array([c]), 0.6, 2.0, resolution=0.04,
-                                levels=2).value
+        vals = [bessel_capacity(np.array([c]), 0.6, 2.0, resolution=0.04).value
                 for c in (-1.3, -0.25, 0.0, 0.4, 1.7)]
         assert (max(vals) - min(vals)) / min(vals) < 1e-6
 
@@ -155,7 +146,7 @@ class TestBesselCapacity:
                        bounds=[(0.0, None)] * centers.size, method="SLSQP",
                        options={"maxiter": 400, "ftol": 1e-12})
         assert res.success
-        mine = bessel_capacity(pts, alpha, p, resolution=h, levels=1)
+        mine = bessel_capacity(pts, alpha, p, resolution=h)
         # grids differ slightly in extent; values agree to solver scale
         assert abs(mine.value - res.fun) < 2e-3 * res.fun
 
@@ -169,7 +160,7 @@ class TestBesselCapacity:
                                          math.ceil((hi - pts[0]) / h) + 1)
         A = _cell_matrix(pts, centers, h, alpha)
         exact = h * np.sum(np.linalg.solve(A @ A.T, np.ones(pts.size)))
-        res = bessel_capacity(pts, alpha, 2.0, resolution=h, levels=1)
+        res = bessel_capacity(pts, alpha, 2.0, resolution=h)
         assert abs(res.value - exact) <= 1e-12 * exact
         assert res.gap <= 1e-14
 
@@ -184,7 +175,7 @@ class TestBesselCapacity:
         # g ~ (A^T lam)^100: trial steps overflow and are rejected; the
         # first-order ascent stalled here at gap 1.7e-5
         res = bessel_capacity(np.array([-0.6, 0.1, 0.6]), 30.0, 1.01,
-                              resolution=0.05, levels=2)
+                              resolution=0.05)
         assert res.gap <= 1e-13 and res.iterations <= 20
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
@@ -238,28 +229,29 @@ class TestRhoCapacity:
         assert res.value == 0.0 and res.verdict == "vanishing"
 
     def test_supercritical_singleton_vanishes(self):
-        res = rho_capacity(np.array([[0.0]]), QUARTER, q=1.8, R=8.0)
+        res = rho_capacity(np.array([[0.0]]), QUARTER, q=1.8)
         assert res.verdict == "vanishing"
         vals = [v for _, v in res.history]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_subcritical_singleton_positive(self):
-        res = rho_capacity(np.array([[0.0]]), QUARTER, q=1.5, R=8.0)
+        res = rho_capacity(np.array([[0.0]]), QUARTER, q=1.5)
         assert res.verdict == "positive"
         assert res.limit is not None and res.limit > 0
 
     def test_two_point_optimization(self):
-        res = rho_capacity(np.array([[0.0], [1.0]]), QUARTER, q=1.5, R=16.0,
-                           levels=2)
+        # more support can't hurt; R follows the set's diameter, so the
+        # sets compared have the same one
+        res = rho_capacity(np.array([[0.0], [0.5], [1.0]]), QUARTER, q=1.5)
         assert res.verdict == "positive"
-        single = rho_capacity(np.array([[0.0]]), QUARTER, q=1.5, R=16.0, levels=2)
-        assert res.value >= single.value * (1 - 1e-6)   # more support can't hurt
+        pair = rho_capacity(np.array([[0.0], [1.0]]), QUARTER, q=1.5)
+        assert res.value >= pair.value * (1 - 1e-6)
 
     def test_single_point_starts_at_the_optimum(self):
         # the uniform ray start is the minimizer: at most one step per
         # level, which polishes round-off
-        res = rho_capacity(np.array([[0.0]]), QUARTER, q=1.5, R=8.0, levels=2)
-        assert res.iterations <= 2 and res.gap <= 1e-15
+        res = rho_capacity(np.array([[0.0]]), QUARTER, q=1.5)
+        assert res.iterations <= capacity.LEVELS and res.gap <= 1e-15
 
     @pytest.mark.parametrize("d", [0.0, 1e-9, 1e-6, 1e-4])
     def test_near_coincident_points(self, d):
@@ -300,8 +292,21 @@ class TestRhoCapacity:
         # fixed grid used 378 880
         pts = np.array([[-1.0], [-0.2], [0.3], [0.9], [1.6]])
         params = params_from_report(QUARTER, 1.5, R=16.0)
-        tau, _, y, _ = _M_nodes(_uniform(pts), params, DEFAULT_QUAD, 1e-2 / 8)
-        assert y.shape[0] == tau.size and y.size <= 130_000
+        tau, _, d, _ = _M_nodes(_uniform(pts), params, DEFAULT_QUAD, 1e-2 / 8)
+        assert d.shape[0] == tau.size and d[:, :, 0].size <= 130_000
+
+    def test_J_at_uniform_weights_is_M(self):
+        # J sums the kernel in M's own distance form (units of tau) on the
+        # nodes of M's own solve: at the weights of that solve it is
+        # M_nu_s within M_nu_s's reported error
+        rng = np.random.default_rng(26)
+        for n in (1, 2, 3, 4):
+            mu = _uniform(rng.uniform(-2.0, 2.0, (n, 1)))
+            params = params_from_report(QUARTER, rng.uniform(1.5, 1.8),
+                                        R=kernels.default_R(mu))
+            eps = 1e-2 / 2.0 ** rng.integers(0, 4)
+            M, err = M_nu_s(mu, params, eps=eps)
+            assert abs(_J_phi(mu, params, eps)(mu.weights)[0] - M) <= err
 
     def test_node_set_is_M_own_solve(self, monkeypatch):
         # J sums on the tau nodes of the final panels of M's own log-tau
@@ -336,13 +341,7 @@ class TestRhoCapacity:
         assert np.array_equal(tau, np.exp(t))
         assert np.all(np.isin(tau, np.concatenate(seen)))
         Fv, _ = F_nu_m(tau, _uniform(pts), params)
-        assert abs(tw @ Fv - value) <= err
-
-    @pytest.mark.parametrize("levels", [0, -1, 2.5])
-    def test_levels_must_be_a_positive_integer(self, levels):
-        # 0 was an IndexError, 2.5 a TypeError from range()
-        with pytest.raises(DomainError, match="levels"):
-            rho_capacity(np.array([[0.0]]), QUARTER, q=1.5, levels=levels)
+        assert abs((tw * tau ** (params.nu * params.q)) @ Fv - value) <= err
 
     @pytest.mark.parametrize("pts", [[[np.nan]], [[0.0], [np.inf]]])
     def test_non_finite_points(self, pts):
@@ -350,19 +349,19 @@ class TestRhoCapacity:
         with pytest.raises(DomainError, match="points must be finite"):
             rho_capacity(np.array(pts), QUARTER, q=1.5)
 
-    @pytest.mark.parametrize("pts, R, msg", [
-        ([[0.0], [5.0]], 8.0, "R = 8 is below 2 max|z| = 10"),
-        ([[100.0], [101.0]], None, "R = 16 is below 2 max|z| = 202")])
-    def test_support_outside_the_half_ball(self, monkeypatch, pts, R, msg):
-        # checked with the other inputs, before any node or Newton solve
+    def test_support_outside_the_half_ball(self, monkeypatch):
+        # R = 8 (diameter + 1) = 16 follows the set, and far-off points
+        # still leave B_{R/2}: checked with the other inputs, before any
+        # node or Newton solve
         calls = []
 
         def counting_nodes(*args):
             calls.append(1)
             return _M_nodes(*args)
         monkeypatch.setattr(capacity, "_M_nodes", counting_nodes)
-        with pytest.raises(DomainError, match=re.escape(msg)):
-            rho_capacity(np.array(pts), QUARTER, q=1.5, R=R)
+        with pytest.raises(DomainError,
+                           match=re.escape("R = 16 is below 2 max|z| = 202")):
+            rho_capacity(np.array([[100.0], [101.0]]), QUARTER, q=1.5)
         assert calls == []
 
 

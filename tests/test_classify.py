@@ -5,7 +5,7 @@ import pytest
 
 from wedgecap.classify import (classify_polyhedron, good_measure_check,
                                removable_check, stratum_report, stratum_verdict)
-from wedgecap.errors import ConfigurationError, DomainError
+from wedgecap.errors import DomainError
 from wedgecap.exponents import critical_exponents
 from wedgecap.geometry import (CompactSetDescription, ConeOpening,
                                DiscreteMeasure, PolyhedronSpec, SetPiece,
@@ -39,19 +39,19 @@ class TestStratumVerdicts:
 
     def test_edge_regimes_sweep(self):
         st = Stratum("edge", 2, WedgeSpec(3, 2, PI / 2))
-        assert stratum_verdict(st, 1.6).regime == "subcritical"
-        assert stratum_verdict(st, 5.0 / 3.0).regime == "capacity-regime"
-        assert stratum_verdict(st, 1.99).regime == "capacity-regime"
-        assert stratum_verdict(st, 2.0).regime == "removable-stratum"
+        assert stratum_verdict(st, 1.6, 3).regime == "subcritical"
+        assert stratum_verdict(st, 5.0 / 3.0, 3).regime == "capacity-regime"
+        assert stratum_verdict(st, 1.99, 3).regime == "capacity-regime"
+        assert stratum_verdict(st, 2.0, 3).regime == "removable-stratum"
 
     def test_warning_exactly_at_qc(self):
         st = Stratum("edge", 2, WedgeSpec(3, 2, PI / 2))
         rep = critical_exponents(3, 2, 4.0)
-        assert stratum_verdict(st, rep.q_c).warning is not None
-        assert stratum_verdict(st, 1.8).warning is None
+        assert stratum_verdict(st, rep.q_c, 3).warning is not None
+        assert stratum_verdict(st, 1.8, 3).warning is None
 
     def test_verdict_serialization(self):
-        v = stratum_verdict(Stratum("edge", 2, WedgeSpec(3, 2, PI / 2)), 1.7)
+        v = stratum_verdict(Stratum("edge", 2, WedgeSpec(3, 2, PI / 2)), 1.7, 3)
         d = v.to_dict()
         assert d["stratum"] == "edge" and d["regime"] == "capacity-regime"
         assert set(d) == {"stratum", "regime", "q_c", "q_c_star", "s",
@@ -60,10 +60,6 @@ class TestStratumVerdicts:
     def test_gamma_supplied_directly(self):
         rep = stratum_report(Stratum("v", 3, ConeOpening(12.0)), N=3)
         assert abs(rep.kappa_plus - 3.0) < 1e-12
-
-    def test_needs_N(self):
-        with pytest.raises(ConfigurationError):
-            stratum_verdict(Stratum("face", 1, None), 1.5)
 
     def test_q_domain(self):
         with pytest.raises(DomainError):

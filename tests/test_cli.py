@@ -467,12 +467,6 @@ def test_verify_equivalence_rejects_empty_family(capsys, n):
       "--q", "1.5", "--tau", "0.5"), "the measure lives on R^1 but the edge has m = 2"),
     (("kernel", "--measure", "tests/golden/measure_plane.json", "--nu", "3", "--m", "1",
       "--q", "1.8", "--tau", "0.5"), "the measure lives on R^2 but the edge has m = 1"),
-    # a negative dimension answered "positive", and --ell 0 on a grid was
-    # replaced by the points' dimension 1 (both exit 0)
-    (("capacity", "--set", "demos/vertex_set.json", "--alpha", "0.6", "--p", "2",
-      "--ell", "-2"), "ell must be an integer >= 0"),
-    (("capacity", "--set", "tests/golden/grid_set.json", "--alpha", "0.6", "--p", "2",
-      "--ell", "0"), "numeric capacity implemented on R^1"),
 ])
 def test_non_finite_flags_exit_2(capsys, monkeypatch, argv, message):
     # each used to hang, fail only while serializing NaN or raise a traceback
@@ -494,9 +488,13 @@ def test_non_finite_flags_exit_2(capsys, monkeypatch, argv, message):
     ("capacity", "--set", "tests/golden/grid_set.json", "--alpha", "0.6", "--p", "2",
      "--tol", "1e-3"),
     ("exponents",) + QUARTER + ("--format", "csv"),
+    ("capacity", "--set", "tests/golden/grid_set.json", "--alpha", "0.6", "--p", "2",
+     "--ell", "3"),
+    ("verify", "remainder", "--m", "1"),
 ])
 def test_unread_flags_are_usage_errors(capsys, monkeypatch, argv):
-    # each exited 0 with the flag ignored (the last exited 2)
+    # the first seven exited 0 with the flag ignored (the seventh exited 2);
+    # the last two name flags that no caller set, removed with their values
     monkeypatch.chdir(ROOT)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -574,6 +572,17 @@ def classify_argv(flag, path):
      "edgee"),
     ("classify", "--measure", {"edge": {"m": 2, "atoms": [{"z": [0.25, 0.0], "w": 1.0}]}},
      "expected N-k=1"),
+    # a ball of a dimension no piece of its space can have said
+    # "not-removable", "positive" and "null" (exit 0)
+    ("classify", "--set", {"pieces": [{"stratum": "edge", "kind": "ball",
+                                       "radius": 1.0, "dim": 3}]},
+     "expected at most N-k=1"),
+    ("capacity", "--set", {"pieces": [{"stratum": "edge", "kind": "ball",
+                                       "radius": 1.0, "dim": 3}]},
+     "a ball of dimension 3 does not fit in R^1"),
+    ("capacity", "--set", {"pieces": [{"stratum": "edge", "kind": "ball",
+                                       "radius": 1.0, "dim": -1}]},
+     "ball piece needs dim >= 0"),
 ])
 def test_malformed_documents_exit_2(tmp_path, capsys, command, flag, doc, message):
     # the first ten used to raise a traceback (exit 1, the usage-error code);
@@ -662,8 +671,7 @@ _NUMERIC = {
         ("--q", _REALS), ("--R", _REALS), ("--n-measures", st.integers(-1, 3)),
         ("--seed", st.integers(-1, 2 ** 64))),
     ("verify", "remainder"): (("--nu", _REALS), ("--sigma", _REALS),
-                              ("--m", st.integers(0, 3)), ("--j", st.integers(0, 4)),
-                              ("--q", _REALS)),
+                              ("--j", st.integers(0, 4)), ("--q", _REALS)),
     ("verify", "harmonicity"): (("--alpha1", _REALS),
                                 ("--target", st.sampled_from(["v_A", "martin", "u"]))),
     ("verify", "heat"): (("--q", _REALS), ("--R", _REALS)),

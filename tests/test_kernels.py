@@ -646,8 +646,7 @@ def test_equivalence_truncated_tau_solves(monkeypatch):
         return integrand(mu, params, quad, weight, is_truncated, *args)
 
     monkeypatch.setattr(kernels, "_tau_integrand", counting)
-    equivalence_experiment(3, 2, 4.0, 1.8, R=8.0, n_measures=20, seed=42,
-                           R_grid=(4.0, 8.0, 16.0))
+    equivalence_experiment(3, 2, 4.0, 1.8, R=8.0, n_measures=20, seed=42)
     assert sum(truncated) <= 40
 
 
@@ -667,7 +666,7 @@ def test_remainder_is_one_tau_solve(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(_quad, "_refine", tracking)
-    remainder_experiment(nu=3.0, sigma=0.5, m=1, j=2, q=1.8)
+    remainder_experiment(nu=3.0, sigma=0.5, j=2, q=1.8)
     assert len(spans) == 1
     assert spans[0][0] == pytest.approx(2e-6, rel=1e-15, abs=0.0)
 
