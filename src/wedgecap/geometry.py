@@ -300,10 +300,14 @@ class CompactSetDescription:
 
     def validate_against(self, poly):
         for p in self.pieces:
-            k = poly.stratum(p.stratum).k   # raises UnknownStratumError
-            if p.dim is not None and p.dim > poly.N - k:
+            m = poly.N - poly.stratum(p.stratum).k   # raises UnknownStratumError
+            if p.dim is not None and p.dim > m:
                 raise GeometryError("ball on stratum %r has dimension %d, expected at "
-                                    "most N-k=%d" % (p.stratum, p.dim, poly.N - k))
+                                    "most N-k=%d" % (p.stratum, p.dim, m))
+            for z in ([] if p.z is None else [p.z]) + list(p.points):
+                if len(z) != m:
+                    raise GeometryError("%s piece on stratum %r has ambient dimension %d, "
+                                        "expected N-k=%d" % (p.kind, p.stratum, len(z), m))
         return self
 
 

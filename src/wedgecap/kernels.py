@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import (geometric_edges, integrate_partials, integrate_rows,
-                    merge_edges, refined_nodes)
+from ._quad import (integrate_partials, integrate_rows, merge_edges, panel_width,
+                    refined_nodes)
 from .errors import (AccuracyError, ConfigurationError, DivergenceError,
                      DomainError, SingularityError)
 from .exponents import bookkeeping_identity_gap
@@ -274,8 +274,10 @@ def _slice_m1(tau, rb, mu, params, quad, truncated):
     mass^q tau^{1-nu q} 2^{nu q-1} e^{-(nu q-1) s} / (nu q-1) beyond s and at
     least w^q tau^{1-nu q} e^{-(nu q-1) s_lo} / (nu q-1) from its atom's
     weight w: it ends where the ratio is rtol / 100, whatever tau, or is
-    capped where y or sinh(s)^2 leave the doubles.  Returns the integrand,
-    its start edges (two panels per half-cell), ``cells(u)`` (each node's
+    capped where y or sinh(s)^2 leave the doubles.  The own term has its
+    poles at s = +-i pi/2, so a half-cell starts with as few equal panels
+    as are no wider in s than :func:`panel_width` at rtol in every row.
+    Returns the integrand, its start edges, ``cells(u)`` (each node's
     atom, side sinh(s) and dy/du / tau), the rows' tail bounds in units of
     tau^{1-nu q} and which rows were capped.
     """
@@ -305,6 +307,9 @@ def _slice_m1(tau, rb, mu, params, quad, truncated):
     tail = np.where(cut, np.exp(q * math.log(mu.mass)
                                 - (nuq - 1.0) * (s_hi - math.log(2.0))), 0.0)
     ds = s_hi - s_lo
+    counts = np.maximum(1, np.ceil(ds.max(axis=0) / panel_width(quad.rtol))).astype(int)
+    edges = np.concatenate([h + np.arange(n) / n for h, n in enumerate(counts)]
+                           + [[counts.size]])
 
     def cells(u):
         h = np.minimum(u.astype(int), centre.size - 1)
@@ -323,8 +328,7 @@ def _slice_m1(tau, rb, mu, params, quad, truncated):
             out += 1.0
         return _kernel_sum(x.shape, base, mu, params.nu, q) * jac
 
-    return (f, np.arange(2 * centre.size + 1.0) / 2.0, cells,
-            tail.sum(axis=1) / (nuq - 1.0), capped)
+    return f, edges, cells, tail.sum(axis=1) / (nuq - 1.0), capped
 
 
 def _F_m1(tau_arr, mu, params, quad, truncated, radii=None):
@@ -445,20 +449,22 @@ def _tau_integrand(mu, params, quad, weight, truncated, radii=None):
     return f
 
 
-def _tau_edges(lo, hi, *marks):
+def _tau_edges(lo, hi, rtol, *marks):
     """Initial panels of a tau-integral over (lo, hi), as edges in
-    t = log tau: one panel per decade, uniform in t, and the mandatory
-    marks.
+    t = log tau: uniform in t, as few as are no wider than
+    :func:`panel_width` at ``rtol`` (F(e^t) is analytic in |Im t| < pi/2),
+    and the mandatory marks.
 
     Every tau node is a whole y x atom row of the kernel table, so the
-    start is deliberately coarse; the K17-G8 refinement adds panels
+    start is as coarse as rtol allows; the K17-G8 refinement adds panels
     only where the error estimate asks for them.  A graded edge within
     log 1.5 of a mark (an end or one of ``marks``) is dropped, so it
     leaves no sliver panel beside the mark.  Each mark c enters as
     np.log(c) exactly, so a cutoff mapped the same way is an edge.
     """
     fixed = np.log(merge_edges(lo, hi, *marks))
-    graded = np.log(geometric_edges(lo, hi, per_decade=1))
+    n = math.ceil((fixed[-1] - fixed[0]) / panel_width(rtol))
+    graded = np.linspace(fixed[0], fixed[-1], n + 1)
     near = np.abs(graded[:, None] - fixed).min(axis=1) < math.log(1.5)
     return merge_edges(fixed[0], fixed[-1], graded[~near], fixed)
 
@@ -494,7 +500,8 @@ def _tau_ladder(f, cutoffs, end, quad, marks=()):
     value is the exact aggregate of the refined panels above its cutoff.
     Returns (values in the order of ``cutoffs``, error); a multi-row ``f``
     takes one cutoff and returns one value and error per row."""
-    return integrate_partials(_in_log_tau(f), _tau_edges(min(cutoffs), end, cutoffs, marks),
+    return integrate_partials(_in_log_tau(f), _tau_edges(min(cutoffs), end, quad.rtol,
+                                                         cutoffs, marks),
                               np.log(cutoffs), rtol=quad.rtol)
 
 
@@ -672,7 +679,7 @@ def _M_nodes(mu, params, quad, eps):
     both, on nodes that do not move with the weights."""
     w = _M_pieces(params)[0]
     t, tw = refined_nodes(_in_log_tau(_tau_integrand(mu, params, quad, w, truncated=True)),
-                          _tau_edges(eps, params.R), quad.rtol)
+                          _tau_edges(eps, params.R, quad.rtol), quad.rtol)
     tau = np.exp(t)
     f, edges, cells, _, _ = _slice_m1(tau, np.full(tau.size, params.R), mu, params,
                                       quad, truncated=True)

@@ -583,6 +583,14 @@ def classify_argv(flag, path):
     ("capacity", "--set", {"pieces": [{"stratum": "edge", "kind": "ball",
                                        "radius": 1.0, "dim": -1}]},
      "ball piece needs dim >= 0"),
+    # set coordinates of another dimension than their stratum said "removable"
+    ("classify", "--set", {"pieces": [{"stratum": "edge", "kind": "point",
+                                       "z": [0.0, 0.0, 0.0]}]}, "expected N-k=1"),
+    ("classify", "--set", {"pieces": [{"stratum": "vertex", "kind": "point",
+                                       "z": [0.0, 1.0]}]}, "expected N-k=0"),
+    ("classify", "--set", {"pieces": [{"stratum": "edge", "kind": "grid",
+                                       "points": [[0.0, 0.0], [0.5, 0.0]]}]},
+     "expected N-k=1"),
 ])
 def test_malformed_documents_exit_2(tmp_path, capsys, command, flag, doc, message):
     # the first ten used to raise a traceback (exit 1, the usage-error code);

@@ -574,42 +574,94 @@ def test_ladder_widening_integrates_each_tau_once(monkeypatch):
         assert abs(v - ref) <= err + ref_err
 
 
-def _check_tau_start(lo, hi, marks):
-    """The start in t = log tau: every mark c is the edge np.log(c), no
-    panel is wider than a decade, and a panel narrower than log 1.5 lies
-    between two marks (the ends or ``marks``)."""
-    edges = kernels._tau_edges(lo, hi, *marks)
+def _check_tau_start(lo, hi, rtol, marks):
+    """The start in t = log tau: every mark c is the edge np.log(c), a
+    panel narrower than log 1.5 lies between two marks (the ends or
+    ``marks``), and no panel is wider than panel_width(rtol) unless a
+    graded edge within log 1.5 of a mark at its end was dropped."""
+    edges = kernels._tau_edges(lo, hi, rtol, *marks)
     fixed = np.log(_quad.merge_edges(lo, hi, *marks))
     assert np.all(np.isin(fixed, edges))
-    width = np.diff(edges)
-    assert np.all(width <= math.log(10.0) * (1.0 + 1e-12))
+    width, limit = np.diff(edges), _quad.panel_width(rtol) * (1.0 + 1e-12)
+    wide = width > limit
+    assert np.all(np.isin(edges[:-1][wide], fixed) | np.isin(edges[1:][wide], fixed))
+    assert np.all(width < limit + 2.0 * math.log(1.5))
     sliver = width < math.log(1.5)
     assert np.all(np.isin(edges[:-1][sliver], fixed) & np.isin(edges[1:][sliver], fixed))
+    if not marks:   # as few panels as the width allows
+        assert edges.size - 1 == math.ceil((fixed[-1] - fixed[0]) / _quad.panel_width(rtol))
     return edges
+
+
+def test_panel_width_meets_rtol_on_the_bernstein_ellipse():
+    # rho = e^{asinh(pi / L)} and rho^{-16} = rtol; a decade is 2.30
+    for rtol, width in ((1e-4, 5.17), (1e-6, 3.22), (1e-8, 2.21), (1e-9, 1.86)):
+        L = _quad.panel_width(rtol)
+        assert L == pytest.approx(width, abs=5e-3)
+        assert math.exp(-16.0 * math.asinh(math.pi / L)) == pytest.approx(rtol, rel=1e-12)
 
 
 def test_tau_start_has_no_sliver_panels():
     # the equivalence proxy start (eps = 1e-2, Y = 20) had the panel
     # [8.66e-3, 1e-2], and the dichotomy start three panels as narrow as
     # [9.999999999999997e-06, 1e-05]: each costs 17 whole table rows; the
-    # ladder start is 7 panels in log tau (8 with a mark at the midpoint)
+    # ladder start at rtol 1e-6 is 6 panels in log tau (7 at one panel
+    # per decade) and 5 at rtol 1e-4
     cutoffs = [1e-2 / 2 ** k for k in range(4)]
-    assert _check_tau_start(cutoffs[-1], 20.0, (cutoffs,)).size == 8   # 7 panels
+    assert _check_tau_start(cutoffs[-1], 20.0, 1e-6, (cutoffs,)).size == 7
+    assert _check_tau_start(cutoffs[-1], 20.0, 1e-4, (cutoffs,)).size == 6
     decades = 10.0 ** -np.arange(6.0, 1.0, -1.0)
-    edges = _check_tau_start(1e-6, 1.0, (decades,))
-    assert np.all(np.diff(edges) >= math.log(1.5))
-    for lo, hi, marks in ((1e-2, 8.0, ()), (2e-6, 40.0, ([2.0, 4.0, 8.0],)),
-                          (40.0, 40.0 * 2 ** 7, ()), (3e-3, 0.0101, ([0.01],))):
-        _check_tau_start(lo, hi, marks)
+    for rtol in (1e-3, 1e-4, 1e-6, 1e-8, 1e-10):
+        edges = _check_tau_start(1e-6, 1.0, rtol, (decades,))
+        assert np.all(np.diff(edges) >= math.log(1.5))
+        for lo, hi, marks in ((1e-2, 8.0, ()), (2e-6, 40.0, ([2.0, 4.0, 8.0],)),
+                              (40.0, 40.0 * 2 ** 7, ()), (3e-3, 0.0101, ([0.01],))):
+            _check_tau_start(lo, hi, rtol, marks)
+
+
+@pytest.mark.parametrize("lo", [1e-320, 5e-324])
+def test_tau_start_from_a_subnormal(lo):
+    # hi / lo overflows to inf, so the panels are counted in logs
+    edges = _check_tau_start(lo, 20.0, 1e-6, ())
+    assert edges[0] == np.log(lo) and edges[-1] == np.log(20.0)
+    assert np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0.0)
+
+
+@pytest.mark.parametrize("truncated", [True, False])
+def test_slice_start_panels_are_sized_from_rtol(truncated):
+    # each half-cell starts with the fewest equal panels that are no
+    # wider in s than panel_width(rtol) in any tau row
+    mu = DiscreteMeasure(1, [((-0.4,), 1.0), ((0.1,), 0.3), ((0.15,), 2.0)])
+    tau = np.array([1e-6, 1e-3, 0.1, 2.0])
+    rb = np.full(tau.size, 8.0 if truncated else 1.0)
+    counts = []
+    for nu, q in ((2.0, 2.0), (3.0, 1.5), (1.5, 1.2)):
+        p = KernelParams(nu=nu, m=1, q=q, R=8.0)
+        for rtol in (1e-3, 1e-6, 1e-9):
+            _, edges, cells, _, _ = kernels._slice_m1(tau, rb, mu, p, QuadratureSpec(rtol),
+                                                      truncated)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            _, x, jac = cells(mid)
+            ds = jac / np.sqrt(1.0 + x ** 2) * np.diff(edges)   # each panel's width in s
+            L = _quad.panel_width(rtol)
+            assert np.all(ds <= L * (1.0 + 1e-12))
+            half = mid.astype(int)
+            counts.append(np.bincount(half, minlength=6))
+            for h, n in enumerate(counts[-1]):
+                if n > 1:   # one panel fewer would be too wide
+                    assert np.max(ds[:, half == h]) * n / (n - 1) > L
+    assert np.min(counts) == 1 and np.max(counts) > 3
 
 
 def test_equivalence_op_tau_work(monkeypatch):
-    # one criterion-6 op on a 6-atom member: the tau start grid is coarse
-    # and refined on demand in log tau (170 tau-nodes; 204 on linear-tau
-    # panels, 1037 with 6 log panels per decade and 9 uniform edges), and
-    # each tau row integrates its atoms' cells in sinh coordinates (69 360
-    # tau x y cells; 83 232 on linear-tau panels, 272 816 on one y grid
-    # shared by every row, with a 4-fold ladder around each atom)
+    # one criterion-6 op on a 6-atom member: the tau start grid is sized
+    # from rtol and refined on demand in log tau (119 tau-nodes; 170 at one
+    # panel per decade, 204 on linear-tau panels, 1037 with 6 log panels
+    # per decade and 9 uniform edges), and each tau row integrates its
+    # atoms' cells in sinh coordinates (32 946 tau x y cells; 69 360 at
+    # one panel per decade and two per half-cell, 83 232 on linear-tau
+    # panels, 272 816 on one y grid shared by every row, with a 4-fold
+    # ladder around each atom)
     mu = next(mu for mu in measure_family(1, 8.0, n_measures=60, seed=42)
               if mu.n_atoms == 6)
     q, quad = 1.8, QuadratureSpec(rtol=1e-4)
@@ -690,6 +742,29 @@ def test_box_ladder_matches_per_radius_M(member):
         assert (float(one[0]), float(one_err[0])) == (ref, ref_err)
 
 
+def test_equiv_member_table_work(monkeypatch):
+    # the equiv-family op on its first 6-atom member (seed 5) at rtol 1e-4:
+    # start panels sized from rtol meet it in one round per solve, a proxy
+    # table of 85 x 340 and an M table of 34 x 204 tau x y cells, 215 016
+    # atom-cells in all (416 160 at one tau panel per decade and two y
+    # panels per half-cell: 119 x 408 and 51 x 408)
+    mu = next(mu for mu in measure_family(1, 8.0, n_measures=200, seed=5, max_atoms=10)
+              if mu.n_atoms == 6)
+    q, quad = 1.8, QuadratureSpec(rtol=1e-4)
+    cells = []
+    table = kernels._kernel_sum
+
+    def counting(shape, base, measure, *args):
+        cells.append(shape[0] * shape[1] * measure.n_atoms)
+        return table(shape, base, measure, *args)
+
+    monkeypatch.setattr(kernels, "_kernel_sum", counting)
+    besov_neg_proxy(mu, QUARTER.s(q), q, eps=1e-2, quad=quad)
+    M_nu_s(mu, params_from_report(QUARTER, q, R=8.0), quad=quad, eps=1e-2)
+    assert len(cells) == 2
+    assert sum(cells) <= 250_000
+
+
 @pytest.mark.parametrize("nu, q, sigma, j", [(2.0, 1.8, 0.3, 1), (3.0, 2.0, 2.0, 2),
                                              (4.0, 1.6, 0.5, 3)])
 def test_one_rung_is_the_ladder_solve(nu, q, sigma, j):
@@ -704,9 +779,10 @@ def test_one_rung_is_the_ladder_solve(nu, q, sigma, j):
 
 def test_dirac_proxy_table_work(monkeypatch):
     # in log tau the power tau^{a-1} is analytic, so the start panels meet
-    # rtol in one round: one F solve and 13 872 tau x y cells (three F
-    # solves and 25 432 cells on linear-tau panels, 96 526 with a y core
-    # and one widening shell, 324 836 with a y call per doubling)
+    # rtol in one round: one F solve and 10 404 tau x y cells (13 872 with
+    # two y panels per half-cell, refined once; three F solves and 25 432
+    # cells on linear-tau panels, 96 526 with a y core and one widening
+    # shell, 324 836 with a y call per doubling)
     cells, calls = [], []
     table, F = kernels._kernel_sum, kernels.F_nu_m
 
