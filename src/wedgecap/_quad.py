@@ -13,12 +13,14 @@ All integrands are vectorized.  One refinement engine serves two entry
 points: ``integrate_rows`` evaluates a whole family of integrands (rows)
 sharing one panel decomposition in a single call, which is what makes
 the kernel functionals cheap at desk scale, and ``integrate_partials``
-sums the final panels of one row above each of several cuts (or of
-several rows above one cut), so a ladder of nested tails costs a single
-solve.  ``refined_nodes`` hands out the K17 nodes and weights of one
-solve's final panels, a fixed rule on which other integrands of the
-family can be summed, and ``panel_width`` sizes start panels from the
-tolerance.
+integrates one row from each of several cuts (or several rows from one
+cut) to the end, so a ladder of nested tails costs a single solve.  A
+tail is the sum of the final panels above its cut plus, on the panel the
+cut straddles, the integral of that panel's K17 interpolant from the cut
+up (the spectral indefinite integral); a cut need not be an edge.
+``refined_nodes`` hands out the K17 nodes and weights of one solve's
+final panels, a fixed rule on which other integrands of the family can
+be summed, and ``panel_width`` sizes start panels from the tolerance.
 """
 
 import math
@@ -76,6 +78,64 @@ _K17_W = np.concatenate([_WGK[:0:-1], _WGK])
 _G8_W = np.concatenate([_WG[::-1], _WG])   # at _K17_X[1::2]
 
 
+def _lagrange_chebyshev(x):
+    """Chebyshev coefficients (degree, node) of each node's Lagrange basis
+    polynomial: its values at the Chebyshev points cos(j pi / N), N =
+    x.size - 1, as products of its linear factors, and their discrete
+    cosine transform, exact to degree N.  Only elementwise numpy: a
+    LAPACK or numpy.polynomial call would add to every process's start
+    and memory."""
+    n = x.size - 1
+    theta = np.pi * np.arange(n + 1) / n
+    y = np.cos(theta)
+    vals = np.ones((n + 1, x.size))
+    for j, xj in enumerate(x):   # the factor (y - x_j) / (x_k - x_j) of every k != j
+        den = x - xj
+        den[j] = 1.0
+        factor = (y[:, None] - xj) / den
+        factor[:, j] = 1.0
+        vals *= factor
+    vals[[0, n]] *= 0.5
+    coef = (2.0 / n) * (np.cos(np.arange(n + 1)[:, None] * theta)[:, :, None] * vals).sum(axis=1)
+    coef[[0, n]] *= 0.5
+    return coef
+
+
+def _partial_table():
+    """Chebyshev coefficients, in the cut c in [-1, 1], of the weights of
+    the integral over [c, 1] of the K17 interpolant (columns 0-16, of the
+    values at _K17_X) and of the G8 interpolant (columns 17-24, of the
+    values at _K17_X[1::2]): T(c) @ table, T_n(c) for n = 0 .. 17, gives
+    the partial weights of both rules.  Each node's Lagrange basis
+    polynomial is antidifferentiated termwise, T_0 -> T_1 and
+    T_k -> T_{k+1} / (2 (k+1)) - T_{k-1} / (2 (k-1)) (the T_0 term of T_1
+    dropped: a constant cancels in A(1) - A(c)), and T_n(1) = 1."""
+    table = np.zeros((_K17_X.size + 1, _K17_X.size + _G8_W.size))
+    for cols, x in ((slice(0, _K17_X.size), _K17_X), (slice(_K17_X.size, None), _K17_X[1::2])):
+        lagrange = _lagrange_chebyshev(x)
+        anti = np.zeros((x.size + 1, x.size))
+        anti[1] = lagrange[0]
+        for k in range(1, x.size):
+            anti[k + 1] += lagrange[k] / (2.0 * (k + 1))
+            if k >= 2:
+                anti[k - 1] -= lagrange[k] / (2.0 * (k - 1))
+        table[:x.size + 1, cols] = -anti
+        table[0, cols] += anti.sum(axis=0)
+    return table
+
+
+_PARTIAL = _partial_table()
+
+
+def _partial_weights(c):
+    """Per cut c (panel coordinate in [-1, 1]) the weights of the integral
+    over [c, 1] of the K17 interpolant (17) and of the G8 interpolant (8),
+    from T_n(c) = cos(n arccos c)."""
+    w = np.einsum("cn,nw->cw", np.cos(np.arange(_PARTIAL.shape[0]) * np.arccos(c)[:, None]),
+                  _PARTIAL)
+    return w[:, :_K17_X.size], w[:, _K17_X.size:]
+
+
 def k17_nodes(a, b):
     """K17 nodes and weights on every panel [a_i, b_i], panel by panel:
     a sum of f(nodes) * weights is the K17 integral over the panels."""
@@ -85,10 +145,11 @@ def k17_nodes(a, b):
 
 
 def _row_sums(f, a, b):
-    """Per-panel K17 and embedded G8 integrals of every row.
+    """Per-panel K17 and embedded G8 integrals of every row, and the
+    (rows, panels, 17) node values they were formed from.
 
     One integrand call at 17 nodes per panel covers both rules, and each
-    rule is one matrix-vector product of the (rows, panels, 17) values.
+    rule is one matrix-vector product of the node values.
     """
     half = 0.5 * (b - a)
     nodes, _ = k17_nodes(a, b)
@@ -98,7 +159,23 @@ def _row_sums(f, a, b):
     v = vals.reshape(vals.shape[0], a.size, _K17_X.size)
     hi = (v @ _K17_W) * half
     lo = (v[:, :, 1::2] @ _G8_W) * half
-    return hi, lo
+    return hi, lo, v
+
+
+def _straddled(v, a, b, cuts, tol):
+    """Per cut the panel it lies in and, on that panel, the (rows, cuts)
+    integrals from the cut to the panel's right edge of its K17
+    interpolant and their distance to the same integral of its embedded
+    G8 interpolant; both are 0 where the cut is within ``tol`` of an edge
+    and so straddles nothing."""
+    k = np.maximum((a <= cuts[:, None]).sum(axis=1) - 1, 0)
+    left, right = a[k], b[k]
+    half = 0.5 * (right - left)
+    w17, w8 = _partial_weights(np.minimum(np.maximum((cuts - left) / half - 1.0, -1.0), 1.0))
+    scale = half * ((cuts - left > tol) & (right - cuts > tol))
+    vk = v[:, k, :]
+    p17 = np.einsum("rcn,cn->rc", vk, w17) * scale
+    return k, p17, np.abs(p17 - np.einsum("rcn,cn->rc", vk[:, :, 1::2], w8) * scale)
 
 
 def _with_roundoff(errs, hi):
@@ -111,29 +188,43 @@ def _with_roundoff(errs, hi):
     return np.maximum(errs, 50.0 * _EPS * np.abs(hi).sum(axis=1))
 
 
-def _refine(f, edges, rtol):
+def _refine(f, edges, rtol, cuts=()):
     """The refinement engine behind :func:`integrate_rows` and
     :func:`integrate_partials`.
 
     Splits the panels carrying half of the worst relative error until
     every row meets ``rtol``, keeping the panels sorted so the
     floating-point reduction order is fixed.  Returns the final panels'
-    left edges, their K17 sums of shape ``(nrows, npanels)``, and
-    the per-row values and error estimates.  The stopping test uses the
-    K17 - G8 estimates; the reported errors are floored at the rounding
-    of the sums (:func:`_with_roundoff`).  A row whose value or estimate
-    is not finite raises :class:`AccuracyError` in the round it appears.
+    left edges, their K17 sums of shape ``(nrows, npanels)``, the per-row
+    values and error estimates, and the ``(nrows, ncuts)`` integrals from
+    each of ``cuts`` to the right edge of the panel it straddles (0 where
+    it straddles none).  The stopping test uses the K17 - G8 estimates; a
+    panel a cut straddles adds the distance between the integrals of its
+    K17 and G8 interpolants above the cut (:func:`_straddled`) to its
+    estimate, in the test, in the choice of panels to split and in the
+    reported error, so a rung whose partial is not resolved is cut into a
+    narrower panel.  The reported
+    errors are floored at the rounding of the sums (:func:`_with_roundoff`).
+    A row whose value or estimate is not finite raises
+    :class:`AccuracyError` in the round it appears.
     """
     edges = np.asarray(edges, float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly increasing with >= 2 entries")
+    cuts = np.asarray(cuts, float)
+    tol = 1e-15 * np.maximum(np.abs(cuts), 1.0)
     a = edges[:-1].copy()
     b = edges[1:].copy()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        hi, lo = _row_sums(f, a, b)
+        hi, lo, v = _row_sums(f, a, b)
         while True:
+            pan = np.abs(hi - lo)
+            p17 = np.zeros((hi.shape[0], cuts.size))
+            if cuts.size:
+                k, p17, gap = _straddled(v, a, b, cuts, tol)
+                np.add.at(pan, (slice(None), k), gap)
             vals = hi.sum(axis=1)
-            errs = np.abs(hi - lo).sum(axis=1)
+            errs = pan.sum(axis=1)
             finite = np.isfinite(vals) & np.isfinite(errs)
             if not np.all(finite):
                 row = int(np.argmin(finite))
@@ -142,13 +233,13 @@ def _refine(f, edges, rtol):
                     % (row, float(vals[row]), float(errs[row])), value=vals, error=errs)
             scale = np.maximum(np.abs(vals), _TINY)
             if np.all(errs <= rtol * scale):
-                return a, hi, vals, _with_roundoff(errs, hi)
+                return a, hi, vals, _with_roundoff(errs, hi), p17
             if a.size >= _MAX_PANELS:
                 raise AccuracyError(
                     "quadrature stalled at %d panels (worst relative error %.3g, target %.3g)"
                     % (a.size, float(np.max(errs / scale)), rtol),
                     value=vals, error=_with_roundoff(errs, hi))
-            pe = (np.abs(hi - lo) / scale[:, None]).max(axis=0)
+            pe = (pan / scale[:, None]).max(axis=0)
             order_idx = np.argsort(pe, kind="stable")[::-1]
             csum = np.cumsum(pe[order_idx])
             ncut = int(np.searchsorted(csum, 0.5 * csum[-1])) + 1
@@ -159,7 +250,7 @@ def _refine(f, edges, rtol):
             mid = 0.5 * (am + bm)
             na = np.concatenate([am, mid])
             nb = np.concatenate([mid, bm])
-            nhi, nlo = _row_sums(f, na, nb)
+            nhi, nlo, nv = _row_sums(f, na, nb)
             a = np.concatenate([a[~sel], na])
             b = np.concatenate([b[~sel], nb])
             hi = np.concatenate([hi[:, ~sel], nhi], axis=1)
@@ -167,6 +258,8 @@ def _refine(f, edges, rtol):
             perm = np.argsort(a, kind="stable")
             a, b = a[perm], b[perm]
             hi, lo = hi[:, perm], lo[:, perm]
+            if cuts.size:   # the node values are kept for the straddled partials
+                v = np.concatenate([v[:, ~sel], nv], axis=1)[:, perm]
 
 
 def integrate_rows(f, edges, rtol=1e-8):
@@ -188,7 +281,7 @@ def integrate_rows(f, edges, rtol=1e-8):
     -------
     (values, errors) : ndarray, ndarray of shape (nrows,)
     """
-    _, _, vals, errs = _refine(f, edges, rtol)
+    _, _, vals, errs, _ = _refine(f, edges, rtol)
     return vals, errs
 
 
@@ -203,25 +296,31 @@ def refined_nodes(f, edges, rtol):
 def integrate_partials(f, edges, cuts, rtol=1e-8):
     """One adaptive solve, many nested tails: integrals over [cut, edges[-1]].
 
-    Every cut must appear among the initial edges, so panels never
-    straddle a cut and the partial sums are exact panel aggregates of
-    the single refined decomposition.  For ``f`` returning one row,
-    returns (values, error) with one value per cut (same order as
-    ``cuts``) and the global error estimate; for several rows and one
+    A cut may lie anywhere in [edges[0], edges[-1]]: its tail is the sum
+    of the refined panels above it plus, on the one panel it straddles,
+    the integral of that panel's K17 interpolant over [cut, b], whose
+    distance to the same integral of the G8 interpolant is in the error
+    and drives the refinement like a panel's |K17 - G8| (see
+    :func:`_refine`).  A cut within 1e-15 (relative, at least absolute)
+    of an edge is that edge and straddles nothing.  For ``f`` returning
+    one row, returns (values, error) with one value per cut (same order
+    as ``cuts``) and the global error estimate; for several rows and one
     cut, each row's value above it and the per-row errors.
     """
     edges = np.asarray(edges, float)
     cuts = np.asarray(cuts, float)
     tol = 1e-15 * np.maximum(np.abs(cuts), 1.0)
-    if not np.all(np.any(np.abs(edges[:, None] - cuts) <= tol, axis=0)):
-        raise ValueError("every cut must be an initial panel edge")
-    a, hi, _, errs = _refine(f, edges, rtol)
+    if np.any(cuts < edges[0] - tol) or np.any(cuts > edges[-1] + tol):
+        raise ValueError("every cut must lie within [edges[0], edges[-1]]")
+    inner = ~np.any(np.abs(edges[:, None] - cuts) <= tol, axis=0)   # the others never straddle
+    a, hi, _, errs, p17 = _refine(f, edges, rtol, cuts[inner])
+    tails = np.stack([hi[:, a >= c - t].sum(axis=1) for c, t in zip(cuts, tol)], axis=1)
+    tails[:, inner] += p17
     if hi.shape[0] > 1:
         if cuts.size != 1:
             raise ValueError("several rows take a single cut")
-        return hi[:, a >= cuts[0] - tol[0]].sum(axis=1), errs
-    vals = np.array([hi[0, a >= c - t].sum() for c, t in zip(cuts, tol)])
-    return vals, float(errs[0])
+        return tails[:, 0], errs
+    return tails[0], float(errs[0])
 
 
 def fit_loglog(x, y):

@@ -451,22 +451,23 @@ def _tau_integrand(mu, params, quad, weight, truncated, radii=None):
 
 def _tau_edges(lo, hi, rtol, *marks):
     """Initial panels of a tau-integral over (lo, hi), as edges in
-    t = log tau: uniform in t, as few as are no wider than
+    t = log tau: the marks (the ends and ``marks``) and, in each gap
+    between consecutive marks, as few equal panels as are no wider than
     :func:`panel_width` at ``rtol`` (F(e^t) is analytic in |Im t| < pi/2),
-    and the mandatory marks.
+    so no start panel is wider than the width.
 
     Every tau node is a whole y x atom row of the kernel table, so the
     start is as coarse as rtol allows; the K17-G8 refinement adds panels
-    only where the error estimate asks for them.  A graded edge within
-    log 1.5 of a mark (an end or one of ``marks``) is dropped, so it
-    leaves no sliver panel beside the mark.  Each mark c enters as
-    np.log(c) exactly, so a cutoff mapped the same way is an edge.
+    only where the error estimate asks for them.  Only the places where
+    the integrand's slice jumps (the box radii) need to be marks; a
+    ladder cutoff is not one (see :func:`_tau_ladder`).  Each mark c
+    enters as np.log(c) exactly.
     """
     fixed = np.log(merge_edges(lo, hi, *marks))
-    n = math.ceil((fixed[-1] - fixed[0]) / panel_width(rtol))
-    graded = np.linspace(fixed[0], fixed[-1], n + 1)
-    near = np.abs(graded[:, None] - fixed).min(axis=1) < math.log(1.5)
-    return merge_edges(fixed[0], fixed[-1], graded[~near], fixed)
+    width = panel_width(rtol)
+    gaps = [np.linspace(t0, t1, math.ceil((t1 - t0) / width) + 1)[:-1]
+            for t0, t1 in zip(fixed[:-1], fixed[1:])]
+    return np.append(np.concatenate(gaps), fixed[-1])
 
 
 def _in_log_tau(f):
@@ -496,12 +497,14 @@ def _decade_low(mu, params, weight, a):
 def _tau_ladder(f, cutoffs, end, quad, marks=()):
     """Integrals of the tau-integrand ``f`` from each cutoff up to ``end``
     in one solve in t = log tau (see :func:`_in_log_tau`) on the panels of
-    :func:`_tau_edges`, where the cutoffs and ``marks`` are edges, so each
-    value is the exact aggregate of the refined panels above its cutoff.
-    Returns (values in the order of ``cutoffs``, error); a multi-row ``f``
-    takes one cutoff and returns one value and error per row."""
-    return integrate_partials(_in_log_tau(f), _tau_edges(min(cutoffs), end, quad.rtol,
-                                                         cutoffs, marks),
+    :func:`_tau_edges` from the lowest cutoff, with ``marks`` as edges.
+    The other cutoffs are not edges: F * weight is analytic across a
+    cutoff, which only limits the integral, so each rung is the refined
+    panels above it plus the integral of its panel's K17 interpolant
+    above the cutoff (see :func:`integrate_partials`).  Returns
+    (values in the order of ``cutoffs``, error); a multi-row ``f`` takes
+    one cutoff and returns one value and error per row."""
+    return integrate_partials(_in_log_tau(f), _tau_edges(min(cutoffs), end, quad.rtol, marks),
                               np.log(cutoffs), rtol=quad.rtol)
 
 
@@ -574,7 +577,10 @@ def _aggregate(mu, params, quad, pieces, cutoffs, radii=None):
     decades above the largest cutoff or radius and above Y.  ``radii`` take
     one cutoff and give one row per R_i: the box (0, R_i) x (-R_i, R_i), or
     its complement with a tail bound.  A single cutoff <= 0 integrates from
-    0.  Returns (values in the order of ``cutoffs``, error), or per radius.
+    0.  The solve (:func:`_tau_ladder`) starts at the lowest cutoff with
+    the radii as tau edges; a higher cutoff is no edge, and its rung is
+    the refined panels above it plus its panel's interpolant partial.
+    Returns (values in the order of ``cutoffs``, error), or per radius.
     """
     _require_line_edge(params)
     _require_dimension(mu, params)
@@ -701,11 +707,12 @@ def reduced_I(mu, params, quad=None, eps=0.0):
 def reduced_I_ladder(mu, params, cutoffs, quad=None):
     """reduced_I at several inner cutoffs from one shared refinement.
 
-    Each ladder value is the exact aggregate of the refined panels of
-    one tau solve from its cutoff to the end fixed before the solve, and
-    the tail bound beyond that end is in the error (see
-    :func:`_aggregate`).  Returns (values, error) with values in the
-    order of ``cutoffs``.
+    All rungs come from one tau solve from the lowest cutoff to the end
+    fixed before the solve: each is the refined panels above its cutoff
+    plus the integral of its panel's K17 interpolant from the cutoff up,
+    whose distance to the G8 interpolant's is in the error, and so is
+    the tail bound beyond the end (see :func:`_aggregate`).  Returns
+    (values, error) with values in the order of ``cutoffs``.
     """
     quad = quad or DEFAULT_QUAD
     if params.sigma is None or params.j is None:

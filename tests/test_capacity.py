@@ -317,8 +317,8 @@ class TestRhoCapacity:
         final, seen, depth = [], [], []
         refine, F = _quad._refine, kernels.F_nu_m
 
-        def tracking(f, edges, rtol):
-            out = refine(f, edges, rtol)
+        def tracking(f, edges, *args):
+            out = refine(f, edges, *args)
             if not depth:   # the tau solve, not a y-solve inside F
                 final.append(np.append(out[0], edges[-1]))
             return out

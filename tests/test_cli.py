@@ -654,6 +654,17 @@ def test_classify_fuzzed_documents_never_raise(tmp_path, data, flag):
     # classify reaches analytic verdicts only, so any document is cheap
     with open(DEMO[flag], encoding="utf-8") as fh:
         demo = json.load(fh)
+    if flag == "--set":
+        # each piece's coordinate length is drawn apart from its stratum:
+        # a point's z and every grid point are cut or zero-padded to it
+        demo["pieces"].append({"stratum": "edge", "kind": "grid",
+                               "points": [[-0.6], [0.1], [0.6]]})
+        for piece in demo["pieces"]:
+            n = data.draw(st.integers(0, 3))
+            if "z" in piece:
+                piece["z"] = (piece["z"] + [0.0] * 3)[:n]
+            if "points" in piece:
+                piece["points"] = [(x + [0.0] * 3)[:n] for x in piece["points"]]
     doc = _mutated(demo, data) if data.draw(st.integers(0, 3)) else data.draw(_JSON)
     path = write(tmp_path, "fuzz.json", doc)
     with contextlib.redirect_stdout(io.StringIO()), \

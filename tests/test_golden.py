@@ -87,22 +87,43 @@ def test_cli_output_matches_golden(name, monkeypatch):
 # import, here from an interpreter that has not loaded SciPy yet
 COLD = ("capacity.json", "exponents_box.json", "verify_dichotomy.json",
         "verify_heat.json")
+# the kernel and Besov functionals need numpy alone: SciPy's import would
+# double a process's start and add a third to its memory
+NUMPY_ONLY = ("besov.json", "kernel_truncated.json", "kernel_full_line.json")
 
 
-def test_lazy_imports_from_a_cold_process():
+def _run_cold(names):
+    """Run the cases ``names`` in one fresh interpreter; returns their
+    (exit code, output) pairs and whether SciPy was loaded at the end."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     script = ("import json, sys; sys.path.insert(0, 'tests'); "
               "from test_golden import CASES, run; "
-              "print(json.dumps([run(CASES[name]) for name in sys.argv[1:]]))")
-    proc = subprocess.run([sys.executable, "-c", script, *COLD], cwd=ROOT, env=env,
+              "outs = [run(CASES[name]) for name in sys.argv[1:]]; "
+              "print(json.dumps([outs, 'scipy' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", script, *names], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    for name, (code, out) in zip(COLD, json.loads(proc.stdout)):
+    return json.loads(proc.stdout)
+
+
+def _check_goldens(names, outs):
+    for name, (code, out) in zip(names, outs):
         assert code == 0, name
         with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as fh:
             assert out == fh.read(), name
+
+
+def test_lazy_imports_from_a_cold_process():
+    outs, _ = _run_cold(COLD)
+    _check_goldens(COLD, outs)
+
+
+def test_kernel_path_loads_no_scipy():
+    outs, scipy_loaded = _run_cold(NUMPY_ONLY)
+    _check_goldens(NUMPY_ONLY, outs)
+    assert not scipy_loaded
 
 
 def largest_relative_change(old, new):

@@ -235,9 +235,9 @@ class TestF:
         calls = []
         refine = _quad._refine
 
-        def counting(f, edges, rtol):
+        def counting(f, edges, *args):
             calls.append(1)
-            return refine(f, edges, rtol)
+            return refine(f, edges, *args)
 
         monkeypatch.setattr(_quad, "_refine", counting)
         mu = DiscreteMeasure(2, [((0.0, 0.0), 1.0), ((1.0, 0.5), 1.0),
@@ -533,6 +533,47 @@ def test_dirac_ladder_within_reported_error(a, q, log_eps, rtol):
         assert abs(v - exact) <= err
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_interior_rungs_match_the_rungs_as_edges(seed, monkeypatch):
+    # only the lowest cutoff is a tau edge: a rung above it is the refined
+    # panels above it plus the integral of its panel's K17 interpolant
+    # from the cutoff up.  Solved again with every cutoff a mark, each rung
+    # is a sum of whole panels; the two agree to within the rung's own
+    # |P17 - P8| and the K17 - G8 estimates of both solves, without the
+    # flat 0.3 rtol term of _aggregate
+    rng = np.random.default_rng(seed)
+    rtol = (1e-4, 1e-6, 1e-8)[seed % 3]
+    mu = DiscreteMeasure(1, [((rng.uniform(-1.0, 1.0),), 10.0 ** rng.uniform(-1.0, 1.0))
+                             for _ in range(int(rng.integers(1, 8)))])
+    q, a = rng.uniform(1.6, 3.0), rng.uniform(-0.5, 0.6)
+    p = KernelParams(nu=2.0, m=1, q=q, sigma=(a + q - 1.0) / q, j=1)
+    eps = 10.0 ** rng.uniform(-2.5, -1.0)
+    cutoffs = [eps / 2 ** k for k in range(4)]
+    solves, gaps = [], []
+    partials, straddled = kernels.integrate_partials, _quad._straddled
+
+    def recording(f, edges, cuts, rtol):
+        solves.append((f, edges, cuts, partials(f, edges, cuts, rtol=rtol)))
+        return solves[-1][-1]
+
+    def gap(*args):   # called only by solves with a cut off their edges
+        out = straddled(*args)
+        gaps.append(out[2][0])
+        return out
+
+    monkeypatch.setattr(kernels, "integrate_partials", recording)
+    monkeypatch.setattr(_quad, "_straddled", gap)
+    reduced_I_ladder(mu, p, cutoffs, quad=QuadratureSpec(rtol))
+    monkeypatch.undo()
+    (f, edges, cuts, (vals, err)), = solves
+    rung_gap = np.append(gaps[-1], 0.0)   # the final panels'; eps / 8 starts the solve
+    assert np.all(rung_gap[:-1] > 0.0)
+    marked = kernels._tau_edges(cutoffs[-1], math.exp(edges[-1]), rtol, cutoffs)
+    assert np.all(np.isin(cuts, marked))
+    ref, ref_err = partials(f, marked, cuts, rtol=rtol)
+    assert np.all(np.abs(vals - ref) <= rung_gap + (err - rung_gap.sum()) + ref_err)
+
+
 def test_ladder_widening_integrates_each_tau_once(monkeypatch):
     # the ladder's end Y 2^n is fixed from closed-form bounds before the
     # solve, so (min cutoff, Y 2^n) is one tau span, solved once
@@ -575,21 +616,19 @@ def test_ladder_widening_integrates_each_tau_once(monkeypatch):
 
 
 def _check_tau_start(lo, hi, rtol, marks):
-    """The start in t = log tau: every mark c is the edge np.log(c), a
-    panel narrower than log 1.5 lies between two marks (the ends or
-    ``marks``), and no panel is wider than panel_width(rtol) unless a
-    graded edge within log 1.5 of a mark at its end was dropped."""
+    """The start in t = log tau: every mark c (the ends and ``marks``) is
+    the edge np.log(c), and each gap between consecutive marks holds the
+    fewest equal panels no wider than panel_width(rtol)."""
     edges = kernels._tau_edges(lo, hi, rtol, *marks)
     fixed = np.log(_quad.merge_edges(lo, hi, *marks))
     assert np.all(np.isin(fixed, edges))
-    width, limit = np.diff(edges), _quad.panel_width(rtol) * (1.0 + 1e-12)
-    wide = width > limit
-    assert np.all(np.isin(edges[:-1][wide], fixed) | np.isin(edges[1:][wide], fixed))
-    assert np.all(width < limit + 2.0 * math.log(1.5))
-    sliver = width < math.log(1.5)
-    assert np.all(np.isin(edges[:-1][sliver], fixed) & np.isin(edges[1:][sliver], fixed))
-    if not marks:   # as few panels as the width allows
-        assert edges.size - 1 == math.ceil((fixed[-1] - fixed[0]) / _quad.panel_width(rtol))
+    L = _quad.panel_width(rtol)
+    for t0, t1 in zip(fixed[:-1], fixed[1:]):
+        gap = edges[(edges >= t0) & (edges <= t1)]
+        n = gap.size - 1
+        assert n == math.ceil((t1 - t0) / L)
+        assert np.allclose(np.diff(gap), (t1 - t0) / n, rtol=1e-9, atol=0.0)
+    assert np.all(np.diff(edges) <= L * (1.0 + 1e-12))
     return edges
 
 
@@ -604,19 +643,24 @@ def test_panel_width_meets_rtol_on_the_bernstein_ellipse():
 def test_tau_start_has_no_sliver_panels():
     # the equivalence proxy start (eps = 1e-2, Y = 20) had the panel
     # [8.66e-3, 1e-2], and the dichotomy start three panels as narrow as
-    # [9.999999999999997e-06, 1e-05]: each costs 17 whole table rows; the
-    # ladder start at rtol 1e-6 is 6 panels in log tau (7 at one panel
-    # per decade) and 5 at rtol 1e-4
+    # [9.999999999999997e-06, 1e-05]: each costs 17 whole table rows.  The
+    # ladder cutoffs are no marks, so the proxy start at rtol 1e-6 is 4
+    # panels in log tau and 2 at rtol 1e-4 (6 and 5 with the cutoffs as
+    # marks); a panel narrower than half the width spans a whole gap
+    # between two marks
     cutoffs = [1e-2 / 2 ** k for k in range(4)]
+    assert _check_tau_start(cutoffs[-1], 20.0, 1e-6, ()).size == 5
+    assert _check_tau_start(cutoffs[-1], 20.0, 1e-4, ()).size == 3
     assert _check_tau_start(cutoffs[-1], 20.0, 1e-6, (cutoffs,)).size == 7
-    assert _check_tau_start(cutoffs[-1], 20.0, 1e-4, (cutoffs,)).size == 6
     decades = 10.0 ** -np.arange(6.0, 1.0, -1.0)
     for rtol in (1e-3, 1e-4, 1e-6, 1e-8, 1e-10):
-        edges = _check_tau_start(1e-6, 1.0, rtol, (decades,))
-        assert np.all(np.diff(edges) >= math.log(1.5))
-        for lo, hi, marks in ((1e-2, 8.0, ()), (2e-6, 40.0, ([2.0, 4.0, 8.0],)),
-                              (40.0, 40.0 * 2 ** 7, ()), (3e-3, 0.0101, ([0.01],))):
-            _check_tau_start(lo, hi, rtol, marks)
+        for lo, hi, marks in ((1e-6, 1.0, (decades,)), (1e-2, 8.0, ()),
+                              (2e-6, 40.0, ([2.0, 4.0, 8.0],)), (40.0, 40.0 * 2 ** 7, ()),
+                              (3e-3, 0.0101, ([0.01],)), (1.25e-3, 20.0, (cutoffs,))):
+            edges = _check_tau_start(lo, hi, rtol, marks)
+            fixed = np.log(_quad.merge_edges(lo, hi, *marks))
+            narrow = np.diff(edges) < 0.5 * _quad.panel_width(rtol)
+            assert np.all(np.isin(edges[:-1][narrow], fixed) & np.isin(edges[1:][narrow], fixed))
 
 
 @pytest.mark.parametrize("lo", [1e-320, 5e-324])
@@ -655,13 +699,14 @@ def test_slice_start_panels_are_sized_from_rtol(truncated):
 
 def test_equivalence_op_tau_work(monkeypatch):
     # one criterion-6 op on a 6-atom member: the tau start grid is sized
-    # from rtol and refined on demand in log tau (119 tau-nodes; 170 at one
-    # panel per decade, 204 on linear-tau panels, 1037 with 6 log panels
-    # per decade and 9 uniform edges), and each tau row integrates its
-    # atoms' cells in sinh coordinates (32 946 tau x y cells; 69 360 at
-    # one panel per decade and two per half-cell, 83 232 on linear-tau
-    # panels, 272 816 on one y grid shared by every row, with a 4-fold
-    # ladder around each atom)
+    # from rtol, holds the ladder rungs inside its panels and is refined on
+    # demand in log tau (68 tau-nodes; 119 with the rungs as edges, 170 at
+    # one panel per decade, 204 on linear-tau panels, 1037 with 6 log
+    # panels per decade and 9 uniform edges), and each tau row integrates
+    # its atoms' cells in sinh coordinates (17 340 tau x y cells; 32 946
+    # with the rungs as edges, 69 360 at one panel per decade and two per
+    # half-cell, 83 232 on linear-tau panels, 272 816 on one y grid shared
+    # by every row, with a 4-fold ladder around each atom)
     mu = next(mu for mu in measure_family(1, 8.0, n_measures=60, seed=42)
               if mu.n_atoms == 6)
     q, quad = 1.8, QuadratureSpec(rtol=1e-4)
@@ -682,8 +727,8 @@ def test_equivalence_op_tau_work(monkeypatch):
     monkeypatch.setattr(kernels, "_kernel_sum", counting)
     besov_neg_proxy(mu, QUARTER.s(q), q, eps=1e-2, quad=quad)
     M_nu_s(mu, params_from_report(QUARTER, q, R=8.0), quad=quad, eps=1e-2)
-    assert sum(nodes) <= 300
-    assert sum(cells) <= 350_000
+    assert sum(nodes) <= 100
+    assert sum(cells) <= 20_000
 
 
 def test_equivalence_truncated_tau_solves(monkeypatch):
@@ -708,12 +753,12 @@ def test_remainder_is_one_tau_solve(monkeypatch):
     spans, depth = [], [0]
     refine = _quad._refine
 
-    def tracking(f, edges, rtol):
+    def tracking(f, edges, *args):
         if not depth[0]:   # the tau solves run in log tau
             spans.append((np.exp(edges[0]), np.exp(edges[-1])))
         depth[0] += 1
         try:
-            return refine(f, edges, rtol)
+            return refine(f, edges, *args)
         finally:
             depth[0] -= 1
 
@@ -745,9 +790,10 @@ def test_box_ladder_matches_per_radius_M(member):
 def test_equiv_member_table_work(monkeypatch):
     # the equiv-family op on its first 6-atom member (seed 5) at rtol 1e-4:
     # start panels sized from rtol meet it in one round per solve, a proxy
-    # table of 85 x 340 and an M table of 34 x 204 tau x y cells, 215 016
-    # atom-cells in all (416 160 at one tau panel per decade and two y
-    # panels per half-cell: 119 x 408 and 51 x 408)
+    # table of 34 x 340 (2 tau panels, the rungs inside them) and an M
+    # table of 34 x 204 tau x y cells, 110 976 atom-cells in all (215 016
+    # with the rungs as tau edges, 85 x 340 on 5 panels; 416 160 at one tau
+    # panel per decade and two y panels per half-cell: 119 x 408 and 51 x 408)
     mu = next(mu for mu in measure_family(1, 8.0, n_measures=200, seed=5, max_atoms=10)
               if mu.n_atoms == 6)
     q, quad = 1.8, QuadratureSpec(rtol=1e-4)
@@ -762,7 +808,7 @@ def test_equiv_member_table_work(monkeypatch):
     besov_neg_proxy(mu, QUARTER.s(q), q, eps=1e-2, quad=quad)
     M_nu_s(mu, params_from_report(QUARTER, q, R=8.0), quad=quad, eps=1e-2)
     assert len(cells) == 2
-    assert sum(cells) <= 250_000
+    assert sum(cells) <= 130_000
 
 
 @pytest.mark.parametrize("nu, q, sigma, j", [(2.0, 1.8, 0.3, 1), (3.0, 2.0, 2.0, 2),
@@ -779,7 +825,8 @@ def test_one_rung_is_the_ladder_solve(nu, q, sigma, j):
 
 def test_dirac_proxy_table_work(monkeypatch):
     # in log tau the power tau^{a-1} is analytic, so the start panels meet
-    # rtol in one round: one F solve and 10 404 tau x y cells (13 872 with
+    # rtol in one round, and the rungs lie inside them: one F solve and
+    # 5 202 tau x y cells (10 404 with the rungs as tau edges, 13 872 with
     # two y panels per half-cell, refined once; three F solves and 25 432
     # cells on linear-tau panels, 96 526 with a y core and one widening
     # shell, 324 836 with a y call per doubling)
@@ -799,7 +846,7 @@ def test_dirac_proxy_table_work(monkeypatch):
     monkeypatch.setattr(kernels, "F_nu_m", counting)
     besov_neg_proxy(dirac(1), 0.7, 2.0, eps=2e-2)
     assert len(calls) == 1
-    assert sum(cells) <= 15_000
+    assert sum(cells) <= 6_500
 
 
 class TestAggregates:

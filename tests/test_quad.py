@@ -133,12 +133,45 @@ def test_determinism_multi_row():
     assert np.array_equal(v1, v2) and np.array_equal(e1, e2)
 
 
-def test_partials_reject_cut_off_the_edges():
+def test_partial_weights_integrate_their_interpolants_exactly():
+    # from any cut c in [-1, 1], the K17 partial weights integrate every
+    # polynomial of degree <= 16 over [c, 1] exactly (the K17 interpolant
+    # reproduces it) and the G8 ones every polynomial of degree <= 7
+    c = np.concatenate([[-1.0, 1.0], np.random.default_rng(3).uniform(-1.0, 1.0, 40)])
+    w17, w8 = _quad._partial_weights(c)
+    assert w17.shape == (c.size, 17) and w8.shape == (c.size, 8)
+    for weights, x, top in ((w17, _K17_X, 16), (w8, _K17_X[1::2], 7)):
+        for d in range(top + 1):
+            exact = (1.0 - c ** (d + 1)) / (d + 1)
+            assert np.all(np.abs(weights @ x ** d - exact) <= 1e-14)
+    assert np.all(np.abs(w17[0] - _K17_W) <= 1e-14) and np.all(np.abs(w17[1]) <= 1e-14)
+
+
+@pytest.mark.parametrize("rtol", [1e-4, 1e-6, 1e-8])
+def test_interior_cut_within_reported_error(rtol):
+    # 1/cosh x has its poles at +-i pi/2, the strip panel_width is sized
+    # for: on one panel that wide the tail from an interior cut is the
+    # integral of the panel's K17 interpolant, within the reported error
+    rng = np.random.default_rng(int(-math.log10(rtol)))
+    L = _quad.panel_width(rtol)
+    antideriv = lambda x: 2.0 * math.atan(math.tanh(0.5 * x))
+    for _ in range(20):
+        lo = rng.uniform(-L, 0.0)
+        cut = rng.uniform(lo, lo + L)
+        vals, err = integrate_partials(lambda x: (1.0 / np.cosh(x))[None, :], [lo, lo + L],
+                                       [lo, cut], rtol=rtol)
+        for c, v in zip((lo, cut), vals):
+            assert abs(v - (antideriv(lo + L) - antideriv(c))) <= err
+
+
+def test_partials_reject_a_cut_outside_the_edges():
     f = lambda x: np.exp(-x)[None, :]
     edges = np.linspace(0.0, 2.0, 5)
-    integrate_partials(f, edges, [0.5 + 1e-16], rtol=1e-10)   # within the tolerance
-    with pytest.raises(ValueError, match="initial panel edge"):
-        integrate_partials(f, edges, [0.5, 0.75], rtol=1e-10)
+    (v,), _ = integrate_partials(f, edges, [2.0 + 1e-15], rtol=1e-10)   # within the tolerance
+    assert v == 0.0
+    for cuts in ([-0.25], [0.5, 2.5]):
+        with pytest.raises(ValueError, match="within"):
+            integrate_partials(f, edges, cuts, rtol=1e-10)
 
 
 @pytest.mark.parametrize("f, edges", [(np.exp, [0.0, 1.0]),
