@@ -7,7 +7,7 @@ here at second order, and never overshoots the boundary data.
 
 from wedgecap.experiments import heat_lifting
 
-lift, rep = heat_lifting()
+lift, rep = heat_lifting(R=4.0)
 m = rep.metrics
 print("maximum-principle overshoot : %.2e" % m["overshoot"])
 print("initial trace error         : %.2e" % m["initial_trace_error"])

@@ -323,28 +323,33 @@ def integrate_partials(f, edges, cuts, rtol=1e-8):
     return tails[0], float(errs[0])
 
 
-def fit_loglog(x, y):
-    """Ordinary least squares fit of log(y) against log(x).
+def fit_line(x, y):
+    """Least-squares line y ~ c + b x in closed form, b from the centred
+    sums and c from the means.  Returns ``(b, c, residuals, sxx)``: the
+    residuals y - (c + b x) formed explicitly, so a misfit far below |y|
+    keeps its digits, and the centred sum of squares of x, where 0 makes
+    b nan (x without spread fixes no slope)."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    xm, ym = float(x.sum()) / x.size, float(y.sum()) / y.size
+    dx = x - xm
+    sxx = float(dx @ dx)
+    b = float(dx @ (y - ym)) / sxx if sxx > 0.0 else math.nan
+    c = ym - b * xm
+    return b, c, y - (c + b * x), sxx
 
-    Returns ``(slope, intercept, r_squared, slope_stderr)``.  Points with
-    non-positive y are rejected.
-    """
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    if np.any(y <= 0) or np.any(x <= 0):
+
+def fit_loglog(x, y):
+    """Least-squares slope of log(y) against log(x) in closed form
+    (:func:`fit_line`): ``(slope, r_squared, slope_stderr)``, the standard
+    error 0 for two points.  Non-positive x or y are rejected."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    if (y <= 0).any() or (x <= 0).any():
         raise ValueError("log-log fit needs positive data")
-    lx, ly = np.log(x), np.log(y)
-    n = lx.size
-    A = np.vstack([lx, np.ones(n)]).T
-    coef, res, _, _ = np.linalg.lstsq(A, ly, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    pred = A @ coef
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    ly = np.log(y)
+    slope, _, resid, sxx = fit_line(np.log(x), ly)
+    ss_res = float(resid @ resid)
+    dy = ly - float(ly.sum()) / ly.size
+    ss_tot = float((dy * dy).sum())
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    if n > 2:
-        sxx = float(np.sum((lx - lx.mean()) ** 2))
-        stderr = np.sqrt(max(ss_res, 0.0) / (n - 2) / max(sxx, _TINY))
-    else:
-        stderr = 0.0
-    return slope, intercept, r2, float(stderr)
+    stderr = math.sqrt(ss_res / (x.size - 2) / max(sxx, _TINY)) if x.size > 2 else 0.0
+    return slope, r2, stderr

@@ -76,7 +76,7 @@ def besov_neg_proxy(mu, s, q, eps=1e-2, quad=None):
     ladder = tuple(zip(cutoffs, values.tolist()))
     if np.all(values <= 0.0):   # no atom of positive weight
         return NormProxyResult(0.0, eps, False, None, None, None, ladder)
-    slope, _, r2, stderr = fit_loglog(cutoffs, values)
+    slope, r2, stderr = fit_loglog(cutoffs, values)
     divergent = _reduction_pieces(mu, params)[1] + 1.0 <= 0.0
     return NormProxyResult(value=float(values[0]), cutoff=eps, divergent=divergent,
                            fitted_exponent=float(slope), exponent_ci=2.0 * stderr,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import integrate_rows
+from ._quad import fit_line, integrate_rows
 from .errors import (ConfigurationError, DomainError, SingularityError,
                      SolverError)
 from .geometry import DiscreteMeasure
@@ -60,7 +60,8 @@ def _verdict_from_history(history, theta):
     power of the refinement parameter with exponent theta (alpha p - 1
     for the grid program, q (s - m/q') for the cutoff ladder), and the set
     is null exactly when theta <= 0: "vanishing" with limit 0.  Otherwise
-    it is "positive", and fitting 1/value = C + b * r^theta extrapolates
+    it is "positive", and fit_line's closed-form line 1/value = C + b x,
+    x = (r / max r)^theta in [0, 1] (the scale moves only b), extrapolates
     the limit 1/C; the limit is None when the history cannot be fitted,
     C <= 0 or the misfit exceeds FIT_RESIDUAL_TOL.
     """
@@ -71,11 +72,9 @@ def _verdict_from_history(history, theta):
     if np.any(vals <= 0.0) or res.size < 3:
         return "positive", None
     u = 1.0 / vals
-    x = res ** theta
-    A = np.vstack([x, np.ones_like(x)]).T
-    (b, C), _, _, _ = np.linalg.lstsq(A, u, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ np.array([b, C]) - u) ** 2))) / float(np.mean(u))
-    if resid > FIT_RESIDUAL_TOL or C <= 0.0:
+    _, C, resid, _ = fit_line((res / res.max()) ** theta, u)
+    misfit = math.sqrt(float(np.mean(resid ** 2))) / float(np.mean(u))
+    if not (misfit <= FIT_RESIDUAL_TOL and C > 0.0):
         return "positive", None
     return "positive", 1.0 / C
 
@@ -229,7 +228,7 @@ def _ray_start(phi, u, degree):
 # min-norm Bessel capacity
 
 
-def bessel_capacity(points, alpha, p, resolution=0.05):
+def bessel_capacity(points, alpha, p, resolution):
     """Discretized Bessel capacity of a finite point set K in R^1.
 
     Source grid: K dilated by three kernel effective radii max(1, alpha),
@@ -273,7 +272,8 @@ def bessel_capacity(points, alpha, p, resolution=0.05):
         def phi(lam):   # dual: the optimal g is (A^T lam / p h)^{1/(p-1)}
             s = A.T @ lam
             g = (s / (p * h)) ** (1.0 / (p - 1.0))
-            dg = np.divide(g, (p - 1.0) * s, out=np.zeros_like(s), where=s > 0.0)
+            den = (p - 1.0) * s   # 0 when p < 2 and s is subnormal
+            dg = np.divide(g, den, out=np.zeros_like(s), where=den > 0.0)
             return (p - 1.0) * h * float(np.sum(g ** p)), A @ g, (A * dg) @ A.T
 
         lam, _, iters = _orthant_newton(phi, _ray_start(phi, np.ones(pts.size),

@@ -146,9 +146,9 @@ def dichotomy_experiment(N, k, gamma, q):
         return (r_nodes ** rpow * _slice_T(r_nodes, jq, N - k, R))[None, :]
 
     I_vals, _ = _tau_ladder(integrand, eps_grid, R, DEFAULT_QUAD)
-    slope_I, _, r2_I, se_I = fit_loglog(eps_grid, I_vals)
+    slope_I, r2_I, se_I = fit_loglog(eps_grid, I_vals)
 
-    slope_w, _, r2_w, se_w = fit_loglog(eps_grid, integrand(np.array(eps_grid))[0])
+    slope_w, r2_w, se_w = fit_loglog(eps_grid, integrand(np.array(eps_grid))[0])
     divergent = bool(slope_w <= -1.0)
 
     metrics = {
@@ -268,7 +268,7 @@ def equivalence_experiment(N, k, gamma, q, R=8.0, n_measures=20, seed=DEFAULT_SE
         vals = [Ms[Rg] / P for Ms, P in zip(M_all, proxies)]
         growth.append(max(vals))
         rows.append({"params": {"R": Rg}, "metric": "max_ratio", "value": max(vals)})
-    growth_slope, _, growth_r2, _ = fit_loglog(R_grid, growth)
+    growth_slope, growth_r2, _ = fit_loglog(R_grid, growth)
 
     metrics = {
         "ratio_spread": spread,
@@ -316,7 +316,7 @@ def remainder_experiment(nu, sigma, j, q):
                             % R_grid[deltas.index(min(deltas))],
                             value=np.array(deltas))
 
-    slope, _, r2, se = fit_loglog(R_grid, deltas)
+    slope, r2, se = fit_loglog(R_grid, deltas)
     monotone = bool(np.all(np.diff(deltas) <= 1e-12 * np.array(deltas[:-1])))
     metrics = {"fitted_exponent": slope, "r2": r2, "stderr": se,
                "bound": bound, "monotone": monotone}
@@ -440,7 +440,7 @@ class HeatLift:
     (and every bump on the same grid) at those times.  Each quantity is
     the table times a spectral multiplier: (-lam)^order for d^order w /
     dt^order, or any lam-polynomial such as the chain-rule Laplacian
-    4 t lam^2 - (2k+1) lam.  All rows of one request go through one
+    4 t lam^2 - (2k+1) lam.  All rows of one spectrum go through one
     batched transform.  The lift checks take w_t from the FD stencil
     L_h w instead, which is exact for the semi-discrete flow; L_h^2 w
     would lose digits to the h^-4 roundoff, so w_tt always comes from a
@@ -469,26 +469,19 @@ class HeatLift:
         """The table exp(-t lam) at a time, or one row per time of a 1-D array."""
         return np.exp(-np.multiply.outer(t, self.lam))
 
-    def _rows(self, *spectra):
-        """Grid rows of each spectrum (a decay table times a multiplier).
-
-        All rows go through one batched transform and land in zero-bordered
-        arrays, one per spectrum, of shape spectrum.shape[:-1] + (n + 1,).
-        """
+    def _rows(self, spectrum):
+        """Zero-bordered grid rows, shape spectrum.shape[:-1] + (n + 1,), of a
+        spectrum (a decay table times a multiplier), from one transform
+        made in place in their interior."""
         from scipy.fft import dst
-        shapes = [np.shape(g)[:-1] for g in spectra]
-        starts = np.cumsum([0] + [math.prod(s) for s in shapes])
-        spans = list(zip(starts[:-1], starts[1:]))
-        stack = np.empty((starts[-1], self.n - 1))
-        for g, (a, b) in zip(spectra, spans):
-            np.multiply(np.reshape(g, (b - a, -1)), self.c, out=stack[a:b])
-        out = np.zeros((starts[-1], self.n + 1))
-        out[:, 1:-1] = dst(stack, type=1, norm="ortho", axis=-1, overwrite_x=True)
-        return [out[a:b].reshape(s + (self.n + 1,)) for s, (a, b) in zip(shapes, spans)]
+        out = np.zeros(np.shape(spectrum)[:-1] + (self.n + 1,))
+        np.multiply(spectrum, self.c, out=out[..., 1:-1])
+        dst(out[..., 1:-1], type=1, norm="ortho", axis=-1, overwrite_x=True)
+        return out
 
     def _at(self, t, order):
         """d^order w / dt^order at a time, or one row per time of a 1-D array."""
-        return self._rows((-self.lam) ** order * self._decay(t))[0]
+        return self._rows((-self.lam) ** order * self._decay(t))
 
     def w(self, t):
         return self._at(t, 0)
@@ -518,13 +511,20 @@ def _cutoff_profile(u):
     return out
 
 
-def _strided_columns(size, stride):
-    """Slices of the coarse FD columns and of their right and left neighbours."""
-    return (slice(stride, size - stride, stride), slice(2 * stride, size, stride),
-            slice(0, size - 2 * stride, stride))
+def _cylinder_laplacian(Z, y, h, stride, k, gamma):
+    """FD Laplacian d_yy + (k - 1)/y d_y - gamma/y^2 + d_xx with step h in
+    y and x: one row per y (a column of values h apart), at every
+    ``stride``-th interior grid column.  Z holds the grid rows on the y
+    values extended by one step at each end."""
+    mid = slice(stride, -stride, stride)
+    z0, zp, zm = Z[1:-1, mid], Z[2:, mid], Z[:-2, mid]
+    return ((zp - 2.0 * z0 + zm) / h ** 2
+            + (k - 1.0) / y * (zp - zm) / (2.0 * h)
+            - gamma / y ** 2 * z0
+            + (Z[1:-1, 2 * stride::stride] - 2.0 * z0 + Z[1:-1, :-2 * stride:stride]) / h ** 2)
 
 
-def heat_lifting(R=4.0, q=1.8):
+def heat_lifting(R, q=1.8):
     """Lift boundary bumps through the heat flow and check the estimates.
 
     The wedge is the quarter wedge (k = HEAT_K, kappa_plus =
@@ -574,18 +574,15 @@ def heat_lifting(R=4.0, q=1.8):
             resid = []
             for frac in HEAT_H_GRID:
                 h = frac * R
-                mid, right, left = _strided_columns(x.size, int(round(h / h_s)))
+                stride = int(round(h / h_s))
                 ys = np.arange(0.15 * R, 0.7 * R, h)
                 y, t = ys[:, None], (ys * ys)[:, None]
                 # the rows at y + h and y - h are the rows at y, shifted by one; the
                 # right side 4 t w_tt + (2k+1) w_t is one multiplier on the same table
                 E = lift._decay(np.concatenate([[ys[0] - h], ys, [ys[-1] + h]]) ** 2)
-                W, rhs = lift._rows(E, E[1:-1] * chain_rule(t))
-                w0, wp, wm = W[1:-1, mid], W[2:, mid], W[:-2, mid]
-                lhs = ((wp - 2.0 * w0 + wm) / h ** 2
-                       + (k - 1.0) / y * (wp - wm) / (2.0 * h)
-                       + (W[1:-1, right] - 2.0 * w0 + W[1:-1, left]) / h ** 2)
-                resid.append(float(np.max(np.abs(lhs - rhs[:, mid]))))
+                lhs = _cylinder_laplacian(lift._rows(E), y, h, stride, k, 0.0)
+                rhs = lift._rows(E[1:-1] * chain_rule(t))[:, stride:-stride:stride]
+                resid.append(float(np.max(np.abs(lhs - rhs))))
             orders = [math.log2(resid[i] / resid[i + 1]) for i in range(len(resid) - 1)]
 
             # (c) gradient functional vs fractional edge norm, over a bump family
@@ -611,7 +608,7 @@ def heat_lifting(R=4.0, q=1.8):
             ratios = []
             for center, width in family:
                 lf = HeatLift(_cos2_bump(center, width), R, n=HEAT_N_SOLVE)
-                w0, lapH = lf._rows(E, E_lap)
+                w0, lapH = lf._rows(E), lf._rows(E_lap)
                 # w_t = L_h w holds exactly for the semi-discrete flow
                 wt = (w0[:, 2:] - 2.0 * w0[:, 1:-1] + w0[:, :-2]) / h_s ** 2
                 dyH = 2.0 * y * wt
@@ -631,21 +628,12 @@ def heat_lifting(R=4.0, q=1.8):
             sup_ratios = []
             for frac in HEAT_H_GRID[-2:]:
                 h = frac * R
-                mid, right, left = _strided_columns(x.size, int(round(h / h_s)))
+                stride = int(round(h / h_s))
                 y = np.arange(max(0.1 * R, 2.0 * h), 0.7 * R, h)[:, None]
-
-                def zeta_slice(yv):
-                    val = lift.w((yv * yv)[:, 0]) ** qp
-                    return yv ** kappa_plus * _cutoff_profile(yv / R) * val
-
-                Z = zeta_slice(np.concatenate([y[:1] - h, y, y[-1:] + h]))
-                z0, zp, zm = Z[1:-1], Z[2:], Z[:-2]
-                lap = ((zp - 2.0 * z0 + zm) / h ** 2
-                       + (k - 1.0) / y * (zp - zm) / (2.0 * h)
-                       - gamma_open / y ** 2 * z0)
-                lap = lap[:, mid] + (z0[:, right] - 2.0 * z0[:, mid]
-                                     + z0[:, left]) / h ** 2
-                dom = (np.cos(0.5 * math.pi * x[mid] / R)
+                yz = np.concatenate([y[:1] - h, y, y[-1:] + h])
+                Z = yz ** kappa_plus * _cutoff_profile(yz / R) * lift.w((yz * yz)[:, 0]) ** qp
+                lap = _cylinder_laplacian(Z, y, h, stride, k, gamma_open)
+                dom = (np.cos(0.5 * math.pi * x[stride:-stride:stride] / R)
                        * y ** kappa_plus * _cutoff_profile(y / R))
                 mask = dom > 1e-8 * np.max(dom, axis=1, keepdims=True)
                 sup_ratios.append(float(np.max(np.abs(lap[mask]) / dom[mask])))

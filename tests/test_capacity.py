@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -96,14 +97,14 @@ def test_cell_matrix_matches_struve_closed_form(alpha):
 
 class TestBesselCapacity:
     def test_empty_set(self):
-        res = bessel_capacity(np.array([]), 0.5, 2.0)
+        res = bessel_capacity(np.array([]), 0.5, 2.0, resolution=0.05)
         assert res.value == 0.0 and res.verdict == "vanishing"
 
     @pytest.mark.parametrize("pts", [[np.nan], [np.inf, 0.0], [0.0, -np.inf]])
     def test_non_finite_points(self, pts):
         # NaN was a bare ValueError from the grid anchor, inf an OverflowError
         with pytest.raises(DomainError, match="points must be finite"):
-            bessel_capacity(np.array(pts), 0.6, 2.0)
+            bessel_capacity(np.array(pts), 0.6, 2.0, resolution=0.05)
 
     def test_threshold_vanishing(self):
         res = bessel_capacity(np.array([0.0]), 0.4, 2.0, resolution=0.02)
@@ -171,6 +172,14 @@ class TestBesselCapacity:
         assert res.gap <= 1e-13
         assert res.iterations <= 20
 
+    def test_subnormal_column_sums_divide_nothing(self):
+        # at alpha = 400 some cells' column sums are subnormal, and
+        # (p - 1) s rounds to 0 for p < 2: phi's Hessian divided 0 by 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = bessel_capacity(np.array([-0.6, 0.1, 0.6]), 400.0, 1.5, resolution=1.0)
+        assert res.verdict == "positive" and math.isfinite(res.limit)
+
     def test_steep_dual_at_p_near_one(self):
         # g ~ (A^T lam)^100: trial steps overflow and are rejected; the
         # first-order ascent stalled here at gap 1.7e-5
@@ -183,8 +192,8 @@ class TestBesselCapacity:
     def test_near_coincident_targets(self, d, p):
         # coinciding or nearly coinciding targets make the dual Hessian
         # singular or nearly so; the first-order ascent stalled on these
-        res = bessel_capacity(np.array([0.0, d, 0.5]), 0.6, p)
-        ref = bessel_capacity(np.array([0.0, 0.5]), 0.6, p)
+        res = bessel_capacity(np.array([0.0, d, 0.5]), 0.6, p, resolution=0.05)
+        ref = bessel_capacity(np.array([0.0, 0.5]), 0.6, p, resolution=0.05)
         assert np.isfinite(res.value) and res.gap <= 1e-7
         assert res.verdict == ref.verdict
 
@@ -407,7 +416,7 @@ class TestNullTest:
             draws.append((ap / p, p))
         verdicts = []
         for alpha, p in draws:
-            numeric = bessel_capacity(points, alpha, p).verdict
+            numeric = bessel_capacity(points, alpha, p, resolution=0.05).verdict
             analytic = capacity_null_test(piece, alpha, p, 1)
             expect = ("vanishing", "null") if alpha * p <= 1.0 else ("positive", "positive")
             assert (numeric, analytic) == expect, (alpha, p)
@@ -431,7 +440,7 @@ class TestNullTest:
             p = rng.uniform(1.3, 3.0)
             theta = rng.uniform(0.1, 0.6) * (1 if i % 2 else -1)
             cases.append((bessel_capacity(np.array([-0.6, 0.1, 0.6]),
-                                          (1.0 + theta) / p, p), theta))
+                                          (1.0 + theta) / p, p, resolution=0.05), theta))
         for q in (1.5, 1.6, 1.75, 1.8):
             theta = q * (QUARTER.s(q) - QUARTER.m * (q - 1.0) / q)
             cases.append((rho_capacity(np.array([[0.0], [1.0]]), QUARTER, q), theta))
@@ -443,6 +452,37 @@ class TestNullTest:
             (b, C), _, _, _ = np.linalg.lstsq(A, u, rcond=None)
             assert np.sqrt(np.mean((A @ [b, C] - u) ** 2)) <= FIT_RESIDUAL_TOL * np.mean(u)
             assert (b > 0.0) if theta < 0.0 else (C > 0.0), theta
+            # the closed-form fit on the scaled abscissa meets this lstsq
+            # fit on the raw one where theta is small
+            if theta > 0.0:
+                assert abs(res.limit * C - 1.0) <= 1e-12, theta
+
+    def test_limit_is_the_fit_at_large_theta(self):
+        # alpha p - 1 = 23: lstsq on the raw abscissa r^23 dropped the b
+        # column below its rank cut and reported the harmonic mean of the
+        # history, 12.09531, as the limit; np.polyfit scales its columns
+        res = bessel_capacity(np.array([-0.6, 0.1, 0.6]), 12.0, 2.0, resolution=0.02)
+        r = np.array([h for h, _ in res.history])
+        u = 1.0 / np.array([v for _, v in res.history])
+        _, C = np.polyfit(r ** 23.0, u, 1)
+        assert abs(res.limit * C - 1.0) <= 1e-12
+        assert abs(res.limit - 12.09504) < 1e-5
+        assert abs(res.limit - u.size / u.sum()) > 2e-4
+
+    def test_limit_at_theta_599(self):
+        # an exact history of 1/value = C + b (r / 8)^599: r^599 overflowed
+        # and the raw lstsq raised "SVD did not converge"
+        r = np.array([8.0, 4.0, 2.0, 1.0])
+        C, b = 1.0 / 66.0, 1e-3
+        history = tuple(zip(r, 1.0 / (C + b * (r / 8.0) ** 599.0)))
+        verdict, limit = capacity._verdict_from_history(history, 599.0)
+        assert verdict == "positive" and abs(limit * C - 1.0) <= 1e-12
+
+    def test_no_limit_from_an_abscissa_without_spread(self):
+        # (r / max r)^theta rounds to 1 at every r: no slope, no limit (the
+        # raw lstsq split 1/value evenly between b and C and reported 2.0)
+        history = ((0.16, 1.003), (0.08, 1.002), (0.04, 1.001), (0.02, 1.0))
+        assert capacity._verdict_from_history(history, 1e-18) == ("positive", None)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -319,6 +320,20 @@ def test_capacity_near_coincident_points(tmp_path, capsys):
     assert code == 0
     piece = json.loads(out)["result"]["pieces"][0]
     assert piece["verdict"] == "positive" and piece["gap"] <= 1e-14
+
+
+def test_capacity_at_alpha_400(capsys):
+    # theta = alpha p - 1 = 599: the raw abscissa r^599 overflowed the
+    # limit fit (exit 2, "SVD did not converge"), and subnormal column sums
+    # made phi divide 0 by 0 (a RuntimeWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run_cli(capsys, "capacity", "--set",
+                               os.path.join(ROOT, "tests", "golden", "grid_set.json"),
+                               "--alpha", "400", "--p", "1.5", "--resolution", "1")
+    assert code == 0
+    piece = json.loads(out)["result"]["pieces"][0]
+    assert piece["verdict"] == "positive" and math.isfinite(piece["limit"])
 
 
 def test_capacity_rejects_non_finite_points(tmp_path, capsys):

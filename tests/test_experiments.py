@@ -186,7 +186,7 @@ class TestHarmonicity:
 
 @pytest.fixture(scope="module")
 def heat_run():
-    return heat_lifting()
+    return heat_lifting(R=4.0)
 
 
 class TestHeatLifting:
@@ -320,7 +320,7 @@ class TestHeatLiftOracle:
         lift = HeatLift(_skewed_bump, 4.0, n=256)
         dense = _dense_lift(lift)
         E = lift._decay(np.array([t]))
-        got, = lift._rows(E * (4.0 * t * lift.lam ** 2 - (2.0 * k + 1.0) * lift.lam))
+        got = lift._rows(E * (4.0 * t * lift.lam ** 2 - (2.0 * k + 1.0) * lift.lam))
         for ref in (4.0 * t * lift.wtt(t) + (2.0 * k + 1.0) * lift.wt(t),
                     4.0 * t * dense(2, t) + (2.0 * k + 1.0) * dense(1, t)):
             assert got[0].shape == ref.shape
@@ -360,8 +360,8 @@ def test_anomaly_escalation_path(monkeypatch):
     real = exp.fit_loglog
 
     def skewed(x, y):
-        slope, intercept, r2, se = real(x, y)
-        return slope + 2.0, intercept, r2, se   # divergent looks convergent
+        slope, r2, se = real(x, y)
+        return slope + 2.0, r2, se   # divergent looks convergent
 
     monkeypatch.setattr(exp, "fit_loglog", skewed)
     with pytest.raises(AnomalyError) as err:

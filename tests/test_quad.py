@@ -60,10 +60,27 @@ def test_partials_match_separate_runs():
 
 def test_fit_loglog_recovers_exponent():
     x = np.array([1e-4, 1e-3, 1e-2, 1e-1])
-    slope, _, r2, se = fit_loglog(x, 3.0 * x ** -0.7)
+    slope, r2, se = fit_loglog(x, 3.0 * x ** -0.7)
     assert abs(slope + 0.7) < 1e-12
     assert r2 > 0.999999
     assert se < 1e-10
+
+
+def test_fit_loglog_matches_polyfit():
+    # seeded scattered power laws on 3 to 6 points: the closed-form slope,
+    # r^2 and slope stderr against np.polyfit's coefficients, residual sum
+    # and covariance, which scales by ss_res / (n - 2)
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        n = int(rng.integers(3, 7))
+        lx = rng.uniform(-8.0, 3.0, n)
+        ly = rng.normal(0.0, 2.0) + rng.normal(0.0, 2.0) * lx + rng.normal(0.0, 0.3, n)
+        slope, r2, se = fit_loglog(np.exp(lx), np.exp(ly))
+        (b, _), (ss_res,), _, _, _ = np.polyfit(lx, ly, 1, full=True)
+        _, cov = np.polyfit(lx, ly, 1, cov=True)
+        ref = (b, 1.0 - ss_res / np.sum((ly - ly.mean()) ** 2), math.sqrt(cov[0, 0]))
+        for got, want in zip((slope, r2, se), ref):
+            assert abs(got - want) <= 1e-12 * abs(want), (n, got, want)
 
 
 def test_determinism():
